@@ -1,20 +1,16 @@
-// Update-churn A/B: CheckAccess latency on a warm key while a sustained
-// stream of policy updates lands, through the two update disciplines:
+// Update-churn latency: CheckAccess latency on a warm key while a
+// sustained stream of pauseless policy swaps lands:
 //
 //   {0}  no churn — the baseline the 2x acceptance bound is measured from.
-//   {1}  barrier churn — pauseless_updates=false: every update is a
-//        stop-the-world epoch broadcast; all shards stall while each one
-//        re-validates + re-diffs the whole policy, and the bumped cache
-//        epoch wipes every warm verdict. The update-correlated p99 cliff.
-//   {2}  RCU churn — pauseless swaps: the update is prepared once off the
-//        shard threads and committed as one small envelope per shard (flip
-//        + affected-rule regenerate); warm verdicts for untouched keys
-//        keep their stamps and keep hitting.
-//   {3}  wake-only control — a thread wakes at the same cadence and does
+//   {1}  swap churn — each update is prepared once off the shard threads
+//        and committed as one small envelope per shard (flip + affected-
+//        rule regenerate); warm verdicts for untouched keys keep their
+//        stamps and keep hitting.
+//   {2}  wake-only control — a thread wakes at the same cadence and does
 //        NOTHING. On few-core hosts every wake evicts the measured thread
 //        for a scheduler timeslice, so this arm is the latency floor for
 //        ANY concurrent admin activity; the swap-correlated overhead of
-//        arm 2 is its p99 minus this arm's, not minus the idle baseline.
+//        arm 1 is its p99 minus this arm's, not minus the idle baseline.
 //
 // The churn thread applies alternating permission-toggle updates to a role
 // the measured key never touches, at a steady ~500 updates/s (2ms cadence)
@@ -45,8 +41,8 @@ constexpr int kBatch = 64;
 
 /// The default synthetic enterprise (50 roles, 100 users, hierarchy, SoD)
 /// plus a dedicated `reader` role for the measured key — realistic policy
-/// bulk, so the barrier arm pays its real full-re-validate + full-re-diff
-/// cost per update. The churn stream toggles a permission on a synthetic
+/// bulk for each swap to validate and diff. The churn stream toggles a
+/// permission on a synthetic
 /// role the measured key never touches (WithToggledPermission picks the
 /// first role in name order: "R0000" sorts before "reader").
 Policy ChurnPolicy() {
@@ -72,9 +68,8 @@ double Percentile(const std::vector<double>& sorted, double p) {
 
 void BM_CheckAccess_UnderUpdateChurn(benchmark::State& state) {
   const int mode = static_cast<int>(state.range(0));
-  const bool churn = mode == 1 || mode == 2;
-  const bool wake_only = mode == 3;
-  const bool pauseless = mode == 2;
+  const bool churn = mode == 1;
+  const bool wake_only = mode == 2;
 
   ServiceConfig config;
   config.num_shards = 2;
@@ -82,7 +77,6 @@ void BM_CheckAccess_UnderUpdateChurn(benchmark::State& state) {
   config.start_time = benchutil::Noon();
   config.decision_cache_capacity = 1024;
   config.decision_cache_fastpath = false;
-  config.pauseless_updates = pauseless;
   auto service = std::make_unique<AuthorizationService>(config);
   const Policy base = ChurnPolicy();
   if (!service->LoadPolicy(base).ok()) std::abort();
@@ -147,14 +141,14 @@ void BM_CheckAccess_UnderUpdateChurn(benchmark::State& state) {
   state.counters["p50_ns"] = Percentile(samples, 50);
   state.counters["p99_ns"] = Percentile(samples, 99);
   state.counters["updates"] = static_cast<double>(updates.load());
-  // The RCU arm's warm key must KEEP hitting across swaps (its stamp only
-  // moves when the pool generation does — and then one miss refills it);
-  // the barrier arm re-misses after every epoch wipe.
+  // The churn arm's warm key must KEEP hitting across swaps (its stamp
+  // only moves when the pool generation does — and then one miss refills
+  // it).
   ServiceStats stats = service->Stats();
   state.counters["hit_frac"] =
       total == 0 ? 0.0 : static_cast<double>(stats.cache_hits) / total;
   state.counters["swaps"] = static_cast<double>(stats.policy_swaps);
-  // Where the RCU arm's swap time goes: build (off the shard threads —
+  // Where the churn arm's swap time goes: build (off the shard threads —
   // free on multi-core hosts) vs commit (one envelope per shard, the only
   // part that ever queues in front of a decision).
   const telemetry::RegistrySnapshot metrics = service->Snapshot().metrics;
@@ -171,9 +165,8 @@ void BM_CheckAccess_UnderUpdateChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckAccess_UnderUpdateChurn)
     ->Arg(0)  // Baseline: no update stream.
-    ->Arg(1)  // Barrier churn: epoch broadcast per update (legacy).
-    ->Arg(2)  // RCU churn: pauseless swap per update.
-    ->Arg(3)  // Wake-only control: same cadence, no updates.
+    ->Arg(1)  // Swap churn: pauseless swap per update.
+    ->Arg(2)  // Wake-only control: same cadence, no updates.
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 

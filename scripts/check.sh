@@ -155,7 +155,7 @@ audit_smoke() {
     --requests=500 --batch=8
   kill -TERM "$serve_pid"
   wait "$serve_pid"
-  grep -E 'audit_drops=0 drained$' "$log" >/dev/null || {
+  grep -E 'audit_drops=0 .*drained$' "$log" >/dev/null || {
     echo "audit-smoke: server stats line missing audit_drops=0" >&2
     cat "$log" >&2
     return 1
@@ -279,13 +279,15 @@ rm -rf "$REPLAY_TMP"
 # TSan is incompatible with ASan, so the threaded service tests get their
 # own build tree.
 echo "== Sanitizer pass: thread (service + mailbox + fast-path + net tests) =="
+# policy_test rides along for its concurrent-copy case: threads copying one
+# shared policy generation and writing their copies' copy-on-write sections.
 cmake -B build-tsan -S . -DSENTINELPP_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=Debug >/dev/null
 cmake --build build-tsan -j"$JOBS" --target service_test mailbox_test \
   policer_test fastpath_test interner_test wire_test net_test audit_test \
-  policy_swap_test
+  policy_swap_test policy_test
 ctest --test-dir build-tsan --output-on-failure \
-  -R '^(service_test|mailbox_test|policer_test|fastpath_test|interner_test|wire_test|net_test|audit_test|policy_swap_test)$'
+  -R '^(service_test|mailbox_test|policer_test|fastpath_test|interner_test|wire_test|net_test|audit_test|policy_swap_test|policy_test)$'
 
 echo "== Overload stress: stall-injected shed/deadline paths under TSan =="
 # The acceptance stress for the bounded-mailbox work: shard stalls injected

@@ -124,7 +124,10 @@ Result<RegenReport> AuthorizationEngine::ApplyPolicyUpdate(
 Result<PolicyUpdatePlan> AuthorizationEngine::PreparePolicyUpdate(
     std::shared_ptr<const Policy> base, Policy next) {
   if (!base) return Status::FailedPrecondition("no policy loaded yet");
-  SENTINEL_RETURN_IF_ERROR(next.Validate());
+  // An installed generation passed Validate when it was loaded or
+  // prepared, so the sections `next` still shares with it need no
+  // re-check (see Policy::Validate).
+  SENTINEL_RETURN_IF_ERROR(next.Validate(base.get()));
   PolicyUpdatePlan plan;
   plan.base = std::move(base);
   plan.next = std::make_shared<const Policy>(std::move(next));

@@ -136,7 +136,9 @@ class AuthorizationEngine {
   /// Pure and static — safe to run on the admin caller's thread while the
   /// shards keep serving. `base` should be the currently installed shared
   /// generation; CommitPolicyUpdate rejects the plan if the engine has
-  /// moved on.
+  /// moved on. Cost follows the sections `next` edited: validation and
+  /// every diff skip a role or user section `next` still shares with
+  /// `base` (a `next` copied from `base` and then edited).
   static Result<PolicyUpdatePlan> PreparePolicyUpdate(
       std::shared_ptr<const Policy> base, Policy next);
 

@@ -46,24 +46,26 @@ Status Policy::AddRole(RoleSpec role) {
   if (role.name.empty()) {
     return Status::InvalidArgument("role name must not be empty");
   }
-  if (roles_.count(role.name) > 0) {
+  if (HasRole(role.name)) {
     return Status::AlreadyExists("role already in policy: " + role.name);
   }
   const RoleName name = role.name;
-  roles_.emplace(name, std::move(role));
+  roles_.Mutable().emplace(name, std::move(role));
   return Status::OK();
 }
 
 Status Policy::RemoveRole(const RoleName& role) {
-  if (roles_.erase(role) == 0) {
+  if (!HasRole(role)) {
     return Status::NotFound("role not in policy: " + role);
   }
+  std::map<RoleName, RoleSpec>& roles = roles_.Mutable();
+  roles.erase(role);
   // Scrub references so the policy stays self-consistent.
-  for (auto& [name, spec] : roles_) {
+  for (auto& [name, spec] : roles) {
     spec.juniors.erase(role);
     spec.prerequisites.erase(role);
   }
-  for (auto& [name, spec] : users_) {
+  for (auto& [name, spec] : users_.Mutable()) {
     spec.assignments.erase(role);
     spec.role_durations.erase(role);
   }
@@ -101,38 +103,37 @@ Status Policy::RemoveRole(const RoleName& role) {
 }
 
 Result<RoleSpec*> Policy::MutableRole(const RoleName& role) {
-  auto it = roles_.find(role);
-  if (it == roles_.end()) {
+  if (!HasRole(role)) {
     return Status::NotFound("role not in policy: " + role);
   }
-  return &it->second;
+  return &roles_.Mutable().at(role);
 }
 
 Status Policy::AddUser(UserSpec user) {
   if (user.name.empty()) {
     return Status::InvalidArgument("user name must not be empty");
   }
-  if (users_.count(user.name) > 0) {
+  if (users().count(user.name) > 0) {
     return Status::AlreadyExists("user already in policy: " + user.name);
   }
   const UserName name = user.name;
-  users_.emplace(name, std::move(user));
+  users_.Mutable().emplace(name, std::move(user));
   return Status::OK();
 }
 
 Status Policy::RemoveUser(const UserName& user) {
-  if (users_.erase(user) == 0) {
+  if (users().count(user) == 0) {
     return Status::NotFound("user not in policy: " + user);
   }
+  users_.Mutable().erase(user);
   return Status::OK();
 }
 
 Result<UserSpec*> Policy::MutableUser(const UserName& user) {
-  auto it = users_.find(user);
-  if (it == users_.end()) {
+  if (users().count(user) == 0) {
     return Status::NotFound("user not in policy: " + user);
   }
-  return &it->second;
+  return &users_.Mutable().at(user);
 }
 
 Status Policy::AddSsd(SodSet set) {
@@ -203,10 +204,10 @@ Status Policy::AddObjectPolicy(ObjectPolicySpec policy) {
 }
 
 bool Policy::RoleInHierarchy(const RoleName& role) const {
-  auto it = roles_.find(role);
-  if (it == roles_.end()) return false;
+  auto it = roles().find(role);
+  if (it == roles().end()) return false;
   if (!it->second.juniors.empty()) return true;
-  for (const auto& [name, spec] : roles_) {
+  for (const auto& [name, spec] : roles()) {
     if (spec.juniors.count(role) > 0) return true;
   }
   return false;
@@ -233,17 +234,17 @@ bool Policy::RoleIsTransactionDependent(const RoleName& role) const {
   return false;
 }
 
-Status Policy::Validate() const {
+Status Policy::Validate(const Policy* validated_base) const {
   auto require_role = [this](const RoleName& role,
                              const std::string& where) -> Status {
-    if (roles_.count(role) == 0) {
+    if (!HasRole(role)) {
       return Status::InvalidArgument("unknown role '" + role + "' in " +
                                      where);
     }
     return Status::OK();
   };
 
-  for (const auto& [name, spec] : roles_) {
+  for (const auto& [name, spec] : roles()) {
     for (const RoleName& junior : spec.juniors) {
       SENTINEL_RETURN_IF_ERROR(
           require_role(junior, "hierarchy under role " + name));
@@ -264,25 +265,36 @@ Status Policy::Validate() const {
                                      name);
     }
   }
-  if (HierarchyHasCycle(roles_)) {
+  if (HierarchyHasCycle(roles())) {
     return Status::ConstraintViolation("role hierarchy contains a cycle");
   }
 
-  for (const auto& [name, spec] : users_) {
-    for (const RoleName& role : spec.assignments) {
-      SENTINEL_RETURN_IF_ERROR(
-          require_role(role, "assignments of user " + name));
-    }
-    for (const auto& [role, duration] : spec.role_durations) {
-      SENTINEL_RETURN_IF_ERROR(
-          require_role(role, "durations of user " + name));
-      if (duration <= 0) {
-        return Status::InvalidArgument("non-positive duration for user " +
-                                       name + " role " + role);
+  // The user checks read only the users and the role names: a user section
+  // shared with an already-validated base passes them as it did there,
+  // unless a role name the base had is gone.
+  const bool users_checked =
+      validated_base != nullptr && SharesUsersWith(*validated_base) &&
+      (SharesRolesWith(*validated_base) ||
+       std::all_of(validated_base->roles().begin(),
+                   validated_base->roles().end(),
+                   [this](const auto& entry) { return HasRole(entry.first); }));
+  if (!users_checked) {
+    for (const auto& [name, spec] : users()) {
+      for (const RoleName& role : spec.assignments) {
+        SENTINEL_RETURN_IF_ERROR(
+            require_role(role, "assignments of user " + name));
       }
-    }
-    if (spec.max_active_roles < 0) {
-      return Status::InvalidArgument("negative max-active on user " + name);
+      for (const auto& [role, duration] : spec.role_durations) {
+        SENTINEL_RETURN_IF_ERROR(
+            require_role(role, "durations of user " + name));
+        if (duration <= 0) {
+          return Status::InvalidArgument("non-positive duration for user " +
+                                         name + " role " + role);
+        }
+      }
+      if (spec.max_active_roles < 0) {
+        return Status::InvalidArgument("negative max-active on user " + name);
+      }
     }
   }
 
@@ -389,14 +401,16 @@ std::set<RoleName> Policy::AffectedRoles(const Policy& from,
                                          const Policy& to) {
   std::set<RoleName> affected;
   // Changed, added or removed role specs.
-  for (const auto& [name, spec] : to.roles_) {
-    auto it = from.roles_.find(name);
-    if (it == from.roles_.end() || !(it->second == spec)) {
-      affected.insert(name);
+  if (!from.SharesRolesWith(to)) {
+    for (const auto& [name, spec] : to.roles()) {
+      auto it = from.roles().find(name);
+      if (it == from.roles().end() || !(it->second == spec)) {
+        affected.insert(name);
+      }
     }
-  }
-  for (const auto& [name, spec] : from.roles_) {
-    if (to.roles_.count(name) == 0) affected.insert(name);
+    for (const auto& [name, spec] : from.roles()) {
+      if (!to.HasRole(name)) affected.insert(name);
+    }
   }
   // Membership in changed constraint sections.
   auto mark_sod_changes = [&](const std::map<std::string, SodSet>& a,
@@ -446,14 +460,15 @@ std::set<RoleName> Policy::AffectedRoles(const Policy& from,
 std::set<UserName> Policy::AffectedUsers(const Policy& from,
                                          const Policy& to) {
   std::set<UserName> affected;
-  for (const auto& [name, spec] : to.users_) {
-    auto it = from.users_.find(name);
-    if (it == from.users_.end() || !(it->second == spec)) {
+  if (from.SharesUsersWith(to)) return affected;
+  for (const auto& [name, spec] : to.users()) {
+    auto it = from.users().find(name);
+    if (it == from.users().end() || !(it->second == spec)) {
       affected.insert(name);
     }
   }
-  for (const auto& [name, spec] : from.users_) {
-    if (to.users_.count(name) == 0) affected.insert(name);
+  for (const auto& [name, spec] : from.users()) {
+    if (to.users().count(name) == 0) affected.insert(name);
   }
   return affected;
 }

@@ -1,7 +1,9 @@
 #ifndef SENTINELPP_CORE_POLICY_H_
 #define SENTINELPP_CORE_POLICY_H_
 
+#include <atomic>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -134,6 +136,14 @@ struct ObjectPolicySpec {
 /// paper's RBAC Manager captures, in one value type. The rule generator
 /// compiles a Policy into the engine's rule pool; edits produce a new
 /// Policy whose diff drives incremental regeneration.
+///
+/// The two large sections, roles and users, are copy-on-write: a copy
+/// shares them with its source, and whichever side first writes a section
+/// clones it. AddRole/MutableRole clone the roles, AddUser/RemoveUser/
+/// MutableUser clone the users, and RemoveRole clones both because it
+/// scrubs user assignments. A copy therefore costs the sections it edits,
+/// and the diffs below skip a section both policies still share.
+/// Copying a `const Policy` from several threads at once is safe.
 class Policy {
  public:
   Policy() = default;
@@ -152,10 +162,13 @@ class Policy {
 
   Status AddRole(RoleSpec role);
   Status RemoveRole(const RoleName& role);
+  /// The returned pointer is valid only until this policy is next copied
+  /// or mutated: a later write may clone the section it points into.
   Result<RoleSpec*> MutableRole(const RoleName& role);
 
   Status AddUser(UserSpec user);
   Status RemoveUser(const UserName& user);
+  /// Valid only until this policy is next copied or mutated (see above).
   Result<UserSpec*> MutableUser(const UserName& user);
 
   Status AddSsd(SodSet set);
@@ -173,8 +186,8 @@ class Policy {
 
   // -------------------------------------------------------------- Access
 
-  const std::map<RoleName, RoleSpec>& roles() const { return roles_; }
-  const std::map<UserName, UserSpec>& users() const { return users_; }
+  const std::map<RoleName, RoleSpec>& roles() const { return roles_.get(); }
+  const std::map<UserName, UserSpec>& users() const { return users_.get(); }
   const std::map<std::string, SodSet>& ssd_sets() const { return ssd_sets_; }
   const std::map<std::string, SodSet>& dsd_sets() const { return dsd_sets_; }
   const std::vector<CfdPair>& cfd_pairs() const { return cfd_pairs_; }
@@ -191,7 +204,17 @@ class Policy {
     return object_policies_;
   }
 
-  bool HasRole(const RoleName& role) const { return roles_.count(role) > 0; }
+  bool HasRole(const RoleName& role) const { return roles().count(role) > 0; }
+
+  /// True when both policies hold the very same role (user) section — one
+  /// was copied from the other and neither has written it since — so their
+  /// contents are equal without a walk.
+  bool SharesRolesWith(const Policy& other) const {
+    return roles_.SameAs(other.roles_);
+  }
+  bool SharesUsersWith(const Policy& other) const {
+    return users_.SameAs(other.users_);
+  }
 
   /// Role properties the generator keys AAR variants on (paper §4.3.1).
   bool RoleInHierarchy(const RoleName& role) const;
@@ -205,13 +228,20 @@ class Policy {
 
   /// Structural consistency: every referenced role/user/purpose exists,
   /// hierarchy is acyclic, SoD sets are sane, directives well-formed.
-  Status Validate() const;
+  ///
+  /// `validated_base`, when given, must be a policy that already passed
+  /// Validate(). The per-user checks are then skipped if this policy shares
+  /// the base's user section and still has every role the base had: those
+  /// checks read only the users and the role names, so they cannot fail.
+  /// Everything else is checked in full either way.
+  Status Validate(const Policy* validated_base = nullptr) const;
 
   // ------------------------------------------------------------- Diffing
 
   /// Roles whose generated rules must be rebuilt when moving from `from`
   /// to `to` (changed/added/removed role specs, membership in changed SoD
-  /// sets / CFDs / transactions / time-SoDs).
+  /// sets / CFDs / transactions / time-SoDs). This and AffectedUsers skip a
+  /// section the two policies share.
   static std::set<RoleName> AffectedRoles(const Policy& from,
                                           const Policy& to);
   /// Users whose specialized rules must be rebuilt.
@@ -223,9 +253,74 @@ class Policy {
   friend bool operator==(const Policy&, const Policy&) = default;
 
  private:
+  /// \brief One copy-on-write section. Copies share the map until either
+  /// side writes; the writer clones first.
+  ///
+  /// Ownership is a flag that a copy sets on BOTH sides, and a flagged
+  /// section is cloned before any write, even after the other side is
+  /// gone. `use_count() == 1` would not do: its relaxed read does not
+  /// order another thread's last read of the map before this side's
+  /// write. The flag is atomic because several threads may copy one
+  /// `const` generation at once. A null map reads as empty.
+  template <typename Map>
+  class Section {
+   public:
+    Section() = default;
+    Section(const Section& other) : map_(other.map_) { MarkShared(other); }
+    Section& operator=(const Section& other) {
+      if (this != &other) {
+        map_ = other.map_;
+        MarkShared(other);
+      }
+      return *this;
+    }
+    Section(Section&& other) noexcept
+        : map_(std::move(other.map_)),
+          shared_(other.shared_.load(std::memory_order_relaxed)) {}
+    Section& operator=(Section&& other) noexcept {
+      map_ = std::move(other.map_);
+      shared_.store(other.shared_.load(std::memory_order_relaxed),
+                    std::memory_order_relaxed);
+      return *this;
+    }
+
+    const Map& get() const { return map_ != nullptr ? *map_ : Empty(); }
+
+    /// The map to write, cloned first unless this side owns it alone.
+    Map& Mutable() {
+      if (map_ == nullptr) {
+        map_ = std::make_shared<Map>();
+      } else if (shared_.load(std::memory_order_relaxed)) {
+        map_ = std::make_shared<Map>(*map_);
+      }
+      shared_.store(false, std::memory_order_relaxed);
+      return *map_;
+    }
+
+    bool SameAs(const Section& other) const { return map_ == other.map_; }
+
+    friend bool operator==(const Section& a, const Section& b) {
+      return a.SameAs(b) || a.get() == b.get();
+    }
+
+   private:
+    static const Map& Empty() {
+      static const Map empty;
+      return empty;
+    }
+    void MarkShared(const Section& other) {
+      const bool shared = map_ != nullptr;
+      if (shared) other.shared_.store(true, std::memory_order_relaxed);
+      shared_.store(shared, std::memory_order_relaxed);
+    }
+
+    std::shared_ptr<Map> map_;
+    mutable std::atomic<bool> shared_{false};
+  };
+
   std::string name_;
-  std::map<RoleName, RoleSpec> roles_;
-  std::map<UserName, UserSpec> users_;
+  Section<std::map<RoleName, RoleSpec>> roles_;
+  Section<std::map<UserName, UserSpec>> users_;
   std::map<std::string, SodSet> ssd_sets_;
   std::map<std::string, SodSet> dsd_sets_;
   std::vector<CfdPair> cfd_pairs_;

@@ -4,8 +4,10 @@ namespace sentinel {
 
 BaseStateDelta ComputeBaseStateDelta(const Policy& from, const Policy& to) {
   BaseStateDelta delta;
-  // Mirrors ReconcileBaseState's removal ordering: constraints first, then
-  // relations, then entities (see ApplyBaseDelta in engine.cc).
+  // Each list keeps the name order of the map it walks; ApplyBaseDelta in
+  // engine.cc replays the lists in reconcile order (constraints, relations
+  // and entities out; then entities, relations and constraints in). A
+  // section both policies share holds no difference and is not walked.
   for (const auto& [name, set] : from.ssd_sets()) {
     auto it = to.ssd_sets().find(name);
     if (it == to.ssd_sets().end() || !(it->second == set)) {
@@ -18,46 +20,53 @@ BaseStateDelta ComputeBaseStateDelta(const Policy& from, const Policy& to) {
       delta.drop_dsd.push_back(name);
     }
   }
-  for (const auto& [name, spec] : from.users()) {
-    auto it = to.users().find(name);
-    for (const RoleName& role : spec.assignments) {
-      if (it == to.users().end() || it->second.assignments.count(role) == 0) {
-        delta.deassign.emplace_back(name, role);
+  if (!from.SharesUsersWith(to)) {
+    for (const auto& [name, spec] : from.users()) {
+      auto it = to.users().find(name);
+      if (it == to.users().end()) delta.drop_users.push_back(name);
+      for (const RoleName& role : spec.assignments) {
+        if (it == to.users().end() ||
+            it->second.assignments.count(role) == 0) {
+          delta.deassign.emplace_back(name, role);
+        }
+      }
+    }
+    for (const auto& [name, spec] : to.users()) {
+      auto it = from.users().find(name);
+      const bool fresh = it == from.users().end();
+      if (fresh) delta.add_users.push_back(name);
+      for (const RoleName& role : spec.assignments) {
+        if (fresh || it->second.assignments.count(role) == 0) {
+          delta.add_assignments.emplace_back(name, role);
+        }
       }
     }
   }
-  for (const auto& [name, spec] : from.roles()) {
-    auto it = to.roles().find(name);
-    for (const Permission& perm : spec.permissions) {
-      if (it == to.roles().end() ||
-          it->second.permissions.count(perm) == 0) {
-        delta.revoke.emplace_back(name, perm);
+  const bool roles_shared = from.SharesRolesWith(to);
+  if (!roles_shared) {
+    for (const auto& [name, spec] : from.roles()) {
+      auto it = to.roles().find(name);
+      if (it == to.roles().end()) delta.drop_roles.push_back(name);
+      for (const Permission& perm : spec.permissions) {
+        if (it == to.roles().end() ||
+            it->second.permissions.count(perm) == 0) {
+          delta.revoke.emplace_back(name, perm);
+        }
+      }
+      for (const RoleName& junior : spec.juniors) {
+        if (it == to.roles().end() || it->second.juniors.count(junior) == 0) {
+          delta.drop_edges.emplace_back(name, junior);
+        }
       }
     }
-    for (const RoleName& junior : spec.juniors) {
-      if (it == to.roles().end() || it->second.juniors.count(junior) == 0) {
-        delta.drop_edges.emplace_back(name, junior);
-      }
-    }
   }
-  for (const auto& [name, spec] : from.roles()) {
-    if (to.roles().count(name) == 0) delta.drop_roles.push_back(name);
-  }
-  for (const auto& [name, spec] : from.users()) {
-    if (to.users().count(name) == 0) delta.drop_users.push_back(name);
-  }
-  // The add half: the same relations diffed in the other direction, in
-  // ApplyBaseDelta's install order (entities, then relations, then
-  // constraints).
-  for (const auto& [name, spec] : to.users()) {
-    if (from.users().count(name) == 0) delta.add_users.push_back(name);
-  }
+  // window_roles lists every windowed role of `to`, shared section or not.
   for (const auto& [name, spec] : to.roles()) {
-    if (from.roles().count(name) == 0) delta.add_roles.push_back(name);
-  }
-  for (const auto& [name, spec] : to.roles()) {
+    if (spec.enabling_window.has_value()) delta.window_roles.push_back(name);
+    if (roles_shared) continue;
     auto it = from.roles().find(name);
     const bool fresh = it == from.roles().end();
+    if (fresh) delta.add_roles.push_back(name);
     for (const RoleName& junior : spec.juniors) {
       if (fresh || it->second.juniors.count(junior) == 0) {
         delta.add_edges.emplace_back(name, junior);
@@ -68,14 +77,9 @@ BaseStateDelta ComputeBaseStateDelta(const Policy& from, const Policy& to) {
         delta.add_grants.emplace_back(name, perm);
       }
     }
-  }
-  for (const auto& [name, spec] : to.users()) {
-    auto it = from.users().find(name);
-    const bool fresh = it == from.users().end();
-    for (const RoleName& role : spec.assignments) {
-      if (fresh || it->second.assignments.count(role) == 0) {
-        delta.add_assignments.emplace_back(name, role);
-      }
+    if (!spec.enabling_window.has_value() && !fresh &&
+        it->second.enabling_window.has_value()) {
+      delta.window_removed.insert(name);
     }
   }
   for (const auto& [name, set] : to.ssd_sets()) {
@@ -92,16 +96,6 @@ BaseStateDelta ComputeBaseStateDelta(const Policy& from, const Policy& to) {
   }
   delta.privacy_changed = !(from.purposes() == to.purposes()) ||
                           !(from.object_policies() == to.object_policies());
-  for (const auto& [name, spec] : to.roles()) {
-    if (spec.enabling_window.has_value()) {
-      delta.window_roles.push_back(name);
-      continue;
-    }
-    auto it = from.roles().find(name);
-    if (it != from.roles().end() && it->second.enabling_window.has_value()) {
-      delta.window_removed.insert(name);
-    }
-  }
   return delta;
 }
 

@@ -56,9 +56,13 @@ struct BaseStateDelta {
   /// Roles present in `to` without an enabling window that had one in
   /// `from` (window removed → force-enable at commit time).
   std::set<RoleName> window_removed;
+
+  friend bool operator==(const BaseStateDelta&,
+                         const BaseStateDelta&) = default;
 };
 
-/// Diffs `from` → `to` into the removal delta above. Pure; thread-safe.
+/// Diffs `from` → `to` into the delta above, skipping a role or user
+/// section the two policies share. Pure; thread-safe.
 BaseStateDelta ComputeBaseStateDelta(const Policy& from, const Policy& to);
 
 /// \brief Everything a pauseless policy swap needs, built off the shard

@@ -199,7 +199,6 @@ AuthorizationService::AuthorizationService(const ServiceConfig& config)
     const size_t cap = config.mailbox_capacity;
     over_quota_max_depth_ = cap > 0 ? cap - cap / 4 : 0;
   }
-  pauseless_updates_ = config.pauseless_updates;
   policy_swaps_counter_ = service_metrics_.AddCounter(
       "policy_swap_total", "policy generations committed pauselessly");
   policy_swap_failures_counter_ = service_metrics_.AddCounter(
@@ -306,9 +305,10 @@ void AuthorizationService::ShardLoop(Shard* shard) {
     for (auto& task : batch) {
       task(*shard);
       // Tap after every envelope, not every PopAll batch: one envelope can
-      // emit at most its own requests' records (a handful; the wire server
-      // batches 8), so the ring can never wrap between taps, while a long
-      // PopAll batch could outrun the whole ring before a per-batch drain.
+      // emit at most its own requests' records, so a ring sized to the
+      // largest batch never wraps between taps (see
+      // ServiceConfig::audit_path), while a long PopAll batch could outrun
+      // the whole ring before a per-batch drain.
       if (tap) DrainShardAudit(*shard);
     }
   }
@@ -687,24 +687,9 @@ std::shared_ptr<const Policy> AuthorizationService::current_policy() const {
 Result<RegenReport> AuthorizationService::ApplyPolicyUpdate(
     const Policy& updated) {
   std::lock_guard<std::mutex> update_lock(update_mu_);
-  if (!pauseless_updates_ || current_policy_ == nullptr) {
-    // Legacy stop-the-world path (and the fallback when no policy is
-    // loaded, where every shard will correctly refuse). Every shard runs
-    // the identical validate+diff+regenerate inside the epoch barrier;
-    // shard 0's report stands for all of them.
-    std::vector<Result<RegenReport>> reports(
-        shards_.size(), Result<RegenReport>(Status::Internal("not applied")));
-    Broadcast([&](AuthorizationEngine& engine, uint32_t shard) {
-      reports[shard] = engine.ApplyPolicyUpdate(updated);
-    });
-    for (auto& report : reports) {
-      if (!report.ok()) return report.status();
-    }
-    return reports[0];
-  }
-
-  // Pauseless swap. Prepare once, off every shard thread: validation and
-  // the full-policy diffs happen here, on the admin caller's time.
+  // Prepare once, off every shard thread: validation and the diffs happen
+  // here, on the admin caller's time. With no policy loaded yet, prepare
+  // refuses with FailedPrecondition.
   const int64_t build_start_ns = NowNanos();
   auto plan = AuthorizationEngine::PreparePolicyUpdate(current_policy_,
                                                        updated);
@@ -745,11 +730,10 @@ Result<RegenReport> AuthorizationService::ApplyPolicyUpdate(
   for (auto& report : reports) {
     if (!report.ok()) {
       // Loud rollback: validation failures are caught at Prepare before
-      // any shard mutates, so a commit failure is the rare builder error
-      // (same surface the legacy path had). current_policy_ stays put, the
-      // error is returned and logged, and any shard that did flip will
-      // reject the next plan with FailedPrecondition rather than diverge
-      // silently.
+      // any shard mutates, so a commit failure is the rare builder error.
+      // current_policy_ stays put, the error is returned and logged, and
+      // any shard that did flip will reject the next plan with
+      // FailedPrecondition rather than diverge silently.
       policy_swap_failures_counter_->Add();
       SENTINEL_LOG(kError) << "policy swap failed to commit: "
                            << report.status().message();

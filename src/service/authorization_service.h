@@ -135,8 +135,11 @@ struct ServiceConfig {
   /// overload verdicts, which never reach an engine, are exported as
   /// service-level records (seq 0). Requires decision_log_capacity large
   /// enough that one envelope cannot wrap the ring (a batch envelope emits
-  /// one record per request it carries); with the defaults that margin is
-  /// 256 vs the wire server's 8-request batches.
+  /// one record per request it carries). The default ring holds 256
+  /// records, while one WireServer sweep can fold up to its max_batch of
+  /// 1,024 requests into a batch: behind a WireServer, raise
+  /// decision_log_capacity to at least max_batch, or a wrapped ring's
+  /// records are lost and counted as audit drops.
   std::string audit_path;
   /// Rotate the audit file once it exceeds this size; 0 disables. See
   /// audit::AuditExporter::Options::rotate_bytes.
@@ -175,19 +178,6 @@ struct ServiceConfig {
   /// wall clock. Injectable so tests and the differential harness control
   /// refill exactly.
   std::function<int64_t()> quota_clock;
-  /// Pauseless policy swaps (the default): ApplyPolicyUpdate validates and
-  /// diffs the update once on the caller's thread (PreparePolicyUpdate),
-  /// then each shard commits the prebuilt plan as one ordinary exempt-lane
-  /// envelope — an O(affected-rules) regenerate plus a pointer flip — with
-  /// no epoch barrier and no blanket cache wipe (stamped entries die
-  /// lazily through the rule-pool generation). Set false to restore the
-  /// legacy stop-the-world epoch broadcast: every shard stalls while it
-  /// re-validates and re-diffs the update, and the bumped cache epoch
-  /// discards every cached verdict — the A/B arm bench_policy_swap
-  /// measures against. LoadPolicy and SetContext always take the barrier:
-  /// they rewrite truly-global state (full pool build / context keys) that
-  /// has no incremental stamp to invalidate through.
-  bool pauseless_updates = true;
 };
 
 /// Aggregated per-shard counters (gathered with a quiescing inspection).
@@ -323,14 +313,15 @@ class AuthorizationService {
   /// Validates and installs `policy` on every shard. Call once.
   Status LoadPolicy(const Policy& policy);
 
-  /// Applies an incremental policy update to every shard. With
-  /// pauseless_updates (the default) this is the RCU swap: prepare once on
-  /// this thread, commit per shard without a barrier — shards keep serving
-  /// throughout, and on return every shard runs the new generation (the
-  /// return is the linearization point: requests submitted afterwards see
-  /// the new policy everywhere). With pauseless_updates=false it is the
-  /// legacy epoch-barrier broadcast. Serialized against concurrent updates
-  /// either way; the returned report is shard 0's.
+  /// Applies an incremental policy update to every shard as a pauseless
+  /// swap: prepare once on this thread, commit per shard without a barrier
+  /// — shards keep serving throughout, and on return every shard runs the
+  /// new generation (the return is the linearization point: requests
+  /// submitted afterwards see the new policy everywhere). No epoch barrier
+  /// and no blanket cache wipe: stamped entries die lazily through the
+  /// rule-pool generation. Serialized against concurrent updates; the
+  /// returned report is shard 0's. Fails with FailedPrecondition before
+  /// LoadPolicy.
   Result<RegenReport> ApplyPolicyUpdate(const Policy& updated);
 
   /// The policy generation the service currently serves (the last
@@ -648,7 +639,6 @@ class AuthorizationService {
   /// The installed shared generation — the identity base the next
   /// PreparePolicyUpdate pins its plan to. Guarded by update_mu_.
   std::shared_ptr<const Policy> current_policy_;
-  bool pauseless_updates_ = true;
   telemetry::Counter* policy_swaps_counter_ = nullptr;  // Owned by registry.
   telemetry::Counter* policy_swap_failures_counter_ = nullptr;
   /// Off-thread prepare cost (validate + diff + delta), in microseconds.

@@ -49,14 +49,22 @@ namespace sentinel {
 ///    producer sees the close (rolls back its admission), or the consumer
 ///    sees the admission (waits for the slot to publish). An envelope can
 ///    therefore never be admitted and silently dropped at shutdown.
-///  * A slot publish is `seq.store(pos + 1, release)`; the consumer reads it
-///    with acquire, so the item write happens-before the consume. Sequence
-///    values are the monotonic position + 1, never reset — no ABA across
-///    ring wraps.
+///  * Each cell carries a lap sequence, as in Vyukov's bounded queue: `seq
+///    == pos` means the cell is free for ring position `pos`, `pos + 1`
+///    that `pos` is published. A slot publish is `seq.store(pos + 1,
+///    release)`; the consumer reads it with acquire, so the item write
+///    happens-before the consume. After moving the item out, the consumer
+///    release-stores `seq = pos + slots`, freeing the cell for the next lap,
+///    and a producer acquire-checks `seq == pos` before it writes. That
+///    orders the consumer's move before the next lap's write even for a
+///    producer admitted before the consumer's `ring_size_` decrement: its
+///    admission read nothing the consumer wrote, and the claim of `tail_`
+///    is relaxed. Admission keeps `tail_ - head_` within the slot count, so
+///    the check passes at once or after the consumer's in-flight store.
+///    Sequences only grow — no ABA across ring wraps.
 ///  * The consumer decrements `ring_size_` (acq_rel) only *after* moving
-///    items out; the next producer's admission CAS reads that value through
-///    the RMW chain, so the consumer's read of a slot happens-before any
-///    producer's reuse of it. No per-slot reset writes, no data race.
+///    items out, so an admission that reads the decrement finds the freed
+///    slots free.
 ///  * Sleep/wake uses a Dekker handshake: the consumer sets
 ///    `consumer_waiting_`, fences seq_cst, then re-checks the ring before
 ///    sleeping; the producer publishes, fences seq_cst, then checks the
@@ -90,7 +98,9 @@ class Mailbox {
     capacity_.store(capacity, std::memory_order_relaxed);
     size_t slots = kDefaultRingSlots;
     if (capacity > 0) {
-      slots = 1;
+      // At least two slots: with one, "published for pos" and "free for
+      // pos + 1" would be the same sequence value.
+      slots = 2;
       while (slots < capacity) slots <<= 1;
     }
     AllocateRing(slots);
@@ -191,6 +201,7 @@ class Mailbox {
         Cell& cell = cells_[head_ & mask_];
         if (cell.seq.load(std::memory_order_acquire) != head_ + 1) break;
         out->push_back(std::move(cell.item));
+        cell.seq.store(head_ + slot_count_, std::memory_order_release);
         ++head_;
         ++moved;
       }
@@ -269,6 +280,9 @@ class Mailbox {
 
   void AllocateRing(size_t slots) {
     cells_ = std::make_unique<Cell[]>(slots);
+    for (size_t i = 0; i < slots; ++i) {
+      cells_[i].seq.store(i, std::memory_order_relaxed);
+    }
     slot_count_ = slots;
     mask_ = slots - 1;
   }
@@ -288,10 +302,14 @@ class Mailbox {
     return false;
   }
 
-  /// Writes the item into its claimed slot and publishes it.
+  /// Writes the item into its claimed slot and publishes it, once the
+  /// consumer has freed the slot from its previous lap.
   void Publish(T item) {
     const uint64_t pos = tail_.fetch_add(1, std::memory_order_relaxed);
     Cell& cell = cells_[pos & mask_];
+    while (cell.seq.load(std::memory_order_acquire) != pos) {
+      std::this_thread::yield();
+    }
     cell.item = std::move(item);
     cell.seq.store(pos + 1, std::memory_order_release);
   }

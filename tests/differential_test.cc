@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -715,11 +716,16 @@ TEST(CachedServiceDifferentialTest, SynchronousCachedServiceMatchesOracle) {
 
 /// 12k-op lockstep while a second thread streams ApplyPolicyUpdates
 /// (permission / assignment / DSD toggles from scenario_gen's mutation
-/// helpers) through the pauseless swap path. A shared step mutex makes
-/// each (service op, oracle op) pair and each (service update, oracle
-/// update) pair atomic — those are the linearization points; between any
-/// two of them the two systems must agree exactly, so a swap that leaked a
-/// half-applied generation into a verdict shows up as a divergence.
+/// helpers) through the pauseless swap path. The two threads take turns:
+/// every kRequestsPerTurn requests the request loop hands the churn thread
+/// one turn and waits until it has applied one update to both systems.
+/// Each (service op, oracle op) pair and each (service update, oracle
+/// update) pair is therefore atomic — those are the linearization points;
+/// between any two of them the two systems must agree exactly, so a swap
+/// that leaked a half-applied generation into a verdict shows up as a
+/// divergence. The handshake fixes the number of swaps by construction; a
+/// mutex both threads contend for would not, because std::mutex is not fair
+/// and the request loop re-locks it back to back.
 TEST(CachedServiceDifferentialTest, UpdateChurnTwelveThousandOpsZeroDivergences) {
   const uint64_t seed = g_harness_seed ^ 0xc0ffee5eedull;
   std::cerr << "[harness] update-churn differential seed: --seed="
@@ -750,24 +756,26 @@ TEST(CachedServiceDifferentialTest, UpdateChurnTwelveThousandOpsZeroDivergences)
   DirectEnforcer oracle(&oracle_clock);
   ASSERT_TRUE(oracle.LoadPolicy(policy).ok());
 
-  // The oracle is single-threaded and the lockstep comparison needs the
-  // pair (service call, oracle call) to be one atomic step; everything on
-  // both systems happens under step_mu.
-  std::mutex step_mu;
-  std::atomic<bool> stop{false};
+  constexpr size_t kRequestsPerTurn = 100;
+  std::mutex turn_mu;
+  std::condition_variable turn_cv;
+  uint64_t turns_granted = 0;  // Guarded by turn_mu.
+  uint64_t turns_taken = 0;    // Guarded by turn_mu.
+  bool stop = false;           // Guarded by turn_mu.
   std::atomic<uint64_t> updates_applied{0};
   std::atomic<uint64_t> updates_rejected{0};
   std::atomic<bool> churn_ok{true};
   std::string churn_error;
 
-  std::thread churn([&] {
-    // The churn thread's own view of the evolving policy — advanced only
-    // on updates BOTH systems accepted, so it always matches what the two
-    // systems serve at the next linearization point.
-    Policy current = policy;
-    uint64_t salt = seed;
-    int kind = 0;
-    while (!stop.load(std::memory_order_acquire)) {
+  // The churn thread's own view of the evolving policy — advanced only on
+  // updates BOTH systems accepted, so it always matches what the two
+  // systems serve at the next linearization point.
+  Policy current = policy;
+  uint64_t salt = seed;
+  int kind = 0;
+  const auto apply_one_update = [&] {
+    // Rotate through the kinds until one has a candidate.
+    for (int attempt = 0; attempt < 3; ++attempt) {
       ++salt;
       Result<Policy> mutated = Status::NotFound("unset");
       switch (kind) {
@@ -782,59 +790,85 @@ TEST(CachedServiceDifferentialTest, UpdateChurnTwelveThousandOpsZeroDivergences)
           break;
       }
       kind = (kind + 1) % 3;
-      if (!mutated.ok()) continue;  // No candidate for this kind; rotate.
-      {
-        std::lock_guard<std::mutex> lock(step_mu);
-        const auto service_update = service.ApplyPolicyUpdate(*mutated);
-        const Status oracle_update = oracle.ApplyPolicyUpdate(*mutated);
-        if (service_update.ok() != oracle_update.ok()) {
-          churn_ok.store(false, std::memory_order_release);
-          churn_error = "service: " + std::string(
-              service_update.status().message()) + " / oracle: " +
-              std::string(oracle_update.message());
-          return;
-        }
-        if (service_update.ok()) {
-          current = std::move(*mutated);
-          updates_applied.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          // Commits are best-effort on runtime conflicts (the entry is
-          // skipped, not the update), so a rejection here is a static
-          // validity refusal at prepare — both sides must refuse
-          // identically and the churn moves on from the same base.
-          updates_rejected.fetch_add(1, std::memory_order_relaxed);
-        }
+      if (!mutated.ok()) continue;
+      const auto service_update = service.ApplyPolicyUpdate(*mutated);
+      const Status oracle_update = oracle.ApplyPolicyUpdate(*mutated);
+      if (service_update.ok() != oracle_update.ok()) {
+        churn_ok.store(false, std::memory_order_release);
+        churn_error = "service: " + std::string(
+            service_update.status().message()) + " / oracle: " +
+            std::string(oracle_update.message());
+        return;
       }
-      // Unlocked gap: decision traffic interleaves with the next swap.
-      std::this_thread::yield();
+      if (service_update.ok()) {
+        current = std::move(*mutated);
+        updates_applied.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        // Commits are best-effort on runtime conflicts (the entry is
+        // skipped, not the update), so a rejection here is a static
+        // validity refusal at prepare — both sides must refuse
+        // identically and the churn moves on from the same base.
+        updates_rejected.fetch_add(1, std::memory_order_relaxed);
+      }
+      return;
+    }
+  };
+  std::thread churn([&] {
+    std::unique_lock<std::mutex> lock(turn_mu);
+    while (true) {
+      turn_cv.wait(lock, [&] { return stop || turns_granted > turns_taken; });
+      if (stop) return;
+      lock.unlock();
+      apply_one_update();
+      lock.lock();
+      ++turns_taken;
+      turn_cv.notify_all();
     }
   });
 
-  for (size_t i = 0; i < requests.size() && churn_ok; ++i) {
-    const Request& request = requests[i];
-    std::lock_guard<std::mutex> lock(step_mu);
-    const Decision got = ApplyRequest(cached, request);
-    const Decision want = ApplyRequest(oracle, request);
-    ASSERT_EQ(got.allowed, want.allowed)
-        << "--seed=" << g_harness_seed << " request #" << i << " "
-        << RequestKindToString(request.kind) << " user=" << request.user
-        << " session=" << request.session << " role=" << request.role
-        << " op=" << request.operation << " obj=" << request.object
-        << " after " << updates_applied.load() << " swaps"
-        << "\n  service: rule=" << got.rule << " reason=" << got.reason
-        << "\n  oracle: rule=" << want.rule << " reason=" << want.reason;
-    if (request.kind == RequestKind::kCheckAccess && !want.allowed) {
-      ASSERT_EQ(got.reason, want.reason)
-          << "--seed=" << g_harness_seed << " request #" << i;
+  // Runs in a lambda so a failed ASSERT still reaches the join below.
+  const auto run_requests = [&] {
+    for (size_t i = 0; i < requests.size() && churn_ok; ++i) {
+      if (i % kRequestsPerTurn == kRequestsPerTurn - 1) {
+        std::unique_lock<std::mutex> lock(turn_mu);
+        ++turns_granted;
+        turn_cv.notify_all();
+        turn_cv.wait(lock, [&] { return turns_taken == turns_granted; });
+      }
+      const Request& request = requests[i];
+      const Decision got = ApplyRequest(cached, request);
+      const Decision want = ApplyRequest(oracle, request);
+      ASSERT_EQ(got.allowed, want.allowed)
+          << "--seed=" << g_harness_seed << " request #" << i << " "
+          << RequestKindToString(request.kind) << " user=" << request.user
+          << " session=" << request.session << " role=" << request.role
+          << " op=" << request.operation << " obj=" << request.object
+          << " after " << updates_applied.load() << " swaps"
+          << "\n  service: rule=" << got.rule << " reason=" << got.reason
+          << "\n  oracle: rule=" << want.rule << " reason=" << want.reason;
+      if (request.kind == RequestKind::kCheckAccess && !want.allowed) {
+        ASSERT_EQ(got.reason, want.reason)
+            << "--seed=" << g_harness_seed << " request #" << i;
+      }
     }
-  }
+  };
+  run_requests();
 
-  stop.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(turn_mu);
+    stop = true;
+  }
+  turn_cv.notify_all();
   churn.join();
+  std::cerr << "[harness] update-churn: " << updates_applied.load()
+            << " updates applied, " << updates_rejected.load()
+            << " rejected\n";
+  if (HasFatalFailure()) return;
   ASSERT_TRUE(churn_ok.load()) << "churned update diverged: " << churn_error
                                << " --seed=" << g_harness_seed;
   // The arm is vacuous unless a meaningful stream of swaps actually landed
-  // mid-run; with the yield cadence this is reliably in the hundreds.
+  // mid-run; with one turn per kRequestsPerTurn requests this is over a
+  // hundred.
   EXPECT_GE(updates_applied.load(), 16u) << "--seed=" << g_harness_seed;
   // The swap telemetry reconciles exactly with what the churn observed:
   // every accepted update was a pauseless commit, every rejection was

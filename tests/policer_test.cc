@@ -347,9 +347,12 @@ TEST(PolicerServiceTest, WeightedShedOrderingUnderFullMailbox) {
   // (6 of 8): exactly six queue, the seventh is refused immediately.
   std::vector<std::thread> producers;
   std::vector<AccessDecision> abusive_results(7);
+  std::atomic<int> returned{0};
   for (int i = 0; i < 7; ++i) {
-    producers.emplace_back([&service, &abusive, &abusive_results, i] {
+    producers.emplace_back([&service, &abusive, &abusive_results, &returned,
+                            i] {
       abusive_results[i] = service.CheckAccess(abusive);
+      returned.fetch_add(1);
     });
   }
   const auto deadline =
@@ -359,6 +362,15 @@ TEST(PolicerServiceTest, WeightedShedOrderingUnderFullMailbox) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ASSERT_EQ(service.MailboxDepth(0), 6u);
+  // Depth 6 does not yet mean the seventh producer has been refused: it may
+  // still be on its way to admission, and would be admitted if it arrived
+  // after `release` below. Wait until it has returned; the six admitted
+  // producers cannot return before `release`. (Stats() and Snapshot() would
+  // queue behind the stalled shard.)
+  while (returned.load() < 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(returned.load(), 1);
 
   // At the reduced bound, another over-quota request is refused
   // immediately...

@@ -184,6 +184,25 @@ TEST(PolicySwapTest, BuilderFailureRollsBackLoudly) {
   }
 }
 
+/// With no generation installed there is nothing to diff against: the
+/// update is refused at prepare, before any shard is touched, and a later
+/// LoadPolicy still installs normally.
+TEST(PolicySwapTest, UpdateBeforeLoadIsRefusedAtPrepare) {
+  ServiceConfig config;
+  config.num_shards = 2;
+  config.start_time = testutil::Noon();
+  auto service_or = AuthorizationService::Create(config);
+  ASSERT_TRUE(service_or.ok());
+  AuthorizationService& service = **service_or;
+  const auto report = service.ApplyPolicyUpdate(BothGrantsPolicy());
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(report.status().IsFailedPrecondition()) << report.status();
+  EXPECT_EQ(service.current_policy(), nullptr);
+  EXPECT_EQ(service.Stats().policy_swaps, 0u);
+  ASSERT_TRUE(service.LoadPolicy(BothGrantsPolicy()).ok());
+  EXPECT_TRUE(service.ApplyPolicyUpdate(NoGrantsPolicy()).ok());
+}
+
 // --------------------------------------------- Back-to-back serialization
 
 TEST(PolicySwapTest, BackToBackUpdatesLandBothGenerations) {

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -1022,14 +1023,17 @@ TEST(ServiceStressTest, OverloadShedStressBoundedCountedAndDrained) {
   std::thread fault_injector([&] {
     while (!stop_faults.load()) {
       for (int shard = 0; shard < service.num_shards(); ++shard) {
-        std::atomic<bool> fault_done{false};
-        if (!service.InjectShardFault(static_cast<uint32_t>(shard), [&] {
+        // Shared, not a local: once stop_faults cuts the wait short, the
+        // fault may still run after this iteration's scope is gone.
+        auto fault_done = std::make_shared<std::atomic<bool>>(false);
+        if (!service.InjectShardFault(static_cast<uint32_t>(shard),
+                                      [fault_done] {
               std::this_thread::sleep_for(std::chrono::microseconds(500));
-              fault_done.store(true);
+              fault_done->store(true);
             })) {
           return;
         }
-        while (!fault_done.load() && !stop_faults.load()) {
+        while (!fault_done->load() && !stop_faults.load()) {
           std::this_thread::sleep_for(std::chrono::microseconds(50));
         }
       }
