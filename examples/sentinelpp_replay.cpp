@@ -10,10 +10,19 @@
 //
 //   sentinelpp-replay --capture=decisions.jsonl --policy=candidate.acp
 //                     [--json] [--parse-only] [--expect-zero-diffs]
+//   sentinelpp-replay --capture=after.jsonl --baseline=before.jsonl
+//                     [--expect-zero-diffs]
+//
+// With --baseline no engine runs: the two captures are compared record by
+// record on every field except wall_us and latency_us (engine records per
+// shard in seq order, service records as a multiset), and the counts plus
+// the first differences are printed. Recording the same workload on two
+// builds and comparing the captures shows whether a change moved any
+// decision.
 //
 // Exit status: 0 on success, 1 on load/replay failure, 3 when
-// --expect-zero-diffs was given and the replay found verdict flips —
-// scripts gate policy rollouts on that code.
+// --expect-zero-diffs was given and the replay found verdict flips (or the
+// captures differ) — scripts gate policy rollouts on that code.
 
 #include <cstdio>
 #include <cstring>
@@ -34,12 +43,13 @@ bool StrFlag(const char* arg, const char* name, std::string* out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string capture_path, policy_path;
+  std::string capture_path, policy_path, baseline_path;
   bool json = false, parse_only = false, expect_zero = false;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (StrFlag(arg, "--capture", &capture_path) ||
-        StrFlag(arg, "--policy", &policy_path)) {
+        StrFlag(arg, "--policy", &policy_path) ||
+        StrFlag(arg, "--baseline", &baseline_path)) {
       continue;
     }
     if (std::strcmp(arg, "--json") == 0) {
@@ -53,10 +63,13 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (capture_path.empty() || (!parse_only && policy_path.empty())) {
+  if (capture_path.empty() ||
+      (!parse_only && policy_path.empty() && baseline_path.empty())) {
     std::fprintf(stderr,
                  "usage: sentinelpp-replay --capture=FILE --policy=FILE.acp "
-                 "[--json] [--parse-only] [--expect-zero-diffs]\n");
+                 "[--json] [--parse-only] [--expect-zero-diffs]\n"
+                 "       sentinelpp-replay --capture=FILE --baseline=FILE "
+                 "[--expect-zero-diffs]\n");
     return 2;
   }
 
@@ -67,6 +80,26 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "capture load failed: %s\n",
                  std::string(records.status().message()).c_str());
     return 1;
+  }
+  if (!baseline_path.empty() && !parse_only) {
+    uint64_t baseline_errors = 0;
+    auto baseline =
+        sentinel::audit::LoadCaptureFile(baseline_path, &baseline_errors);
+    if (!baseline.ok()) {
+      std::fprintf(stderr, "baseline load failed: %s\n",
+                   std::string(baseline.status().message()).c_str());
+      return 1;
+    }
+    if (parse_errors + baseline_errors > 0) {
+      std::fprintf(stderr, "unparseable lines: capture %llu, baseline %llu\n",
+                   static_cast<unsigned long long>(parse_errors),
+                   static_cast<unsigned long long>(baseline_errors));
+      return 1;
+    }
+    const sentinel::audit::CaptureDiffReport diff =
+        sentinel::audit::CompareCaptures(*records, *baseline);
+    std::printf("%s", sentinel::audit::CaptureDiffToText(diff).c_str());
+    return expect_zero && diff.differences() > 0 ? 3 : 0;
   }
   if (parse_only) {
     std::printf("records: %zu\nparse_errors: %llu\n", records->size(),

@@ -152,6 +152,10 @@ int main(int argc, char** argv) {
   config.start_time = sentinel::MakeTime(2026, 7, 6, 12, 0, 0);
   config.decision_cache_capacity = static_cast<size_t>(cache);
   config.decision_cache_fastpath = fastpath != 0;
+  // One reactor sweep folds up to max_batch requests into one envelope; the
+  // audit tap drains the ring after each envelope, so a ring that holds a
+  // whole sweep never wraps before it is drained.
+  config.decision_log_capacity = sentinel::net::ServerConfig{}.max_batch;
   config.mailbox_capacity = static_cast<size_t>(capacity);
   config.overload_policy = overload == "shed"
                                ? sentinel::OverloadPolicy::kShed

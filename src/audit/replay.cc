@@ -4,6 +4,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <tuple>
 #include <utility>
 
 #include "common/clock.h"
@@ -69,6 +70,20 @@ bool ReExecute(AuthorizationEngine& engine, const AuditRecord& r,
 }
 
 const char* kDefaultDenyKey = "(default-deny)";
+
+/// How many differences CompareCaptures spells out; its counters are exact.
+constexpr size_t kMaxCaptureDiffDetails = 20;
+
+/// `r` as one JSON line with the wall-clock fields zeroed: two records are
+/// the same decision exactly when their canonical lines are equal.
+std::string CanonicalLine(AuditRecord r) {
+  r.wall_us = 0;
+  r.latency_us = 0;
+  std::string line;
+  AppendJsonLine(r, &line);
+  line.pop_back();  // The trailing newline.
+  return line;
+}
 
 }  // namespace
 
@@ -138,6 +153,52 @@ Result<ReplayReport> ReplayCapture(const std::vector<AuditRecord>& records,
     }
   }
   return report;
+}
+
+CaptureDiffReport CompareCaptures(const std::vector<AuditRecord>& capture,
+                                  const std::vector<AuditRecord>& baseline) {
+  // Each record's count in the capture minus its count in the baseline.
+  // Engine records are unique by (shard, seq), so for them this is the
+  // per-shard comparison in seq order; seq-0 service records compare as
+  // the multiset they are.
+  std::map<std::tuple<int, uint64_t, std::string>, int64_t> balance;
+  for (const AuditRecord& r : capture) {
+    ++balance[{r.shard, r.seq, CanonicalLine(r)}];
+  }
+  for (const AuditRecord& r : baseline) {
+    --balance[{r.shard, r.seq, CanonicalLine(r)}];
+  }
+  CaptureDiffReport report;
+  report.capture_records = capture.size();
+  report.baseline_records = baseline.size();
+  for (const auto& [key, count] : balance) {
+    if (count == 0) continue;
+    (count > 0 ? report.only_in_capture : report.only_in_baseline) +=
+        static_cast<uint64_t>(count > 0 ? count : -count);
+    if (report.diffs.size() < kMaxCaptureDiffDetails) {
+      report.diffs.push_back(RecordDiff{std::get<0>(key), std::get<1>(key),
+                                        count > 0, std::get<2>(key)});
+    }
+  }
+  return report;
+}
+
+std::string CaptureDiffToText(const CaptureDiffReport& report) {
+  std::string out;
+  out += "capture_records: " + std::to_string(report.capture_records) + "\n";
+  out += "baseline_records: " + std::to_string(report.baseline_records) +
+         "\n";
+  out += "only_in_capture: " + std::to_string(report.only_in_capture) + "\n";
+  out += "only_in_baseline: " + std::to_string(report.only_in_baseline) +
+         "\n";
+  out += "record_diffs: " + std::to_string(report.differences()) + "\n";
+  for (const RecordDiff& diff : report.diffs) {
+    out += "  [shard " + std::to_string(diff.shard) + " seq " +
+           std::to_string(diff.seq) + "] " +
+           (diff.in_capture ? "capture only: " : "baseline only: ") +
+           diff.line + "\n";
+  }
+  return out;
 }
 
 std::string ReportToText(const ReplayReport& report) {

@@ -72,6 +72,37 @@ Result<ReplayReport> ReplayCapture(const std::vector<AuditRecord>& records,
                                    const Policy& candidate,
                                    const ReplayOptions& options = {});
 
+/// A record found in one capture only (a changed record is one on each
+/// side).
+struct RecordDiff {
+  int shard = 0;
+  uint64_t seq = 0;
+  bool in_capture = false;  // Else it is in the baseline only.
+  std::string line;         // The record, wall-clock fields zeroed.
+};
+
+/// \brief Outcome of comparing two captures of one workload — "did this
+/// change move any decision?", answered without an engine.
+struct CaptureDiffReport {
+  uint64_t capture_records = 0;
+  uint64_t baseline_records = 0;
+  uint64_t only_in_capture = 0;
+  uint64_t only_in_baseline = 0;
+  /// The first 20 differences in (shard, seq) order; counters are exact.
+  std::vector<RecordDiff> diffs;
+
+  uint64_t differences() const { return only_in_capture + only_in_baseline; }
+};
+
+/// Compares two captures on every field except `wall_us` and `latency_us`:
+/// engine records per shard in seq order, and service-level records, which
+/// have no order against the shard streams, as a multiset.
+CaptureDiffReport CompareCaptures(const std::vector<AuditRecord>& capture,
+                                  const std::vector<AuditRecord>& baseline);
+
+/// Renders the comparison as a human-readable summary (stable format).
+std::string CaptureDiffToText(const CaptureDiffReport& report);
+
 /// Renders the report as a human-readable summary (stable format — the
 /// check.sh replay stage greps it).
 std::string ReportToText(const ReplayReport& report);

@@ -196,7 +196,7 @@ AuthorizationService::AuthorizationService(const ServiceConfig& config)
     // The reserved top quarter of a bounded mailbox: over-quota requests
     // admit only up to this depth, so conformant principals always find
     // headroom an abuser cannot occupy.
-    const size_t cap = config.mailbox_capacity;
+    const size_t cap = synchronous_ ? 0 : config.mailbox_capacity;
     over_quota_max_depth_ = cap > 0 ? cap - cap / 4 : 0;
   }
   policy_swaps_counter_ = service_metrics_.AddCounter(
@@ -292,26 +292,66 @@ AuthorizationService::AuthorizationService(const ServiceConfig& config)
       shard->thread = std::thread(&AuthorizationService::ShardLoop, this,
                                   shard.get());
     }
-    timer_thread_ = std::thread(&AuthorizationService::TimerLoop, this);
   }
 }
 
 AuthorizationService::~AuthorizationService() { Shutdown(); }
 
 void AuthorizationService::ShardLoop(Shard* shard) {
-  std::deque<std::function<void(Shard&)>> batch;
-  const bool tap = audit_ != nullptr;
+  std::deque<Task> batch;
   while (shard->mailbox.PopAll(&batch)) {
-    for (auto& task : batch) {
-      task(*shard);
-      // Tap after every envelope, not every PopAll batch: one envelope can
-      // emit at most its own requests' records, so a ring sized to the
-      // largest batch never wraps between taps (see
-      // ServiceConfig::audit_path), while a long PopAll batch could outrun
-      // the whole ring before a per-batch drain.
-      if (tap) DrainShardAudit(*shard);
+    for (Task& task : batch) RunTask(*shard, task);
+  }
+}
+
+void AuthorizationService::RunTask(Shard& shard, Task& task) {
+  task(shard);
+  // Tap after every envelope, not every PopAll batch: one envelope can emit
+  // at most its own requests' records, so a ring sized to the largest batch
+  // never wraps between taps (see ServiceConfig::audit_path), while a long
+  // PopAll batch could outrun the whole ring before a per-batch drain.
+  if (audit_ != nullptr) DrainShardAudit(shard);
+}
+
+AuthorizationService::PushResult AuthorizationService::PushDecision(
+    Shard& shard, Task task, bool block, int64_t deadline_ns,
+    size_t max_depth) {
+  if (synchronous_) {
+    return PushExempt(shard, std::move(task)) ? PushResult::kOk
+                                              : PushResult::kClosed;
+  }
+  size_t depth = 0;
+  const PushResult result = shard.mailbox.PushBounded(
+      std::move(task), block, deadline_ns, &depth, max_depth);
+  if (result == PushResult::kOk) {
+    shard.queue_depth_hist->RecordShared(static_cast<int64_t>(depth));
+  }
+  return result;
+}
+
+bool AuthorizationService::PushExempt(Shard& shard, Task task) {
+  if (!synchronous_) return shard.mailbox.Push(std::move(task));
+  // The inline executor, closed like a mailbox by Shutdown().
+  if (shut_down_.load(std::memory_order_acquire)) return false;
+  RunTask(shard, task);
+  return true;
+}
+
+bool AuthorizationService::RunOnEveryShard(
+    const std::function<void(Shard&)>& fn) {
+  Latch done(static_cast<int>(shards_.size()));
+  bool reached = true;
+  for (auto& shard : shards_) {
+    if (!PushExempt(*shard, [&fn, &done](Shard& s) {
+          fn(s);
+          done.Arrive();
+        })) {
+      reached = false;
+      done.Arrive();
     }
   }
+  done.Wait();
+  return reached;
 }
 
 void AuthorizationService::DrainShardAudit(Shard& shard) {
@@ -350,29 +390,18 @@ void AuthorizationService::OfferServiceRecord(const char* kind,
   audit_->Offer(std::move(record));
 }
 
-void AuthorizationService::TimerLoop() {
-  std::deque<TimerCommand> batch;
-  while (timer_mailbox_.PopAll(&batch)) {
-    for (TimerCommand& command : batch) {
-      ApplyAdvance(command.target);
-      command.done->Arrive();
-    }
-  }
-}
-
 void AuthorizationService::Shutdown() {
   std::lock_guard<std::mutex> lock(shutdown_mu_);
   if (shut_down_.load(std::memory_order_relaxed)) return;
-  shut_down_.store(true, std::memory_order_release);
-  if (!synchronous_) {
-    // Order matters: the timer thread broadcasts into shard mailboxes, so
-    // it must drain and exit before those mailboxes close.
-    timer_mailbox_.Close();
-    if (timer_thread_.joinable()) timer_thread_.join();
+  {
+    // Under admin_mu_, between two broadcasts: each one reaches every shard
+    // or none.
+    std::lock_guard<std::mutex> admin_lock(admin_mu_);
+    shut_down_.store(true, std::memory_order_release);
     for (auto& shard : shards_) shard->mailbox.Close();
-    for (auto& shard : shards_) {
-      if (shard->thread.joinable()) shard->thread.join();
-    }
+  }
+  for (auto& shard : shards_) {
+    if (shard->thread.joinable()) shard->thread.join();
   }
   if (audit_ != nullptr) {
     // Every shard thread is joined (or never existed): a final inline drain
@@ -417,9 +446,9 @@ AccessDecision AuthorizationService::ShutdownDecision() {
   return decision;
 }
 
-AccessDecision AuthorizationService::OverloadDecision(OverloadKind kind,
-                                                      uint32_t shard,
-                                                      int64_t submit_ns) const {
+void AuthorizationService::Refuse(OverloadKind kind, Shard& shard,
+                                  const AccessRequest& request,
+                                  int64_t submit_ns, AccessDecision* out) {
   AccessDecision decision;
   decision.allowed = false;
   decision.outcome = AccessOutcome::kOverloaded;
@@ -428,19 +457,25 @@ AccessDecision AuthorizationService::OverloadDecision(OverloadKind kind,
   // refusal to callers.
   switch (kind) {
     case OverloadKind::kShed:
+      shard.shed_counter->Add();
       decision.reason = "overloaded: shed";
       break;
     case OverloadKind::kExpired:
+      shard.expired_counter->Add();
       decision.reason = "overloaded: deadline exceeded";
       break;
     case OverloadKind::kOverQuota:
+      policer_refused_counter_->Add();
       decision.reason = "overloaded: over quota";
       break;
   }
-  decision.shard = shard;
+  decision.shard = shard.index;
   decision.epoch = admin_epoch();
   decision.latency = (NowNanos() - submit_ns) / 1000;
-  return decision;
+  if (audit_ != nullptr) {
+    OfferServiceRecord("service.overload", &request, decision);
+  }
+  *out = std::move(decision);
 }
 
 AdminResult AuthorizationService::ToAdminResult(
@@ -466,13 +501,10 @@ AdminResult AuthorizationService::ToAdminResult(
   return result;
 }
 
-int64_t AuthorizationService::DeadlineNanos(Duration deadline_us,
-                                            int64_t submit_ns) {
-  if (deadline_us <= 0) return 0;
-  // Saturate both steps: a huge but valid budget must mean "effectively
-  // never", and `submit_ns + budget` overflowing would be signed UB that in
-  // practice wraps negative — an already-expired deadline that sheds every
-  // request carrying it.
+int64_t AuthorizationService::DeadlineNanos(const AccessRequest& request,
+                                            int64_t submit_ns) const {
+  const Duration deadline_us = request.EffectiveDeadline(default_deadline_);
+  if (synchronous_ || deadline_us <= 0) return 0;
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
   if (deadline_us > kMax / 1000) return kMax;
   const int64_t budget_ns = static_cast<int64_t>(deadline_us) * 1000;
@@ -496,8 +528,9 @@ AccessDecision AuthorizationService::Convert(const Decision& decision,
 
 // ------------------------------------------------------------ Dispatch core
 
-std::string_view AuthorizationService::PrincipalOf(
-    const AccessRequest& request) const {
+Policer::Verdict AuthorizationService::AdmitPrincipal(
+    const AccessRequest& request) {
+  if (!policer_->active()) return Policer::Verdict::kUnpoliced;
   std::string_view principal = request.user.empty()
                                    ? std::string_view(request.session)
                                    : std::string_view(request.user);
@@ -505,24 +538,7 @@ std::string_view AuthorizationService::PrincipalOf(
     const size_t cut = principal.find(quota_key_delimiter_);
     if (cut != std::string_view::npos) principal = principal.substr(0, cut);
   }
-  return principal;
-}
-
-Policer::Verdict AuthorizationService::AdmitPrincipal(
-    const AccessRequest& request) {
-  if (!policer_->active()) return Policer::Verdict::kUnpoliced;
-  return policer_->Admit(PrincipalOf(request));
-}
-
-AccessDecision AuthorizationService::RefuseOverQuota(
-    const AccessRequest* request, uint32_t shard, int64_t submit_ns) {
-  policer_refused_counter_->Add();
-  const AccessDecision refused =
-      OverloadDecision(OverloadKind::kOverQuota, shard, submit_ns);
-  if (audit_ != nullptr) {
-    OfferServiceRecord("service.overload", request, refused);
-  }
-  return refused;
+  return policer_->Admit(principal);
 }
 
 void AuthorizationService::SetPrincipalQuota(const std::string& principal,
@@ -535,128 +551,37 @@ void AuthorizationService::SetPrincipalQuota(const std::string& principal,
   policer_->SetQuota(principal, Policer::Quota{rate_per_s, burst});
 }
 
-AccessDecision AuthorizationService::RunOnShard(
-    uint32_t shard, const std::function<Decision(AuthorizationEngine&)>& op,
-    Duration deadline_us, bool over_quota) {
-  const int64_t submit_ns = NowNanos();
-  requests_counter_->Add();
-  Shard& home = *shards_[shard];
-  if (synchronous_) {
-    // No queue, no admission control: the engine runs inline immediately,
-    // so a deadline can never expire before dispatch.
-    const Decision decision = op(*home.engine);
-    if (audit_ != nullptr) DrainShardAudit(home);
-    return Convert(decision, shard,
-                   home.applied_epoch.load(std::memory_order_relaxed),
-                   submit_ns);
-  }
-  const int64_t deadline_ns = DeadlineNanos(deadline_us, submit_ns);
-  AccessDecision out;
-  Latch done(1);
-  // Once admitted, the producer always waits for this envelope to run —
-  // expiry is decided at dequeue (answered kOverloaded without engine
-  // time), never by abandoning an envelope whose captures live on this
-  // stack frame.
-  auto envelope = [&](Shard& s) {
-    const int64_t start_ns = NowNanos();
-    s.queue_wait_hist->Record((start_ns - submit_ns) / 1000);
-    if (deadline_ns != 0 && start_ns > deadline_ns) {
-      s.expired_counter->Add();
-      out = OverloadDecision(OverloadKind::kExpired, s.index, submit_ns);
-      if (audit_ != nullptr) {
-        OfferServiceRecord("service.overload", nullptr, out);
-      }
-    } else {
-      const Decision decision = op(*s.engine);
-      out = Convert(decision, s.index,
-                    s.applied_epoch.load(std::memory_order_relaxed),
-                    submit_ns);
-    }
-    done.Arrive();
-  };
-  using PushResult = Mailbox<std::function<void(Shard&)>>::PushResult;
-  size_t depth = 0;
-  // Weighted admission: an over-quota producer never blocks for space and
-  // only fills the non-reserved depth, so at saturation it is refused
-  // first while conformant principals keep the full block/shed semantics.
-  const bool block = !shed_on_full_ && !over_quota;
-  const size_t max_depth = over_quota ? over_quota_max_depth_ : 0;
-  switch (home.mailbox.PushBounded(std::move(envelope), block, deadline_ns,
-                                   &depth, max_depth)) {
-    case PushResult::kClosed:
-      return ShutdownDecision();
-    case PushResult::kFull: {
-      home.shed_counter->Add();
-      if (over_quota) return RefuseOverQuota(nullptr, shard, submit_ns);
-      const AccessDecision shed =
-          OverloadDecision(OverloadKind::kShed, shard, submit_ns);
-      if (audit_ != nullptr) {
-        OfferServiceRecord("service.overload", nullptr, shed);
-      }
-      return shed;
-    }
-    case PushResult::kExpired: {
-      home.expired_counter->Add();
-      const AccessDecision expired =
-          OverloadDecision(OverloadKind::kExpired, shard, submit_ns);
-      if (audit_ != nullptr) {
-        OfferServiceRecord("service.overload", nullptr, expired);
-      }
-      return expired;
-    }
-    case PushResult::kOk:
-      break;
-  }
-  home.queue_depth_hist->RecordShared(static_cast<int64_t>(depth));
-  done.Wait();
-  return out;
-}
-
-void AuthorizationService::Broadcast(
+bool AuthorizationService::Broadcast(
     const std::function<void(AuthorizationEngine&, uint32_t)>& fn,
     bool admin) {
   std::lock_guard<std::mutex> admin_lock(admin_mu_);
   broadcasts_counter_->Add();
   const uint64_t epoch = admin_epoch_.load(std::memory_order_relaxed) + 1;
-  if (synchronous_) {
-    if (admin) shards_[0]->engine->BumpDecisionCacheEpoch();
-    fn(*shards_[0]->engine, 0);
-    shards_[0]->applied_epoch.store(epoch, std::memory_order_release);
-    admin_epoch_.store(epoch, std::memory_order_release);
-    if (audit_ != nullptr) DrainShardAudit(*shards_[0]);
-    return;
-  }
-  Latch done(static_cast<int>(shards_.size()));
-  for (auto& shard : shards_) {
-    const bool pushed =
-        shard->mailbox.Push([&fn, &done, epoch, admin](Shard& s) {
-          // Admin envelopes carry the cache-epoch bump with them, so any
-          // request queued behind this one already sees every memoized
-          // verdict from the old policy world as stale.
-          if (admin) s.engine->BumpDecisionCacheEpoch();
-          fn(*s.engine, s.index);
-          s.applied_epoch.store(epoch, std::memory_order_release);
-          done.Arrive();
-        });
-    // A closed mailbox (shutdown race) can no longer observe the update;
-    // count it down so the barrier still completes.
-    if (!pushed) done.Arrive();
-  }
-  done.Wait();
-  admin_epoch_.store(epoch, std::memory_order_release);
+  const bool reached = RunOnEveryShard([&fn, epoch, admin](Shard& s) {
+    // Admin envelopes carry the cache-epoch bump with them, so any request
+    // queued behind this one already sees every memoized verdict from the
+    // old policy world as stale.
+    if (admin) s.engine->BumpDecisionCacheEpoch();
+    fn(*s.engine, s.index);
+    s.applied_epoch.store(epoch, std::memory_order_release);
+  });
+  if (reached) admin_epoch_.store(epoch, std::memory_order_release);
+  return reached;
 }
 
-AccessDecision AuthorizationService::BroadcastRequest(
+AdminResult AuthorizationService::BroadcastRequest(
     uint32_t authoritative,
     const std::function<Decision(AuthorizationEngine&)>& op) {
   const int64_t submit_ns = NowNanos();
   Decision authoritative_decision;
-  Broadcast([&](AuthorizationEngine& engine, uint32_t shard) {
-    const Decision decision = op(engine);
-    if (shard == authoritative) authoritative_decision = decision;
-  });
-  return Convert(authoritative_decision, authoritative, admin_epoch(),
-                 submit_ns);
+  if (!Broadcast([&](AuthorizationEngine& engine, uint32_t shard) {
+        const Decision decision = op(engine);
+        if (shard == authoritative) authoritative_decision = decision;
+      })) {
+    return ToAdminResult(ShutdownDecision());
+  }
+  return ToAdminResult(Convert(authoritative_decision, authoritative,
+                               admin_epoch(), submit_ns));
 }
 
 // ------------------------------------------------------------------ Policy
@@ -669,9 +594,12 @@ Status AuthorizationService::LoadPolicy(const Policy& policy) {
   std::lock_guard<std::mutex> update_lock(update_mu_);
   auto shared = std::make_shared<const Policy>(policy);
   std::vector<Status> statuses(shards_.size());
-  Broadcast([&](AuthorizationEngine& engine, uint32_t shard) {
-    statuses[shard] = engine.LoadPolicy(shared);
-  });
+  if (!Broadcast([&](AuthorizationEngine& engine, uint32_t shard) {
+        statuses[shard] = engine.LoadPolicy(shared);
+      })) {
+    return Status::FailedPrecondition(
+        "service is shut down; policy not loaded");
+  }
   for (const Status& status : statuses) {
     SENTINEL_RETURN_IF_ERROR(status);
   }
@@ -703,30 +631,18 @@ Result<RegenReport> AuthorizationService::ApplyPolicyUpdate(
 
   // Commit per shard as ordinary exempt-lane envelopes — no epoch, no
   // barrier between shards, no cache wipe. Each shard flips mid-stream;
-  // the latch below is only the caller's linearization point (on return,
+  // the wait below is only the caller's linearization point (on return,
   // every shard serves the new generation).
   std::vector<Result<RegenReport>> reports(
-      shards_.size(), Result<RegenReport>(Status::Internal("not applied")));
-  if (synchronous_) {
-    reports[0] = shards_[0]->engine->CommitPolicyUpdate(*plan);
-    if (audit_ != nullptr) DrainShardAudit(*shards_[0]);
-  } else {
-    Latch done(static_cast<int>(shards_.size()));
-    for (auto& shard : shards_) {
-      const bool pushed =
-          shard->mailbox.Push([&plan, &reports, &done](Shard& s) {
-            const int64_t start_ns = NowNanos();
-            reports[s.index] = s.engine->CommitPolicyUpdate(*plan);
-            s.swap_commit_hist->Record((NowNanos() - start_ns) / 1000);
-            done.Arrive();
-          });
-      // A closed mailbox (shutdown race) can no longer commit; count it
-      // down so the caller is not stranded — its slot keeps the
-      // "not applied" error.
-      if (!pushed) done.Arrive();
-    }
-    done.Wait();
-  }
+      shards_.size(),
+      Result<RegenReport>(Status::FailedPrecondition(
+          "service is shut down; update not applied on every shard")));
+  // A shard that can no longer take the commit keeps the shutdown error.
+  RunOnEveryShard([&plan, &reports](Shard& s) {
+    const int64_t start_ns = NowNanos();
+    reports[s.index] = s.engine->CommitPolicyUpdate(*plan);
+    s.swap_commit_hist->Record((NowNanos() - start_ns) / 1000);
+  });
   for (auto& report : reports) {
     if (!report.ok()) {
       // Loud rollback: validation failures are caught at Prepare before
@@ -804,36 +720,9 @@ bool AuthorizationService::TryFastPath(const AccessRequest& request,
 }
 
 AccessDecision AuthorizationService::CheckAccess(const AccessRequest& request) {
-  if (fastpath_) {
-    AccessDecision fast;
-    if (TryFastPath(request, &fast)) {
-      requests_counter_->Add();
-      // Fast-path hits bypass the engine and its DecisionLog entirely; the
-      // service-level record keeps them in the durable stream.
-      if (audit_ != nullptr) {
-        OfferServiceRecord("service.fastpath", &request, fast);
-      }
-      return fast;
-    }
-  }
-  // Policing happens after the fast-path probe: a snapshot hit consumes no
-  // decision-lane capacity, which is the resource quotas protect.
-  bool over_quota = false;
-  if (AdmitPrincipal(request) == Policer::Verdict::kOverQuota) {
-    if (quota_always_) {
-      requests_counter_->Add();
-      return RefuseOverQuota(&request, RouteRequest(request), NowNanos());
-    }
-    over_quota = true;
-  }
-  return RunOnShard(RouteRequest(request),
-                    [&request](AuthorizationEngine& engine) {
-                      return engine.CheckAccess(request.session,
-                                                request.operation,
-                                                request.object,
-                                                request.purpose);
-                    },
-                    request.EffectiveDeadline(default_deadline_), over_quota);
+  AccessDecision decision;
+  Dispatch({&request, 1}, &decision);
+  return decision;
 }
 
 std::vector<AccessDecision> AuthorizationService::CheckAccessBatch(
@@ -847,255 +736,262 @@ void AuthorizationService::CheckAccessBatchInto(
     std::span<const AccessRequest> requests,
     std::span<AccessDecision> results) {
   assert(requests.size() == results.size());
-  const int64_t submit_ns = NowNanos();
-  AccessDecision* const out = results.data();
   if (requests.empty()) return;
   batches_counter_->Add();
-  requests_counter_->Add(requests.size());
   batch_size_hist_->RecordShared(static_cast<int64_t>(requests.size()));
-  if (synchronous_) {
-    Shard& shard = *shards_[0];
-    for (size_t i = 0; i < requests.size(); ++i) {
-      // Inline dispatch still debits quota buckets; only kAlways can turn
-      // the verdict into a refusal here (there is no queue to overload).
-      if (AdmitPrincipal(requests[i]) == Policer::Verdict::kOverQuota &&
-          quota_always_) {
-        out[i] = RefuseOverQuota(&requests[i], 0, submit_ns);
-        continue;
+  Dispatch(requests, results.data());
+}
+
+void AuthorizationService::Dispatch(std::span<const AccessRequest> requests,
+                                    AccessDecision* out, const SessionOp* op,
+                                    uint32_t op_shard) {
+  const size_t n = requests.size();
+  requests_counter_->Add(n);
+  // A batch of one (CheckAccess, every session op) keeps its bookkeeping on
+  // the stack.
+  Item one;
+  std::vector<Item> many(n > 1 ? n : 0);
+  Item* const items = n > 1 ? many.data() : &one;
+
+  // Zero-hop probe first: a snapshot hit consumes no decision-lane
+  // capacity, which is the resource quotas protect, and a batch answered
+  // entirely from snapshots involves no shard at all.
+  size_t pending = n;
+  if (op == nullptr && fastpath_) {
+    for (size_t i = 0; i < n; ++i) {
+      if (!TryFastPath(requests[i], &out[i])) continue;
+      items[i].key = kAnswered;
+      --pending;
+      // Fast-path hits bypass the engine and its DecisionLog entirely; the
+      // service-level record keeps them in the durable stream.
+      if (audit_ != nullptr) {
+        OfferServiceRecord("service.fastpath", &requests[i], out[i]);
       }
-      const Decision decision = shard.engine->CheckAccess(
-          requests[i].session, requests[i].operation, requests[i].object,
-          requests[i].purpose);
-      out[i] = Convert(decision, 0,
-                       shard.applied_epoch.load(std::memory_order_relaxed),
-                       submit_ns);
     }
-    if (audit_ != nullptr) DrainShardAudit(shard);
-    return;
+    if (pending == 0) return;
   }
-  // Per-item zero-hop probe first: only the misses pay a mailbox hop, and
-  // a batch answered entirely from snapshots involves no shard at all.
-  std::vector<uint32_t> pending;
-  pending.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (!fastpath_ || !TryFastPath(requests[i], &out[i])) {
-      pending.push_back(static_cast<uint32_t>(i));
-    } else if (audit_ != nullptr) {
-      OfferServiceRecord("service.fastpath", &requests[i], out[i]);
-    }
-  }
-  if (pending.empty()) return;
-  // Admission policing, per item: each miss debits its principal's bucket.
-  // Under kAlways an over-quota item is refused right here; under
-  // kOnOverload it is grouped into a separate envelope that takes the
-  // restricted (never-block, reserved-depth) push below.
-  std::vector<int64_t> deadlines(requests.size(), 0);
-  std::vector<std::vector<uint32_t>> indices(shards_.size());
-  std::vector<std::vector<uint32_t>> over_indices(shards_.size());
-  for (const uint32_t i : pending) {
-    bool over_quota = false;
-    if (AdmitPrincipal(requests[i]) == Policer::Verdict::kOverQuota) {
-      if (quota_always_) {
-        out[i] = RefuseOverQuota(&requests[i], RouteRequest(requests[i]),
-                                 submit_ns);
-        continue;
-      }
-      over_quota = true;
-    }
-    // Deadlines are per item: expiry is judged request by request when the
-    // envelope runs, so one slow item never spoils its batch-mates' budget.
-    deadlines[i] = DeadlineNanos(
-        requests[i].EffectiveDeadline(default_deadline_), submit_ns);
-    (over_quota ? over_indices : indices)[RouteRequest(requests[i])]
-        .push_back(i);
-  }
-  int involved = 0;
-  for (size_t shard = 0; shard < shards_.size(); ++shard) {
-    if (!indices[shard].empty()) ++involved;
-    if (!over_indices[shard].empty()) ++involved;
-  }
-  if (involved == 0) return;
-  using PushResult = Mailbox<std::function<void(Shard&)>>::PushResult;
-  Latch done(involved);
-  // One envelope per involved (shard, quota-class) pair, carrying that
-  // group's request indices.
-  auto submit = [&](size_t shard, const std::vector<uint32_t>& group,
-                    bool over_quota) {
-    Shard& home = *shards_[shard];
-    // A blocked admission may wait until the envelope's *latest* item
-    // deadline: earlier-expiring items are answered kOverloaded by the
-    // per-item check once the envelope runs. Any item without a deadline
-    // makes the wait unbounded (0).
-    int64_t push_deadline_ns = 0;
-    for (const uint32_t i : group) {
-      if (deadlines[i] == 0) {
-        push_deadline_ns = 0;
-        break;
-      }
-      push_deadline_ns = std::max(push_deadline_ns, deadlines[i]);
-    }
-    // Capture a copy: the lambda is built (and `mine` populated) before
-    // the push decides, and the refusal fallbacks below still need the
-    // list.
-    auto envelope = [this, requests, &deadlines, out, &done, submit_ns,
-                     mine = group](Shard& s) {
-      const int64_t start_ns = NowNanos();
-      s.queue_wait_hist->Record((start_ns - submit_ns) / 1000);
-      const uint64_t epoch = s.applied_epoch.load(std::memory_order_relaxed);
-      for (const uint32_t i : mine) {
-        if (deadlines[i] != 0 && start_ns > deadlines[i]) {
-          s.expired_counter->Add();
-          out[i] = OverloadDecision(OverloadKind::kExpired, s.index,
-                                    submit_ns);
-          if (audit_ != nullptr) {
-            OfferServiceRecord("service.overload", &requests[i], out[i]);
-          }
+
+  // Policing, routing and deadlines, per item. Under kAlways an over-quota
+  // check is refused right here; under kOnOverload it is grouped into a
+  // restricted envelope (never blocks, reserved depth) where a bounded
+  // mailbox makes that mean something.
+  const int64_t submit_ns = NowNanos();
+  std::vector<uint32_t> group_end(2 * shards_.size() + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    if (items[i].key == kAnswered) continue;
+    const AccessRequest& request = requests[i];
+    uint32_t shard = op_shard;
+    bool restricted = false;
+    if (op == nullptr) {
+      shard = RouteRequest(request);
+      if (AdmitPrincipal(request) == Policer::Verdict::kOverQuota) {
+        if (quota_always_) {
+          Refuse(OverloadKind::kOverQuota, *shards_[shard], request,
+                 submit_ns, &out[i]);
+          items[i].key = kAnswered;
           continue;
         }
-        const Decision decision = s.engine->CheckAccess(
-            requests[i].session, requests[i].operation, requests[i].object,
-            requests[i].purpose);
-        out[i] = Convert(decision, s.index, epoch, submit_ns);
+        restricted = over_quota_max_depth_ != 0;
       }
-      done.Arrive();
-    };
-    size_t depth = 0;
-    const bool block = !shed_on_full_ && !over_quota;
-    switch (home.mailbox.PushBounded(std::move(envelope), block,
-                                     push_deadline_ns, &depth,
-                                     over_quota ? over_quota_max_depth_
-                                                : size_t{0})) {
-      case PushResult::kClosed:
-        for (const uint32_t i : group) out[i] = ShutdownDecision();
-        done.Arrive();
-        return;
-      case PushResult::kFull:
-        home.shed_counter->Add(group.size());
-        for (const uint32_t i : group) {
-          if (over_quota) {
-            out[i] = RefuseOverQuota(&requests[i], home.index, submit_ns);
-            continue;
-          }
-          out[i] = OverloadDecision(OverloadKind::kShed, home.index,
-                                    submit_ns);
-          if (audit_ != nullptr) {
-            OfferServiceRecord("service.overload", &requests[i], out[i]);
-          }
-        }
-        done.Arrive();
-        return;
-      case PushResult::kExpired:
-        home.expired_counter->Add(group.size());
-        for (const uint32_t i : group) {
-          out[i] = OverloadDecision(OverloadKind::kExpired, home.index,
-                                    submit_ns);
-          if (audit_ != nullptr) {
-            OfferServiceRecord("service.overload", &requests[i], out[i]);
-          }
-        }
-        done.Arrive();
-        return;
-      case PushResult::kOk:
-        break;
     }
-    home.queue_depth_hist->RecordShared(static_cast<int64_t>(depth));
-  };
-  for (size_t shard = 0; shard < shards_.size(); ++shard) {
-    if (!indices[shard].empty()) submit(shard, indices[shard], false);
-    if (!over_indices[shard].empty()) {
-      submit(shard, over_indices[shard], true);
+    items[i].key = shard * 2 + (restricted ? 1 : 0);
+    // Deadlines are per item: expiry is judged request by request when the
+    // envelope runs, so one slow item never spoils its batch-mates' budget.
+    items[i].deadline_ns = DeadlineNanos(request, submit_ns);
+    ++group_end[items[i].key + 1];
+  }
+
+  // Counting sort into envelope order, stable in request order. Once the
+  // items are placed, group k ends at group_end[k] and k + 1 starts there.
+  int envelopes = 0;
+  for (size_t k = 1; k < group_end.size(); ++k) {
+    if (group_end[k] != 0) ++envelopes;
+    group_end[k] += group_end[k - 1];
+  }
+  if (envelopes == 0) return;
+  for (size_t i = 0; i < n; ++i) {
+    if (items[i].key != kAnswered) {
+      items[group_end[items[i].key]++].order = static_cast<uint32_t>(i);
     }
+  }
+  Latch done(envelopes);
+  Call call{this, requests, out, op, submit_ns, items, &done};
+  uint32_t begin = 0;
+  for (size_t key = 0; key + 1 < group_end.size(); ++key) {
+    const uint32_t end = group_end[key];
+    if (end == begin) continue;
+    SubmitEnvelope(call, static_cast<uint32_t>(key / 2), key % 2 == 1, begin,
+                   end);
+    begin = end;
   }
   done.Wait();
 }
 
-AdminResult AuthorizationService::CreateSession(const UserName& user,
-                                                const SessionId& session) {
-  const uint32_t shard = ShardOf(user);
-  AccessDecision decision = RunOnShard(
-      shard,
-      [&user, &session](AuthorizationEngine& engine) {
-        return engine.CreateSession(user, session);
-      },
-      default_deadline_);
-  if (decision.allowed) {
-    std::unique_lock<std::shared_mutex> lock(session_mu_);
-    sessions_[session] = shard;
-    sessions_gauge_->Set(static_cast<int64_t>(sessions_.size()));
+void AuthorizationService::SubmitEnvelope(const Call& call, uint32_t shard,
+                                          bool restricted, uint32_t begin,
+                                          uint32_t end) {
+  Shard& home = *shards_[shard];
+  // A blocked admission may wait until the envelope's *latest* item
+  // deadline: earlier-expiring items are answered kOverloaded by the
+  // per-item check once the envelope runs. Any item without a deadline
+  // makes the wait unbounded (0).
+  int64_t push_deadline_ns = 0;
+  for (uint32_t k = begin; k < end; ++k) {
+    const int64_t deadline_ns = call.items[call.items[k].order].deadline_ns;
+    if (deadline_ns == 0) {
+      push_deadline_ns = 0;
+      break;
+    }
+    push_deadline_ns = std::max(push_deadline_ns, deadline_ns);
   }
+  // Weighted admission: a restricted (over-quota) envelope never blocks for
+  // space and only fills the non-reserved depth, so at saturation it is
+  // refused first while conformant principals keep the full block/shed
+  // semantics.
+  const PushResult pushed = PushDecision(
+      home,
+      [c = &call, begin, end](Shard& s) {
+        c->service->RunEnvelope(*c, s, begin, end);
+      },
+      !shed_on_full_ && !restricted, push_deadline_ns,
+      restricted ? over_quota_max_depth_ : 0);
+  if (pushed == PushResult::kOk) return;
+  // An over-quota item turned away at a full mailbox is both a shed and a
+  // quota refusal.
+  if (pushed == PushResult::kFull && restricted) {
+    home.shed_counter->Add(end - begin);
+  }
+  const OverloadKind kind = pushed == PushResult::kExpired
+                                ? OverloadKind::kExpired
+                            : restricted ? OverloadKind::kOverQuota
+                                         : OverloadKind::kShed;
+  for (uint32_t k = begin; k < end; ++k) {
+    const uint32_t i = call.items[k].order;
+    if (pushed == PushResult::kClosed) {
+      call.out[i] = ShutdownDecision();
+    } else {
+      Refuse(kind, home, call.requests[i], call.submit_ns, &call.out[i]);
+    }
+  }
+  call.done->Arrive();
+}
+
+void AuthorizationService::RunEnvelope(const Call& call, Shard& shard,
+                                       uint32_t begin, uint32_t end) {
+  const int64_t start_ns = NowNanos();
+  shard.queue_wait_hist->Record((start_ns - call.submit_ns) / 1000);
+  const uint64_t epoch = shard.applied_epoch.load(std::memory_order_relaxed);
+  for (uint32_t k = begin; k < end; ++k) {
+    const uint32_t i = call.items[k].order;
+    const AccessRequest& request = call.requests[i];
+    const int64_t deadline_ns = call.items[i].deadline_ns;
+    if (deadline_ns != 0 && start_ns > deadline_ns) {
+      Refuse(OverloadKind::kExpired, shard, request, call.submit_ns,
+             &call.out[i]);
+      continue;
+    }
+    const Decision decision =
+        call.op != nullptr
+            ? (*call.op)(*shard.engine)
+            : shard.engine->CheckAccess(request.session, request.operation,
+                                        request.object, request.purpose);
+    call.out[i] = Convert(decision, shard.index, epoch, call.submit_ns);
+  }
+  call.done->Arrive();
+}
+
+AdminResult AuthorizationService::RunSessionOp(uint32_t shard,
+                                               const char* name,
+                                               const UserName& user,
+                                               const SessionId& session,
+                                               const RoleName& role,
+                                               const SessionOp& op) {
+  AccessRequest request;
+  request.user = user;
+  request.session = session;
+  request.operation = name;
+  request.object = role;
+  AccessDecision decision;
+  Dispatch({&request, 1}, &decision, &op, shard);
   return ToAdminResult(decision);
 }
 
+AdminResult AuthorizationService::CreateSession(const UserName& user,
+                                                const SessionId& session) {
+  const AdminResult result = RunSessionOp(
+      ShardOf(user), "CreateSession", user, session, {},
+      [&user, &session](AuthorizationEngine& engine) {
+        return engine.CreateSession(user, session);
+      });
+  if (result.ok()) {
+    std::unique_lock<std::shared_mutex> lock(session_mu_);
+    sessions_[session] = result.shard;
+    sessions_gauge_->Set(static_cast<int64_t>(sessions_.size()));
+  }
+  return result;
+}
+
 AdminResult AuthorizationService::DeleteSession(const SessionId& session) {
-  const uint32_t shard = RouteSession(session);
-  AccessDecision decision = RunOnShard(
-      shard,
+  // The service does not track a session's user: a refusal names none.
+  const AdminResult result = RunSessionOp(
+      RouteSession(session), "DeleteSession", {}, session, {},
       [&session](AuthorizationEngine& engine) {
         return engine.DeleteSession(session);
-      },
-      default_deadline_);
-  if (decision.allowed) {
+      });
+  if (result.ok()) {
     std::unique_lock<std::shared_mutex> lock(session_mu_);
     sessions_.erase(session);
     sessions_gauge_->Set(static_cast<int64_t>(sessions_.size()));
   }
-  return ToAdminResult(decision);
+  return result;
 }
 
 AdminResult AuthorizationService::AddActiveRole(const UserName& user,
                                                 const SessionId& session,
                                                 const RoleName& role) {
-  return ToAdminResult(
-      RunOnShard(ShardOf(user),
-                 [&user, &session, &role](AuthorizationEngine& engine) {
-                   return engine.AddActiveRole(user, session, role);
-                 },
-                 default_deadline_));
+  return RunSessionOp(ShardOf(user), "AddActiveRole", user, session, role,
+                      [&user, &session, &role](AuthorizationEngine& engine) {
+                        return engine.AddActiveRole(user, session, role);
+                      });
 }
 
 AdminResult AuthorizationService::DropActiveRole(const UserName& user,
                                                  const SessionId& session,
                                                  const RoleName& role) {
-  return ToAdminResult(
-      RunOnShard(ShardOf(user),
-                 [&user, &session, &role](AuthorizationEngine& engine) {
-                   return engine.DropActiveRole(user, session, role);
-                 },
-                 default_deadline_));
+  return RunSessionOp(ShardOf(user), "DropActiveRole", user, session, role,
+                      [&user, &session, &role](AuthorizationEngine& engine) {
+                        return engine.DropActiveRole(user, session, role);
+                      });
 }
 
 // ---------------------------------------------------------- Administration
 
 AdminResult AuthorizationService::AssignUser(const UserName& user,
                                              const RoleName& role) {
-  return ToAdminResult(
-      BroadcastRequest(ShardOf(user),
-                       [&user, &role](AuthorizationEngine& engine) {
-                         return engine.AssignUser(user, role);
-                       }));
+  return BroadcastRequest(ShardOf(user),
+                          [&user, &role](AuthorizationEngine& engine) {
+                            return engine.AssignUser(user, role);
+                          });
 }
 
 AdminResult AuthorizationService::DeassignUser(const UserName& user,
                                                const RoleName& role) {
-  return ToAdminResult(
-      BroadcastRequest(ShardOf(user),
-                       [&user, &role](AuthorizationEngine& engine) {
-                         return engine.DeassignUser(user, role);
-                       }));
+  return BroadcastRequest(ShardOf(user),
+                          [&user, &role](AuthorizationEngine& engine) {
+                            return engine.DeassignUser(user, role);
+                          });
 }
 
 AdminResult AuthorizationService::EnableRole(const RoleName& role) {
-  return ToAdminResult(
-      BroadcastRequest(0, [&role](AuthorizationEngine& engine) {
-        return engine.EnableRole(role);
-      }));
+  return BroadcastRequest(0, [&role](AuthorizationEngine& engine) {
+    return engine.EnableRole(role);
+  });
 }
 
 AdminResult AuthorizationService::DisableRole(const RoleName& role) {
-  return ToAdminResult(
-      BroadcastRequest(0, [&role](AuthorizationEngine& engine) {
-        return engine.DisableRole(role);
-      }));
+  return BroadcastRequest(0, [&role](AuthorizationEngine& engine) {
+    return engine.DisableRole(role);
+  });
 }
 
 void AuthorizationService::SetContext(const std::string& key,
@@ -1107,40 +1003,22 @@ void AuthorizationService::SetContext(const std::string& key,
 
 // -------------------------------------------------------------------- Time
 
-void AuthorizationService::ApplyAdvance(Time target) {
+Status AuthorizationService::AdvanceTo(Time t) {
   // Not an admin broadcast for the decision cache: temporal firings
   // invalidate precisely via role/session generations.
-  Broadcast(
-      [target](AuthorizationEngine& engine, uint32_t) {
-        engine.AdvanceTo(target);
-      },
-      /*admin=*/false);
-  Time current = now_.load(std::memory_order_relaxed);
-  while (target > current &&
-         !now_.compare_exchange_weak(current, target,
-                                     std::memory_order_release,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-Status AuthorizationService::AdvanceTo(Time t) {
-  if (synchronous_) {
-    if (shut_down_.load(std::memory_order_acquire)) {
-      return Status::FailedPrecondition(
-          "service is shut down; time not advanced");
-    }
-    ApplyAdvance(t);
-    return Status::OK();
-  }
-  Latch done(1);
-  // A closed timer mailbox means Shutdown already joined the timer thread:
-  // the advance can never happen, and pretending it did would let callers
-  // observe a time that no shard ever reached.
-  if (!timer_mailbox_.Push(TimerCommand{t, &done})) {
+  if (!Broadcast(
+          [t](AuthorizationEngine& engine, uint32_t) { engine.AdvanceTo(t); },
+          /*admin=*/false)) {
+    // Pretending the advance happened would let callers observe a time
+    // that no shard ever reached.
     return Status::FailedPrecondition(
         "service is shut down; time not advanced");
   }
-  done.Wait();
+  Time current = now_.load(std::memory_order_relaxed);
+  while (t > current &&
+         !now_.compare_exchange_weak(current, t, std::memory_order_release,
+                                     std::memory_order_relaxed)) {
+  }
   return Status::OK();
 }
 
@@ -1150,12 +1028,8 @@ void AuthorizationService::Inspect(
     uint32_t shard,
     const std::function<void(const AuthorizationEngine&)>& fn) {
   Shard& target = *shards_[shard];
-  if (synchronous_) {
-    fn(*target.engine);
-    return;
-  }
   Latch done(1);
-  const bool pushed = target.mailbox.Push([&](Shard& s) {
+  const bool pushed = PushExempt(target, [&fn, &done](Shard& s) {
     fn(*s.engine);
     done.Arrive();
   });
@@ -1211,12 +1085,7 @@ size_t AuthorizationService::MailboxPeakDepth(uint32_t shard) const {
 
 bool AuthorizationService::InjectShardFault(uint32_t shard,
                                             std::function<void()> fn) {
-  if (synchronous_) {
-    fn();
-    return true;
-  }
-  return shards_[shard]->mailbox.Push(
-      [fn = std::move(fn)](Shard&) { fn(); });
+  return PushExempt(*shards_[shard], [fn = std::move(fn)](Shard&) { fn(); });
 }
 
 // -------------------------------------------------------------- Telemetry

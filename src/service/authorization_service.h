@@ -116,7 +116,7 @@ struct ServiceConfig {
   /// shard). 0 (the default) = unbounded, the pre-overload-protection
   /// behavior. Nonzero values must be a power of two (the decision lane is
   /// a slot ring) — anything else is rejected by ValidateConfig. Admin
-  /// broadcasts and timer commands are exempt — the epoch barrier requires
+  /// broadcasts and time advances are exempt — the epoch barrier requires
   /// every shard to observe every admin envelope.
   size_t mailbox_capacity = 0;
   /// What a producer does when its shard mailbox is full. Only meaningful
@@ -276,10 +276,13 @@ struct TelemetrySnapshot {
 ///    their stamps, not an epoch wipe. The retired generation frees by
 ///    shared_ptr refcount once the last shard has flipped. Note
 ///    admin_epoch() deliberately does not move on swaps.
-///  * **One timer thread.** Time advances fan out from a single timer
-///    thread as epoch-barriered broadcasts, so all shards observe temporal
-///    events (shift boundaries, duration expiries) in the same order
-///    relative to admin operations.
+///  * **Time as a broadcast.** AdvanceTo is an epoch-barriered broadcast
+///    serialized with admin operations, so all shards observe temporal
+///    events (shift boundaries, duration expiries) in one order relative
+///    to them.
+///  * **One request path.** Single checks, batches and session calls are
+///    all batches through one envelope; synchronous mode runs each
+///    envelope inline, as a shard thread would.
 ///
 /// Caveat (documented, by design): constraints whose scope is global across
 /// users — role activation cardinalities, active-security denial thresholds
@@ -369,11 +372,12 @@ class AuthorizationService {
 
   // --------------------------------------------------------------- Time
 
-  /// Advances simulated time on every shard via the timer thread; blocks
+  /// Advances simulated time on every shard: an epoch-barriered broadcast
+  /// from the caller's thread, serialized with admin operations. Blocks
   /// until all shards fired their temporal events up to `t`. After
-  /// Shutdown() the advance cannot happen — the timer thread is gone — and
-  /// the call says so with FailedPrecondition instead of silently
-  /// returning as if time had moved.
+  /// Shutdown() no shard can take the advance, and the call says so with
+  /// FailedPrecondition instead of silently returning as if time had
+  /// moved.
   Status AdvanceTo(Time t);
   Status AdvanceBy(Duration d) { return AdvanceTo(Now() + d); }
   Time Now() const { return now_.load(std::memory_order_acquire); }
@@ -425,8 +429,8 @@ class AuthorizationService {
   /// without waiting for it to run. While `fn` runs, the shard thread is
   /// stalled: decision traffic behind it ages in queue and, with a bounded
   /// mailbox, producers shed or block — the deterministic way tests create
-  /// overload. Returns false when the mailbox is already closed. In
-  /// synchronous mode `fn` runs inline before returning.
+  /// overload. Returns false once Shutdown() has run. In synchronous mode
+  /// `fn` runs inline before returning.
   bool InjectShardFault(uint32_t shard, std::function<void()> fn);
 
   // -------------------------------------------------------- Telemetry
@@ -447,18 +451,26 @@ class AuthorizationService {
 
   /// Closes every mailbox, drains queued envelopes (queued requests still
   /// get real decisions), then joins all threads. Idempotent; the
-  /// destructor calls it. Requests submitted after shutdown are answered
-  /// with a denied "service is shut down" decision.
+  /// destructor calls it. In either mode, requests submitted after
+  /// shutdown are answered with a denied "service is shut down" decision
+  /// (kShutdown), and mutators, LoadPolicy and AdvanceTo with
+  /// FailedPrecondition.
   void Shutdown();
 
  private:
+  struct Shard;
+  /// One mailbox envelope: what runs between two audit taps.
+  using Task = std::function<void(Shard&)>;
+  using PushResult = Mailbox<Task>::PushResult;
+  using SessionOp = std::function<Decision(AuthorizationEngine&)>;
+
   struct Shard {
     uint32_t index = 0;
     std::unique_ptr<SimulatedClock> clock;
     std::unique_ptr<AuthorizationEngine> engine;
     /// Epoch of the last admin envelope this shard applied.
     std::atomic<uint64_t> applied_epoch{0};
-    Mailbox<std::function<void(Shard&)>> mailbox;
+    Mailbox<Task> mailbox;
     /// Overload instruments, registered in the shard engine's registry so
     /// they merge into RenderMetrics and the admin report like any other
     /// per-shard series. Shed/expired are bumped from producer threads as
@@ -489,23 +501,65 @@ class AuthorizationService {
     int remaining_;
   };
 
-  struct TimerCommand {
-    Time target = 0;
+  /// Per-item bookkeeping of one Dispatch call.
+  struct Item {
+    int64_t deadline_ns = 0;  // Steady-clock expiry instant; 0 = none.
+    uint32_t key = 0;         // shard * 2 + restricted, or kAnswered.
+    uint32_t order = 0;       // Slot k: the k-th item in envelope order.
+  };
+  static constexpr uint32_t kAnswered = UINT32_MAX;
+
+  /// One Dispatch call's state, on the caller's stack. The call waits for
+  /// every envelope it pushed: once admitted, an envelope always runs
+  /// (expiry is judged at dequeue), so nothing here is ever abandoned.
+  struct Call {
+    /// Lets an envelope capture only {&call, begin, end}, which fits
+    /// std::function's inline storage: pushing one allocates nothing.
+    AuthorizationService* service = nullptr;
+    std::span<const AccessRequest> requests;
+    AccessDecision* out = nullptr;
+    const SessionOp* op = nullptr;  // Null for access checks.
+    int64_t submit_ns = 0;
+    const Item* items = nullptr;
     Latch* done = nullptr;
   };
 
-  /// Runs `op` on shard `shard` and blocks for its Decision. `deadline_us`
-  /// is the wall-clock budget from submission (<= 0 = none): admission is
-  /// bounded by the overload policy, and an envelope still queued past its
-  /// deadline is answered kOverloaded without touching the engine.
-  /// `over_quota` marks a request whose principal exceeded its quota: it
-  /// never blocks for space, admits only into the mailbox's non-reserved
-  /// depth, and a refusal is attributed "over quota", not "shed".
-  AccessDecision RunOnShard(
-      uint32_t shard, const std::function<Decision(AuthorizationEngine&)>& op,
-      Duration deadline_us, bool over_quota = false);
+  /// The one decision path: decides `requests` into `out`. Access checks
+  /// take the zero-hop probe and policing and route by RouteRequest; a
+  /// session op (`op`, one request carrying its attribution) runs on
+  /// `op_shard`. Then: deadlines, one envelope per (shard, quota class),
+  /// and every refusal.
+  void Dispatch(std::span<const AccessRequest> requests, AccessDecision* out,
+                const SessionOp* op = nullptr, uint32_t op_shard = 0);
+  /// Pushes the envelope for envelope-order slots [begin, end) to `shard`;
+  /// a refused push answers each of its items.
+  void SubmitEnvelope(const Call& call, uint32_t shard, bool restricted,
+                      uint32_t begin, uint32_t end);
+  /// The envelope body: per item, the expiry check, then the engine call.
+  void RunEnvelope(const Call& call, Shard& shard, uint32_t begin,
+                   uint32_t end);
+  /// A session op as a batch of one on `shard`. A refusal's audit record
+  /// names `user`, `session`, the op's `name` and its `role`.
+  AdminResult RunSessionOp(uint32_t shard, const char* name,
+                           const UserName& user, const SessionId& session,
+                           const RoleName& role, const SessionOp& op);
 
-  /// Folds a mutator's internal AccessDecision into the typed AdminResult.
+  /// Decision lane: Mailbox::PushBounded, or in synchronous mode the
+  /// inline executor, which has no queue to shed from, block on or expire
+  /// in.
+  PushResult PushDecision(Shard& shard, Task task, bool block,
+                          int64_t deadline_ns, size_t max_depth);
+  /// Exempt lane: Mailbox::Push, or in synchronous mode the inline
+  /// executor. False once Shutdown() has run.
+  bool PushExempt(Shard& shard, Task task);
+  /// Runs `fn` on every shard through the exempt lane and waits; true iff
+  /// every shard ran it. Shutdown() closes the mailboxes under admin_mu_,
+  /// so only a caller holding admin_mu_ reaches every shard or none; the
+  /// ApplyPolicyUpdate commit, which does not, can reach some of them.
+  bool RunOnEveryShard(const std::function<void(Shard&)>& fn);
+  /// What a shard thread does with one envelope: the task, then the tap.
+  void RunTask(Shard& shard, Task& task);
+
   static AdminResult ToAdminResult(const AccessDecision& decision);
 
   /// Zero-hop read path: answers `request` from its home shard's published
@@ -513,56 +567,46 @@ class AuthorizationService {
   /// fills `*out` only on a hit whose stamp matches the shard's live
   /// published stamp; every other case (fast path off, purpose-qualified,
   /// unknown symbols, key overflow, miss, stale, torn publish) returns
-  /// false and the caller takes the mailbox path. Does not bump
-  /// service_requests_total — callers do, per their own accounting.
+  /// false and the caller takes the mailbox path.
   bool TryFastPath(const AccessRequest& request, AccessDecision* out);
 
-  /// Steady-clock expiry instant in ns for a budget of `deadline_us`
-  /// starting at `submit_ns`; 0 = no deadline. Saturates at INT64_MAX — a
-  /// huge but valid budget means "effectively never", not signed-overflow
-  /// UB wrapping to an already-expired instant.
-  static int64_t DeadlineNanos(Duration deadline_us, int64_t submit_ns);
+  /// `request`'s steady-clock expiry instant in ns for a budget starting
+  /// at `submit_ns`; 0 = none, and always 0 in synchronous mode (nothing
+  /// queues). Saturates both steps at INT64_MAX — a huge but valid budget
+  /// means "effectively never", not signed-overflow UB wrapping to an
+  /// already-expired instant that sheds every request carrying it.
+  int64_t DeadlineNanos(const AccessRequest& request, int64_t submit_ns) const;
 
   /// Why a request was answered kOverloaded without reaching an engine.
   enum class OverloadKind { kShed, kExpired, kOverQuota };
-
-  /// Overload verdict (shed at admission, expired before dispatch, or
-  /// refused over quota).
-  AccessDecision OverloadDecision(OverloadKind kind, uint32_t shard,
-                                  int64_t submit_ns) const;
-
-  /// The policing key for `request`: user when present, else session, both
-  /// optionally truncated at quota_key_delimiter (tenant aggregation). The
-  /// view borrows from `request`.
-  std::string_view PrincipalOf(const AccessRequest& request) const;
+  /// Answers `request` kOverloaded: the kind's counter, the decision, and
+  /// the attributed service.overload audit record.
+  void Refuse(OverloadKind kind, Shard& shard, const AccessRequest& request,
+              int64_t submit_ns, AccessDecision* out);
 
   /// Policer verdict for `request` (kUnpoliced when policing is inactive).
+  /// The key is the user, else the session, cut at quota_key_delimiter.
   Policer::Verdict AdmitPrincipal(const AccessRequest& request);
 
-  /// Answers one caller-visible over-quota refusal: counters, audit marker,
-  /// decision.
-  AccessDecision RefuseOverQuota(const AccessRequest* request, uint32_t shard,
-                                 int64_t submit_ns);
-
   /// Pushes `fn` to every shard with a fresh epoch and waits for all shards
-  /// to apply it. Serialized by admin_mu_. `admin` distinguishes real
-  /// administrative changes (which also bump each shard's decision-cache
-  /// epoch) from timer-driven advances (which must not — temporal firings
-  /// invalidate precisely through role/session generations, and wiping the
-  /// cache every tick would defeat it).
-  void Broadcast(
+  /// to apply it; false when it reached none (after Shutdown()).
+  /// Serialized by admin_mu_. `admin` distinguishes real administrative
+  /// changes (which also bump each shard's decision-cache epoch) from time
+  /// advances (which must not — temporal firings invalidate precisely
+  /// through role/session generations, and wiping the cache every tick
+  /// would defeat it).
+  bool Broadcast(
       const std::function<void(AuthorizationEngine&, uint32_t shard)>& fn,
       bool admin = true);
 
-  /// Broadcast returning the Decision observed on `authoritative` (the home
-  /// shard for user-scoped admin ops, shard 0 for role-scoped ones).
-  AccessDecision BroadcastRequest(
+  /// Broadcast answering with the Decision observed on `authoritative` (the
+  /// home shard for user-scoped admin ops, shard 0 for role-scoped ones),
+  /// or FailedPrecondition when the broadcast reached no shard.
+  AdminResult BroadcastRequest(
       uint32_t authoritative,
       const std::function<Decision(AuthorizationEngine&)>& op);
 
   void ShardLoop(Shard* shard);
-  void TimerLoop();
-  void ApplyAdvance(Time target);
 
   /// Export tap: hands the shard's undrained DecisionLog tail to the audit
   /// exporter and accounts ring evictions as drops. Shard-thread only
@@ -599,9 +643,10 @@ class AuthorizationService {
   /// Tenant-aggregation delimiter (0 = full principal names).
   char quota_key_delimiter_ = '\0';
   /// Ring depth over-quota requests may fill under kOnOverload: capacity
-  /// minus the reserved top quarter (0 with an unbounded mailbox). The
-  /// reservation is what makes shedding weighted — conformant principals
-  /// always find headroom an abuser cannot occupy.
+  /// minus the reserved top quarter. The reservation is what makes shedding
+  /// weighted — conformant principals always find headroom an abuser
+  /// cannot occupy. 0 where no bound applies (unbounded mailbox,
+  /// synchronous mode): over-quota requests then share envelopes.
   size_t over_quota_max_depth_ = 0;
   /// Zero-hop read path enabled (config flag, cache on, not synchronous).
   bool fastpath_ = false;
@@ -629,7 +674,8 @@ class AuthorizationService {
   /// series — a cache-heavy workload's p50 must reflect the hits.
   telemetry::Histogram* fastpath_latency_hist_ = nullptr;
 
-  /// Serializes admin broadcasts so epochs hit every mailbox in one order.
+  /// Serializes admin broadcasts and time advances so epochs hit every
+  /// mailbox in one order; Shutdown() closes the mailboxes under it.
   std::mutex admin_mu_;
   std::atomic<uint64_t> admin_epoch_{0};
 
@@ -644,8 +690,6 @@ class AuthorizationService {
   /// Off-thread prepare cost (validate + diff + delta), in microseconds.
   telemetry::Histogram* swap_build_hist_ = nullptr;
 
-  Mailbox<TimerCommand> timer_mailbox_;
-  std::thread timer_thread_;
   std::atomic<Time> now_{0};
 
   /// session -> home shard, for session-only calls.
@@ -653,8 +697,8 @@ class AuthorizationService {
   std::unordered_map<SessionId, uint32_t> sessions_;
 
   std::mutex shutdown_mu_;
-  /// Written under shutdown_mu_; read lock-free by synchronous-mode calls
-  /// that must refuse after shutdown (AdvanceTo).
+  /// Set by Shutdown() under both mutexes; the inline executor's closed
+  /// mailbox.
   std::atomic<bool> shut_down_{false};
 };
 

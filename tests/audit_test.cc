@@ -3,9 +3,11 @@
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "audit/exporter.h"
@@ -423,6 +425,85 @@ TEST(ServiceAuditTest, MetricsSurfaceAuditCounters) {
   const std::string json = service.RenderMetricsJson();
   EXPECT_NE(json.find("audit_export_records_total"), std::string::npos);
   service.Shutdown();
+}
+
+TEST(ServiceAuditTest, ShedSingleCallsExportAttributedOverloadRecords) {
+  const std::string path = TempPath("service_audit_shed.jsonl");
+  std::remove(path.c_str());
+  ServiceConfig config;
+  config.num_shards = 1;
+  config.mailbox_capacity = 2;
+  config.overload_policy = OverloadPolicy::kShed;
+  config.audit_path = path;
+  AuthorizationService service(config);
+  ASSERT_TRUE(service.init_status().ok());
+  ASSERT_TRUE(service.LoadPolicy(TinyPolicy()).ok());
+  ASSERT_TRUE(service.CreateSession("alice", "s1").ok());
+  ASSERT_TRUE(service.AddActiveRole("alice", "s1", "worker").ok());
+
+  // Stall the shard on a gate, then fill its two mailbox slots.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool stalled = false, open = false;
+  ASSERT_TRUE(service.InjectShardFault(0, [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    stalled = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return open; });
+  }));
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return stalled; });
+  }
+  AccessRequest queued;
+  queued.user = "alice";
+  queued.session = "s1";
+  queued.operation = "read";
+  queued.object = "ledger";
+  std::vector<std::thread> fillers;
+  for (int i = 0; i < 2; ++i) {
+    fillers.emplace_back([&] {
+      EXPECT_EQ(service.CheckAccess(queued).outcome,
+                AccessOutcome::kDecided);
+    });
+  }
+  while (service.MailboxDepth(0) < 2) std::this_thread::yield();
+
+  AccessRequest shed;
+  shed.user = "alice";
+  shed.session = "s1";
+  shed.operation = "write";
+  shed.object = "vault";
+  const AccessDecision refused = service.CheckAccess(shed);
+  EXPECT_EQ(refused.outcome, AccessOutcome::kOverloaded);
+  EXPECT_EQ(refused.reason, "overloaded: shed");
+  // A session op is shed the same way, and named by its op and role.
+  const AdminResult dropped = service.DropActiveRole("alice", "s1", "worker");
+  EXPECT_TRUE(dropped.status.IsResourceExhausted()) << dropped.status;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    open = true;
+  }
+  cv.notify_all();
+  for (std::thread& filler : fillers) filler.join();
+  service.Shutdown();
+
+  size_t overload_records = 0;
+  std::map<std::string, std::string> object_by_op;
+  for (const std::string& line : ReadLines(path)) {
+    AuditRecord parsed;
+    ASSERT_TRUE(ParseJsonLine(line, &parsed)) << line;
+    if (parsed.kind != "service.overload") continue;
+    ++overload_records;
+    EXPECT_EQ(parsed.user, "alice");
+    EXPECT_EQ(parsed.session, "s1");
+    EXPECT_EQ(parsed.reason, "overloaded: shed");
+    object_by_op[parsed.op] = parsed.object;
+  }
+  const std::map<std::string, std::string> expected = {
+      {"write", "vault"}, {"DropActiveRole", "worker"}};
+  EXPECT_EQ(object_by_op, expected);
+  EXPECT_EQ(overload_records, 2u);
 }
 
 TEST(ServiceAuditTest, RejectsZeroQueueCapacityWithAuditPath) {

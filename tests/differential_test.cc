@@ -432,8 +432,13 @@ PolicyGenParams CachedHarnessPolicyParams(uint64_t seed) {
 /// hit path hard while the interleaved mutations exercise staleness.
 /// With `fastpath` the replays are answered caller-side from the shards'
 /// published cache snapshots — the zero-hop read path must be invisible
-/// to this oracle.
-void RunCachedServiceHarness(uint64_t seed, bool fastpath) {
+/// to this oracle. With `batched` each run of consecutive checks (each
+/// still issued twice) goes out as one CheckAccessBatch across the shards,
+/// the path every wire check takes; the harness policy has no threshold or
+/// cardinality rules, so checks change no state and the oracle can decide
+/// them one by one.
+void RunCachedServiceHarness(uint64_t seed, bool fastpath,
+                             bool batched = false) {
   const Policy policy = GeneratePolicy(CachedHarnessPolicyParams(seed));
   ASSERT_TRUE(policy.Validate().ok());
 
@@ -479,8 +484,11 @@ void RunCachedServiceHarness(uint64_t seed, bool fastpath) {
 
   const Policy* updates[] = {&revoked, &granted};
   size_t next_update = 0;
+  const auto update_due = [&](size_t i) {
+    return next_update < 2 && i == (next_update + 1) * requests.size() / 3;
+  };
   for (size_t i = 0; i < requests.size(); ++i) {
-    if (next_update < 2 && i == (next_update + 1) * requests.size() / 3) {
+    if (update_due(i)) {
       // The stream's runtime assignments can make a re-validation fail
       // (e.g. a new UA pair now conflicts with policy SSD); that outcome
       // is seed-dependent but must be IDENTICAL on both sides, and a
@@ -496,6 +504,47 @@ void RunCachedServiceHarness(uint64_t seed, bool fastpath) {
       ++next_update;
     }
     const Request& request = requests[i];
+    if (batched && request.kind == RequestKind::kCheckAccess) {
+      size_t end = i + 1;
+      while (end < requests.size() &&
+             requests[end].kind == RequestKind::kCheckAccess &&
+             !update_due(end)) {
+        ++end;
+      }
+      std::vector<AccessRequest> batch;
+      for (size_t k = i; k < end; ++k) {
+        AccessRequest check;
+        check.session = requests[k].session;
+        check.operation = requests[k].operation;
+        check.object = requests[k].object;
+        check.purpose = requests[k].purpose;
+        batch.push_back(check);
+        batch.push_back(check);
+      }
+      const std::vector<AccessDecision> got = service.CheckAccessBatch(batch);
+      ASSERT_EQ(got.size(), batch.size());
+      for (size_t k = i; k < end; ++k) {
+        const Decision want = ApplyRequest(oracle, requests[k]);
+        const AccessDecision& first = got[2 * (k - i)];
+        const AccessDecision& again = got[2 * (k - i) + 1];
+        ASSERT_EQ(first.allowed, want.allowed)
+            << "--seed=" << seed << " batched request #" << k
+            << " session=" << requests[k].session
+            << " op=" << requests[k].operation
+            << " obj=" << requests[k].object
+            << "\n  cached service: rule=" << first.rule
+            << " reason=" << first.reason << "\n  oracle: rule=" << want.rule
+            << " reason=" << want.reason;
+        if (!want.allowed) {
+          ASSERT_EQ(first.reason, want.reason)
+              << "--seed=" << seed << " batched request #" << k;
+        }
+        ASSERT_EQ(again.allowed, want.allowed)
+            << "--seed=" << seed << " batched replay of request #" << k;
+      }
+      i = end - 1;
+      continue;
+    }
     const Decision got = ApplyRequest(cached, request);
     const Decision want = ApplyRequest(oracle, request);
     ASSERT_EQ(got.allowed, want.allowed)
@@ -522,7 +571,15 @@ void RunCachedServiceHarness(uint64_t seed, bool fastpath) {
 
   ServiceStats stats = service.Stats();
   EXPECT_GT(stats.cache_misses, 0u) << "--seed=" << seed;
-  if (fastpath) {
+  if (batched) {
+    // A batch probes every item before any of them is dispatched, so the
+    // copy behind each check is answered by the engine cache in the same
+    // envelope; zero-hop hits come only from checks repeated across
+    // batches.
+    std::cerr << "[harness] batched: cache_hits=" << stats.cache_hits
+              << " fastpath_hits=" << stats.fastpath_hits << "\n";
+    EXPECT_GT(stats.cache_hits, 0u) << "--seed=" << seed;
+  } else if (fastpath) {
     EXPECT_GT(stats.fastpath_hits, 0u) << "--seed=" << seed;
   } else {
     EXPECT_GT(stats.cache_hits, 0u) << "--seed=" << seed;
@@ -542,6 +599,17 @@ TEST(CachedServiceDifferentialTest, FastPathTenThousandOpsZeroDivergences) {
   std::cerr << "[harness] fast-path differential seed: --seed="
             << g_harness_seed << "\n";
   RunCachedServiceHarness(g_harness_seed, /*fastpath=*/true);
+}
+
+/// The wire server's path: every run of consecutive checks goes out as one
+/// CheckAccessBatch over the 3 shards, fast path on, compared item by item
+/// with the oracle.
+TEST(CachedServiceDifferentialTest,
+     BatchedFastPathTenThousandOpsZeroDivergences) {
+  std::cerr << "[harness] batched fast-path differential seed: --seed="
+            << g_harness_seed << "\n";
+  RunCachedServiceHarness(g_harness_seed, /*fastpath=*/true,
+                          /*batched=*/true);
 }
 
 /// The policed arm: the same 12k-op lockstep with per-principal admission

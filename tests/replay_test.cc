@@ -116,6 +116,81 @@ TEST(ReplayTest, UnchangedPolicyReplaysWithZeroDiffs) {
   EXPECT_EQ(again->flips(), 0u);
 }
 
+// ------------------------------------------------- capture vs capture
+
+/// A smoke-sized scenario captured twice: two runs of one deterministic
+/// workload, differing only in wall-clock fields.
+struct CapturePair {
+  std::vector<AuditRecord> first;
+  std::vector<AuditRecord> second;
+};
+
+CapturePair CaptureTwice() {
+  ScenarioParams params = SmokeScenarioParams();
+  params.num_users = 40;
+  params.num_requests = 1500;
+  const Scenario scenario = GenerateScenario(params);
+  CapturePair pair;
+  pair.first = CaptureScenario(scenario, TempPath("compare_a.jsonl"));
+  pair.second = CaptureScenario(scenario, TempPath("compare_b.jsonl"));
+  return pair;
+}
+
+TEST(CaptureCompareTest, IdenticalRunsCompareWithZeroDiffs) {
+  const CapturePair pair = CaptureTwice();
+  ASSERT_GT(pair.first.size(), 1000u);
+  // The two runs differ in wall-clock fields, which the comparison ignores.
+  ASSERT_NE(pair.first.back().wall_us, 0);
+  const CaptureDiffReport report = CompareCaptures(pair.first, pair.second);
+  EXPECT_EQ(report.differences(), 0u) << CaptureDiffToText(report);
+  EXPECT_TRUE(report.diffs.empty());
+  EXPECT_EQ(report.capture_records, pair.first.size());
+  EXPECT_EQ(report.baseline_records, pair.second.size());
+  EXPECT_NE(CaptureDiffToText(report).find("record_diffs: 0\n"),
+            std::string::npos);
+}
+
+TEST(CaptureCompareTest, FlippedVerdictDiffersOnBothSides) {
+  CapturePair pair = CaptureTwice();
+  ASSERT_GT(pair.second.size(), 100u);
+  AuditRecord& flipped = pair.second[pair.second.size() / 2];
+  flipped.allowed = !flipped.allowed;
+  const CaptureDiffReport report = CompareCaptures(pair.first, pair.second);
+  EXPECT_EQ(report.only_in_capture, 1u) << CaptureDiffToText(report);
+  EXPECT_EQ(report.only_in_baseline, 1u);
+  // Both versions of the record, side by side at its (shard, seq).
+  ASSERT_EQ(report.diffs.size(), 2u);
+  for (const RecordDiff& diff : report.diffs) {
+    EXPECT_EQ(diff.shard, flipped.shard);
+    EXPECT_EQ(diff.seq, flipped.seq);
+  }
+  EXPECT_NE(report.diffs[0].in_capture, report.diffs[1].in_capture);
+  EXPECT_NE(CaptureDiffToText(report).find("record_diffs: 2\n"),
+            std::string::npos);
+}
+
+TEST(CaptureCompareTest, MissingRecordShiftsNothingElse) {
+  CapturePair pair = CaptureTwice();
+  ASSERT_GT(pair.first.size(), 100u);
+  const AuditRecord missing = pair.first[pair.first.size() / 3];
+  pair.first.erase(pair.first.begin() + pair.first.size() / 3);
+  // A service-level record on one side only is a multiset difference.
+  AuditRecord marker;
+  marker.kind = "service.overload";
+  marker.user = "alice";
+  marker.shard = 99;
+  pair.first.push_back(marker);
+  const CaptureDiffReport report = CompareCaptures(pair.first, pair.second);
+  EXPECT_EQ(report.only_in_baseline, 1u) << CaptureDiffToText(report);
+  EXPECT_EQ(report.only_in_capture, 1u);
+  ASSERT_EQ(report.diffs.size(), 2u);
+  EXPECT_EQ(report.diffs[0].shard, missing.shard);
+  EXPECT_EQ(report.diffs[0].seq, missing.seq);
+  EXPECT_FALSE(report.diffs[0].in_capture);
+  EXPECT_EQ(report.diffs[1].shard, 99);
+  EXPECT_TRUE(report.diffs[1].in_capture);
+}
+
 // ------------------------------------------------------------ verdict flips
 
 Policy FlipBasePolicy() {

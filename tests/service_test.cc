@@ -277,9 +277,55 @@ TEST(ServiceTest, ShutdownDrainsQueuedWorkAndRefusesNewWork) {
   service.Shutdown();  // Idempotent.
 }
 
+/// After Shutdown() every entry point refuses, whatever the mode: checks
+/// answer kShutdown, mutators and policy/time calls FailedPrecondition —
+/// none of them reaches an engine or reports a policy verdict.
+void ExpectEveryCallRefusedAfterShutdown(const ServiceConfig& config) {
+  AuthorizationService service(config);
+  ASSERT_TRUE(service.LoadPolicy(testutil::EnterpriseXyzPolicy()).ok());
+  ASSERT_TRUE(service.CreateSession("alice", "s1").ok());
+  ASSERT_TRUE(service.AddActiveRole("alice", "s1", "PM").ok());
+  const AccessRequest check{"alice", "s1", "read", "ledger", ""};
+  ASSERT_TRUE(service.CheckAccess(check).allowed);
+  const uint64_t decided = service.Stats().decisions;
+  service.Shutdown();
+
+  const AccessDecision single = service.CheckAccess(check);
+  EXPECT_EQ(single.outcome, AccessOutcome::kShutdown);
+  EXPECT_FALSE(single.allowed);
+  const std::vector<AccessRequest> batch = {
+      check, {"bob", "s2", "read", "ledger", ""}, {"", "s1", "x", "y", ""}};
+  for (const AccessDecision& item : service.CheckAccessBatch(batch)) {
+    EXPECT_EQ(item.outcome, AccessOutcome::kShutdown);
+    EXPECT_FALSE(item.allowed);
+  }
+  const AdminResult created = service.CreateSession("bob", "s2");
+  EXPECT_TRUE(created.status.IsFailedPrecondition()) << created.status;
+  EXPECT_EQ(created.outcome, AccessOutcome::kShutdown);
+  const AdminResult assigned = service.AssignUser("bob", "PM");
+  EXPECT_TRUE(assigned.status.IsFailedPrecondition()) << assigned.status;
+  EXPECT_EQ(assigned.outcome, AccessOutcome::kShutdown);
+  const Status loaded = service.LoadPolicy(testutil::EnterpriseXyzPolicy());
+  EXPECT_TRUE(loaded.IsFailedPrecondition()) << loaded;
+  const Time now = service.Now();
+  const Status advanced = service.AdvanceBy(kMinute);
+  EXPECT_TRUE(advanced.IsFailedPrecondition()) << advanced;
+  EXPECT_EQ(service.Now(), now);
+  // Nothing reached an engine after Shutdown().
+  EXPECT_EQ(service.Stats().decisions, decided);
+}
+
+TEST(ServiceTest, ShutdownRefusesEveryCallSynchronous) {
+  ExpectEveryCallRefusedAfterShutdown(SyncConfig());
+}
+
+TEST(ServiceTest, ShutdownRefusesEveryCallSharded) {
+  ExpectEveryCallRefusedAfterShutdown(ShardedConfig(2));
+}
+
 TEST(ServiceTest, AdvanceAfterShutdownIsARefusalNotASilentNoop) {
-  // Concurrent mode: the timer thread is gone after Shutdown, so the call
-  // must say the advance did not happen instead of returning as if it had.
+  // Concurrent mode: after Shutdown no shard can take the advance, so the
+  // call must say it did not happen instead of returning as if it had.
   AuthorizationService service(ShardedConfig(2));
   ASSERT_TRUE(service.LoadPolicy(testutil::EnterpriseXyzPolicy()).ok());
   const Time target = testutil::Noon() + kHour;
@@ -290,7 +336,7 @@ TEST(ServiceTest, AdvanceAfterShutdownIsARefusalNotASilentNoop) {
   EXPECT_TRUE(refused.IsFailedPrecondition()) << refused;
   EXPECT_EQ(service.Now(), target);  // Time did not move.
 
-  // Synchronous mode takes the inline path; same contract.
+  // Synchronous mode runs the advance inline; same contract.
   AuthorizationService sync(SyncConfig());
   ASSERT_TRUE(sync.LoadPolicy(testutil::EnterpriseXyzPolicy()).ok());
   ASSERT_TRUE(sync.AdvanceBy(kMinute).ok());
@@ -299,8 +345,8 @@ TEST(ServiceTest, AdvanceAfterShutdownIsARefusalNotASilentNoop) {
 }
 
 TEST(ServiceTest, AdvanceRacingShutdownNeverFabricatesTime) {
-  // A timer caller racing Shutdown: every call either advanced time for
-  // real (OK) or reported the refusal — Now() reflects exactly the
+  // An AdvanceTo caller racing Shutdown: every call either advanced time
+  // for real (OK) or reported the refusal — Now() reflects exactly the
   // successful advances.
   AuthorizationService service(ShardedConfig(2));
   ASSERT_TRUE(service.LoadPolicy(testutil::EnterpriseXyzPolicy()).ok());
