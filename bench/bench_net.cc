@@ -19,8 +19,9 @@
 //   overfill a mailbox — instead 8 in-process producer threads saturate
 //   the one-shard service (the PR-5 regime) while a wire client pipelines
 //   bursts through the reactor and tallies what comes back. policy 0 =
-//   unbounded mailbox + 500us deadline (block-style: wire batches queue
-//   behind the stampede and expire when late); policy 1 = capacity-4
+//   unbounded mailbox + a 500us deadline on every check (block-style: wire
+//   batches queue behind the stampede and expire when late; set-up session
+//   ops carry no budget and wait for the shard); policy 1 = capacity-4
 //   mailbox, kShed (the wire batch's envelope is refused at admission and
 //   the whole chunk comes back kOverloaded). decided/overloaded fractions
 //   and the burst RTT percentiles show a remote caller seeing exactly the
@@ -162,9 +163,10 @@ void BM_Net_SaturatedShard(benchmark::State& state) {
   if (shed) {
     config.mailbox_capacity = 4;
     config.overload_policy = OverloadPolicy::kShed;
-  } else {
-    config.default_deadline = 500;  // us; block-style with bounded waiting
   }
+  // Block-style with bounded waiting: the budget rides on each check (the
+  // wire carries it), so the set-up's session ops are never refused.
+  const Duration deadline = shed ? 0 : 500;  // us
   Harness harness(config);
 
   // In-process stampede keeping the shard mailbox at its bound for the
@@ -175,7 +177,7 @@ void BM_Net_SaturatedShard(benchmark::State& state) {
     saturators.emplace_back([&, s] {
       const int u = s % kUsers;
       const AccessRequest request{SyntheticUserName(u), SessionOf(u), "read",
-                                  "ledger", ""};
+                                  "ledger", "", deadline};
       while (!stop_saturators.load(std::memory_order_acquire)) {
         (void)harness.service->CheckAccess(request);
       }
@@ -188,7 +190,7 @@ void BM_Net_SaturatedShard(benchmark::State& state) {
   auto client = std::move(connected).value();
   std::vector<AccessRequest> burst(
       kBurst, AccessRequest{SyntheticUserName(0), SessionOf(0), "read",
-                            "ledger", ""});
+                            "ledger", "", deadline});
 
   uint64_t decided = 0, overloaded = 0;
   std::vector<double> burst_rtt_us;

@@ -21,13 +21,10 @@ taskset -c 0 ctest --test-dir build --output-on-failure \
   -R '^(service_test|mailbox_test|policer_test|fastpath_test|net_test|policy_swap_test|differential_test|audit_test)$'
 
 # The gate- and stall-sequenced tests, repeated: a test that only passes on
-# most schedules fails here instead of flaking later. Two overload tests
-# stay out until they are mended (ROADMAP): their 2 ms budgets also cover
-# set-up calls or a final round trip, which an idle shard thread's late
-# wake-up overruns about once in 600 runs.
+# most schedules fails here instead of flaking later.
 echo "== Repeat sweep: overload, stress, advance/shutdown, fast path, net =="
 ./build/tests/service_test --gtest_repeat=50 --gtest_brief=1 \
-  --gtest_filter='ServiceOverloadTest.*:ServiceStressTest.*:ServiceTest.Advance*:ServiceTest.Shutdown*:-ServiceOverloadTest.DeadlineExpiryInQueueIsOverloadNotPolicyDeny:ServiceOverloadTest.DefaultDeadlineAppliesAndPerRequestOverrides'
+  --gtest_filter='ServiceOverloadTest.*:ServiceStressTest.*:ServiceTest.Advance*:ServiceTest.Shutdown*'
 ./build/tests/fastpath_test --gtest_repeat=50 --gtest_brief=1 \
   --gtest_filter='FastPathStressTest.*'
 ./build/tests/net_test --gtest_repeat=50 --gtest_brief=1
@@ -310,14 +307,15 @@ rm -rf "$REPLAY_TMP"
 # own build tree.
 echo "== Sanitizer pass: thread (service + mailbox + fast-path + net tests) =="
 # policy_test rides along for its concurrent-copy case: threads copying one
-# shared policy generation and writing their copies' copy-on-write sections.
+# shared policy generation and writing their copies' copy-on-write sections;
+# cache_test for the decision cache the shards and zero-hop callers share.
 cmake -B build-tsan -S . -DSENTINELPP_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=Debug >/dev/null
 cmake --build build-tsan -j"$JOBS" --target service_test mailbox_test \
   policer_test fastpath_test interner_test wire_test net_test audit_test \
-  policy_swap_test policy_test
+  policy_swap_test policy_test cache_test
 ctest --test-dir build-tsan --output-on-failure \
-  -R '^(service_test|mailbox_test|policer_test|fastpath_test|interner_test|wire_test|net_test|audit_test|policy_swap_test|policy_test)$'
+  -R '^(service_test|mailbox_test|policer_test|fastpath_test|interner_test|wire_test|net_test|audit_test|policy_swap_test|policy_test|cache_test)$'
 
 echo "== Overload stress: stall-injected shed/deadline paths under TSan =="
 # The acceptance stress for the bounded-mailbox work: shard stalls injected

@@ -11,54 +11,56 @@
 
 namespace sentinel {
 
-/// \brief Per-shard memo table for CheckAccess verdicts.
+/// \brief Per-shard memo table for CheckAccess verdicts, readable from any
+/// thread.
 ///
 /// The paper's observation cuts both ways: because every state change that
 /// can affect an authorization verdict flows through the rule machinery as
 /// an event, those same firing sites can invalidate a verdict cache
 /// *precisely* — no TTLs, no scan-and-evict. Each entry carries the Stamp
 /// of the state it was computed under (policy epoch, rule-pool generation,
-/// per-session generation, active-role generation sum); a lookup whose
-/// recomputed Stamp differs treats the entry as dead. Stale entries are
+/// the shard's role-transition count, the session's generation); a lookup
+/// whose current Stamp differs treats the entry as dead. Stale entries are
 /// never searched for — they die lazily when probed or get overwritten by
 /// a later fill.
 ///
 /// Shape: fixed-capacity open-addressed table, power-of-two slots, bounded
-/// linear probe window. Owned by a single-threaded engine shard, so there
-/// are no locks; Lookup and Fill never allocate. Slots are only reclaimed
-/// by overwrite or Clear() — the table tolerates dead weight by design.
+/// linear probe window; Lookup and Fill never allocate. Slots are only
+/// reclaimed by overwrite or Clear() — the table tolerates dead weight by
+/// design. One slot array, one stamp per entry, two readers:
 ///
-/// Zero-hop read path (PR 6): alongside the private table the cache keeps a
-/// *shared* mirror — one seqlock-stamped atomic slot per private slot, plus
-/// the current fast stamp published as two release-stored words. Fills (and
-/// only fills, on the shard thread) write the mirror; any caller thread may
-/// SharedLookup() against it without crossing the mailbox. The mirror
-/// carries the coarse *fast* stamp (epoch, pool generation, table-wide
-/// session generation, table-wide role generation) rather than the exact
-/// per-session stamp: a caller cannot recompute per-session components, but
-/// every precise bump also bumps its table-wide counter, so a fast-stamp
-/// match is strictly stronger than the exact check — staleness costs a hit,
-/// never correctness. Memory ordering contract:
+///  * the owning shard thread (Lookup) compares an entry's stamp with the
+///    live values it recomputes;
+///  * any caller thread (SharedLookup, the zero-hop read path) compares the
+///    same stamp with the epoch, pool and role words the engine publishes
+///    at the tail of every mutating call (PublishCurrentStamp) plus the
+///    session's live generation, which RbacDatabase keeps readable from any
+///    thread.
+///
+/// Only the shard thread writes (Fill, Clear), so it reads its own slots
+/// without the seqlock. Memory ordering contract:
 ///
 ///  * Writer (shard thread) per slot: seq -> odd (relaxed), release fence,
 ///    data stores (relaxed), seq -> even (release).
 ///  * Reader: seq load (acquire; odd => fall back), data loads (relaxed),
 ///    acquire fence, seq re-load (changed => torn, fall back).
-///  * Current stamp: release-stored after every mutating engine call
-///    returns (AuthorizationEngine::PublishFastPathState), so a hit whose
-///    entry stamp equals the loaded current stamp replays a verdict valid
-///    as of the last *completed* engine call — in-flight mutations are
-///    unacknowledged to their callers, so the read linearizes before them.
+///  * Published words: release-stored after every mutating engine call
+///    returns (AuthorizationEngine::PublishFastPathState). Every stamp word
+///    only grows, so a word equal to an entry's proves that component has
+///    not moved since the fill as of the moment it was read, and a hit
+///    replays a verdict valid as of the last *completed* engine call —
+///    in-flight mutations are unacknowledged to their callers, so the read
+///    linearizes before them.
 class DecisionCache {
  public:
   /// The validity stamp: an entry is alive iff every component still equals
-  /// the value recomputed at lookup time. Components are compared exactly
-  /// (not hashed together) so distinct states can never alias.
+  /// the current value. Components are compared exactly (not hashed
+  /// together) so distinct states can never alias.
   struct Stamp {
     uint32_t epoch = 0;    ///< Engine policy/admin-broadcast epoch.
     uint32_t pool = 0;     ///< RuleManager pool generation.
-    uint32_t session = 0;  ///< RbacDatabase per-session generation.
-    uint32_t roles = 0;    ///< Sum of the session's active-role generations.
+    uint32_t roles = 0;    ///< RoleStateTable role-transition count.
+    uint32_t session = 0;  ///< RbacDatabase generation of the key's session.
     bool operator==(const Stamp&) const = default;
   };
 
@@ -93,63 +95,56 @@ class DecisionCache {
 
   /// Sizes the table to `capacity` slots (0 disables, otherwise must be a
   /// power of two — validated at the service boundary) and drops every
-  /// cached entry, shared mirror included. Not thread-safe: call before
-  /// concurrent readers exist (the service configures at construction).
+  /// cached entry. Not thread-safe: call before concurrent readers exist
+  /// (the service configures at construction).
   void Configure(size_t capacity) {
-    const size_t n = IsPowerOfTwo(capacity) ? capacity : 0;
-    slots_.assign(n, Slot{});
-    shared_slots_ = std::vector<SharedSlot>(n);
+    slots_ = std::vector<Slot>(IsPowerOfTwo(capacity) ? capacity : 0);
     live_ = 0;
     fills_ = 0;
   }
 
   bool enabled() const { return !slots_.empty(); }
-  size_t capacity() const { return slots_.size(); }
   /// Occupied slots (live and stale alike — staleness is only decidable
   /// per key, at lookup time).
   size_t size() const { return live_; }
 
-  Outcome Lookup(uint64_t key, const Stamp& stamp, Verdict* out) {
+  /// Shard-thread probe against the live `stamp`.
+  Outcome Lookup(uint64_t key, const Stamp& stamp, Verdict* out) const {
     const uint64_t stored = key + 1;
     const size_t mask = slots_.size() - 1;
     size_t index = Mix(key) & mask;
     for (size_t i = 0; i < kProbeWindow; ++i, index = (index + 1) & mask) {
-      Slot& slot = slots_[index];
+      const Slot& slot = slots_[index];
+      const uint64_t k = slot.key_plus_1.load(std::memory_order_relaxed);
       // Fills take the first empty slot in the window and slots never
       // empty out again, so an empty slot proves the key is absent.
-      if (slot.key_plus_1 == 0) return Outcome::kMiss;
-      if (slot.key_plus_1 != stored) continue;
-      if (!(slot.stamp == stamp)) return Outcome::kStale;
-      *out = slot.verdict;
+      if (k == 0) return Outcome::kMiss;
+      if (k != stored) continue;
+      if (slot.stamp_lo.load(std::memory_order_relaxed) != PackLo(stamp) ||
+          slot.stamp_hi.load(std::memory_order_relaxed) != PackHi(stamp)) {
+        return Outcome::kStale;
+      }
+      *out = Unpack(slot.verdict.load(std::memory_order_relaxed));
       return Outcome::kHit;
     }
     return Outcome::kMiss;
   }
 
-  /// Writes a verdict under its exact stamp, mirroring the slot into the
-  /// shared view under `fast_stamp` (the coarse stamp callers validate
-  /// against; see the class comment). The 3-arg overload mirrors under the
-  /// exact stamp — for unit tests and engines without a fast path.
+  /// Writes a verdict under its stamp (shard thread only).
   void Fill(uint64_t key, const Stamp& stamp, Verdict verdict) {
-    Fill(key, stamp, verdict, stamp);
-  }
-
-  void Fill(uint64_t key, const Stamp& stamp, Verdict verdict,
-            const Stamp& fast_stamp) {
     const uint64_t stored = key + 1;
     const size_t mask = slots_.size() - 1;
     const size_t home = Mix(key) & mask;
     size_t victim = kNoSlot;
     size_t index = home;
     for (size_t i = 0; i < kProbeWindow; ++i, index = (index + 1) & mask) {
-      Slot& slot = slots_[index];
-      if (slot.key_plus_1 == stored) {  // Refresh in place.
-        slot.stamp = stamp;
-        slot.verdict = verdict;
-        PublishSharedSlot(index, stored, fast_stamp, verdict);
+      const uint64_t k =
+          slots_[index].key_plus_1.load(std::memory_order_relaxed);
+      if (k == stored) {  // Refresh in place.
+        Write(index, stored, stamp, verdict);
         return;
       }
-      if (slot.key_plus_1 == 0 && victim == kNoSlot) victim = index;
+      if (k == 0 && victim == kNoSlot) victim = index;
     }
     if (victim == kNoSlot) {
       // Window full of other keys: rotate the eviction point so one hot
@@ -159,100 +154,79 @@ class DecisionCache {
       ++live_;
     }
     ++fills_;
-    slots_[victim] = Slot{stored, stamp, verdict};
-    PublishSharedSlot(victim, stored, fast_stamp, verdict);
+    Write(victim, stored, stamp, verdict);
   }
 
   void Clear() {
     for (size_t i = 0; i < slots_.size(); ++i) {
-      slots_[i] = Slot{};
-      PublishSharedSlot(i, 0, Stamp{}, Verdict{});
+      Write(i, 0, Stamp{}, Verdict{});
     }
     live_ = 0;
   }
 
-  // ------------------------------------------------- Zero-hop shared view
+  // ------------------------------------------------------ Zero-hop reads
 
-  /// Publishes the current fast stamp (shard thread only). Called by the
-  /// engine at the tail of every mutating public call; entries whose
-  /// mirrored stamp equals the published words are replayable caller-side.
-  void PublishCurrentStamp(const Stamp& fast) {
-    shared_cur_lo_.store(PackLo(fast), std::memory_order_relaxed);
-    shared_cur_hi_.store(PackHi(fast), std::memory_order_release);
+  /// Publishes `current`'s epoch, pool and roles words (shard thread only).
+  /// The engine calls it at the tail of every mutating public call; the
+  /// session word is not published — SharedLookup's caller reads it live.
+  void PublishCurrentStamp(const Stamp& current) {
+    published_lo_.store(PackLo(current), std::memory_order_release);
+    published_roles_.store(current.roles, std::memory_order_release);
   }
 
   /// Caller-side zero-hop probe: true (with `*out` set) only for an entry
-  /// whose mirrored fast stamp equals the currently published one. Every
-  /// other outcome — empty window, key absent, stamp mismatch, publish in
-  /// flight, torn read — returns false: the caller falls back to the
-  /// mailbox, which re-derives exactly. Safe from any thread.
-  bool SharedLookup(uint64_t key, Verdict* out) const {
-    if (shared_slots_.empty()) return false;
-    // Current stamp first: an entry matching it replays a verdict valid as
-    // of that publish. (Both words monotonic; see class comment.)
-    const uint64_t cur_hi = shared_cur_hi_.load(std::memory_order_acquire);
-    const uint64_t cur_lo = shared_cur_lo_.load(std::memory_order_acquire);
+  /// whose stamp equals the published words and `session_generation`, the
+  /// key's session's live RbacDatabase::SessionGeneration. Every other
+  /// outcome — empty window, key absent, stamp mismatch, write in flight,
+  /// torn read — returns false: the caller falls back to the mailbox, which
+  /// re-derives exactly. Safe from any thread.
+  bool SharedLookup(uint64_t key, uint32_t session_generation,
+                    Verdict* out) const {
+    if (slots_.empty()) return false;
+    const uint64_t want_lo = published_lo_.load(std::memory_order_acquire);
+    const uint64_t want_hi =
+        published_roles_.load(std::memory_order_acquire) |
+        (static_cast<uint64_t>(session_generation) << 32);
     const uint64_t stored = key + 1;
-    const size_t mask = shared_slots_.size() - 1;
+    const size_t mask = slots_.size() - 1;
     size_t index = Mix(key) & mask;
     for (size_t i = 0; i < kProbeWindow; ++i, index = (index + 1) & mask) {
-      const SharedSlot& slot = shared_slots_[index];
+      const Slot& slot = slots_[index];
       const uint32_t seq = slot.seq.load(std::memory_order_acquire);
-      if ((seq & 1u) != 0) return false;  // Publish in flight.
+      if ((seq & 1u) != 0) return false;  // Write in flight.
       const uint64_t k = slot.key_plus_1.load(std::memory_order_relaxed);
       const uint64_t lo = slot.stamp_lo.load(std::memory_order_relaxed);
       const uint64_t hi = slot.stamp_hi.load(std::memory_order_relaxed);
       const uint32_t v = slot.verdict.load(std::memory_order_relaxed);
       std::atomic_thread_fence(std::memory_order_acquire);
       if (slot.seq.load(std::memory_order_relaxed) != seq) return false;
-      // Mirrored fills keep the private table's probe geometry, so an
-      // empty shared slot proves absence just like Lookup's does.
-      if (k == 0) return false;
+      if (k == 0) return false;  // Absent, as in Lookup.
       if (k != stored) continue;
-      if (lo != cur_lo || hi != cur_hi) return false;  // Stale.
-      *out = Verdict{(v & 1u) != 0, (v & 2u) != 0};
+      if (lo != want_lo || hi != want_hi) return false;  // Stale.
+      *out = Unpack(v);
       return true;
     }
     return false;
   }
 
-  bool shared_enabled() const { return !shared_slots_.empty(); }
-
   /// Test-only fault injection (shard thread, via InjectShardFault):
-  /// freezes `key`'s shared slot mid-publish — sequence left odd — until
-  /// EndTornPublishForTest. Readers must treat the slot as unreadable and
-  /// fall back to the mailbox; the private table is untouched.
-  void BeginTornPublishForTest(uint64_t key) {
-    SharedSlot* slot = SharedSlotFor(key);
-    if (slot == nullptr) return;
-    slot->seq.store(slot->seq.load(std::memory_order_relaxed) + 1,
-                    std::memory_order_release);
-  }
-
-  void EndTornPublishForTest(uint64_t key) {
-    SharedSlot* slot = SharedSlotFor(key);
-    if (slot == nullptr) return;
-    slot->seq.store(slot->seq.load(std::memory_order_relaxed) + 1,
-                    std::memory_order_release);
-  }
+  /// freezes `key`'s slot mid-write — sequence left odd — until
+  /// EndTornPublishForTest. Callers must treat the slot as unreadable and
+  /// fall back to the mailbox; the shard's own Lookup still reads it.
+  void BeginTornPublishForTest(uint64_t key) { BumpSeqForTest(key); }
+  void EndTornPublishForTest(uint64_t key) { BumpSeqForTest(key); }
 
  private:
-  struct Slot {
-    uint64_t key_plus_1 = 0;  ///< Packed key + 1; 0 marks an empty slot.
-    Stamp stamp;
-    Verdict verdict;
+  /// One entry, 32 bytes: two share a cache line, so a probe window spans
+  /// kProbeWindow / 2 lines.
+  struct alignas(32) Slot {
+    std::atomic<uint64_t> key_plus_1{0};  ///< Packed key + 1; 0 = empty.
+    std::atomic<uint64_t> stamp_lo{0};    ///< epoch | pool << 32.
+    std::atomic<uint64_t> stamp_hi{0};    ///< roles | session << 32.
+    std::atomic<uint32_t> seq{0};         ///< Seqlock: odd = write in flight.
+    std::atomic<uint32_t> verdict{0};     ///< bit0 allowed, bit1 by_rule.
   };
-
-  /// One mirrored cache entry, readable from any thread. Cache-line sized
-  /// so a writer publishing one slot never invalidates a neighbour a
-  /// reader is probing.
-  struct alignas(64) SharedSlot {
-    std::atomic<uint32_t> seq{0};  ///< Seqlock: odd = publish in flight.
-    std::atomic<uint64_t> key_plus_1{0};
-    std::atomic<uint64_t> stamp_lo{0};  ///< epoch | pool << 32 (fast stamp).
-    std::atomic<uint64_t> stamp_hi{0};  ///< session | roles << 32.
-    std::atomic<uint32_t> verdict{0};   ///< bit0 allowed, bit1 by_rule.
-  };
+  static_assert(sizeof(Slot) == 32);
 
   static constexpr size_t kProbeWindow = 8;
   static constexpr size_t kNoSlot = static_cast<size_t>(-1);
@@ -271,48 +245,51 @@ class DecisionCache {
            (static_cast<uint64_t>(s.pool) << 32);
   }
   static uint64_t PackHi(const Stamp& s) {
-    return static_cast<uint64_t>(s.session) |
-           (static_cast<uint64_t>(s.roles) << 32);
+    return static_cast<uint64_t>(s.roles) |
+           (static_cast<uint64_t>(s.session) << 32);
+  }
+  static Verdict Unpack(uint32_t v) {
+    return Verdict{(v & 1u) != 0, (v & 2u) != 0};
   }
 
-  /// Seqlock write of one mirrored slot (shard thread only).
-  void PublishSharedSlot(size_t index, uint64_t stored, const Stamp& fast,
-                         Verdict verdict) {
-    if (shared_slots_.empty()) return;
-    SharedSlot& slot = shared_slots_[index];
+  /// Seqlock write of one slot (shard thread only).
+  void Write(size_t index, uint64_t stored, const Stamp& stamp,
+             Verdict verdict) {
+    Slot& slot = slots_[index];
     const uint32_t seq = slot.seq.load(std::memory_order_relaxed);
     slot.seq.store(seq + 1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_release);
     slot.key_plus_1.store(stored, std::memory_order_relaxed);
-    slot.stamp_lo.store(PackLo(fast), std::memory_order_relaxed);
-    slot.stamp_hi.store(PackHi(fast), std::memory_order_relaxed);
+    slot.stamp_lo.store(PackLo(stamp), std::memory_order_relaxed);
+    slot.stamp_hi.store(PackHi(stamp), std::memory_order_relaxed);
     slot.verdict.store((verdict.allowed ? 1u : 0u) |
                            (verdict.by_rule ? 2u : 0u),
                        std::memory_order_relaxed);
     slot.seq.store(seq + 2, std::memory_order_release);
   }
 
-  /// The shared slot currently holding `key` (home slot when absent), or
-  /// nullptr when the mirror is disabled. Shard thread only.
-  SharedSlot* SharedSlotFor(uint64_t key) {
-    if (shared_slots_.empty()) return nullptr;
+  /// Moves the sequence of the slot holding `key` (its home slot when
+  /// absent) by one. No-op while the cache is disabled.
+  void BumpSeqForTest(uint64_t key) {
+    if (slots_.empty()) return;
     const uint64_t stored = key + 1;
-    const size_t mask = shared_slots_.size() - 1;
+    const size_t mask = slots_.size() - 1;
     const size_t home = Mix(key) & mask;
-    size_t index = home;
-    for (size_t i = 0; i < kProbeWindow; ++i, index = (index + 1) & mask) {
-      if (shared_slots_[index].key_plus_1.load(std::memory_order_relaxed) ==
-          stored) {
-        return &shared_slots_[index];
+    Slot* slot = &slots_[home];
+    for (size_t i = 0, index = home; i < kProbeWindow;
+         ++i, index = (index + 1) & mask) {
+      if (slots_[index].key_plus_1.load(std::memory_order_relaxed) == stored) {
+        slot = &slots_[index];
+        break;
       }
     }
-    return &shared_slots_[home];
+    slot->seq.store(slot->seq.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_release);
   }
 
   std::vector<Slot> slots_;
-  std::vector<SharedSlot> shared_slots_;
-  std::atomic<uint64_t> shared_cur_lo_{0};
-  std::atomic<uint64_t> shared_cur_hi_{0};
+  std::atomic<uint64_t> published_lo_{0};     ///< epoch | pool << 32.
+  std::atomic<uint64_t> published_roles_{0};  ///< roles (high half zero).
   size_t live_ = 0;
   uint64_t fills_ = 0;
 };

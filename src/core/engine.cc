@@ -160,10 +160,10 @@ Result<RegenReport> AuthorizationEngine::CommitPolicyUpdate(
                                       plan.affected_users,
                                       plan.directives_changed);
   if (!regen.ok()) return regen.status();
-  // Invalidate through the stamp, not the epoch: every cached and
-  // fast-path verdict carries the rule-pool generation, so bumping it
-  // retires entries filled under the old generation lazily at lookup —
-  // without the blanket cache wipe the epoch barrier used to pay for.
+  // Invalidate through the stamp, not the epoch: every cached verdict
+  // carries the rule-pool generation, so bumping it retires entries filled
+  // under the old generation lazily at lookup — without the blanket cache
+  // wipe the epoch barrier used to pay for.
   rules_.BumpPoolGeneration();
   PublishFastPathState();
 
@@ -409,8 +409,8 @@ Decision AuthorizationEngine::Dispatch(EventId event, FlatParamMap params) {
     record.latency_us = elapsed_ns / 1000;
     decision_log_.Push(std::move(record));
   }
-  // Whatever this dispatch's cascade mutated is reflected in the fast stamp
-  // by the time the caller (and, through the service, the client) learns
+  // Whatever this dispatch's cascade mutated is reflected in the published
+  // words by the time the caller (and, through the service, the client) learns
   // the outcome. Every mutating engine entry point funnels through here.
   PublishFastPathState();
   return decision;
@@ -453,23 +453,14 @@ Decision AuthorizationEngine::DropActiveRole(const UserName& user,
 void AuthorizationEngine::ConfigureDecisionCache(size_t capacity) {
   decision_cache_.Configure(capacity);
   cache_entries_gauge_->Set(0);
-  // Seed the shared view's current stamp so readers arriving before the
-  // first mutation validate against real values, not zero-init.
+  // Seed the published words so readers arriving before the first
+  // mutation validate against real values, not zero-init.
   PublishFastPathState();
 }
 
-DecisionCache::Stamp AuthorizationEngine::FastCacheStamp() const {
-  DecisionCache::Stamp stamp;
-  stamp.epoch = static_cast<uint32_t>(cache_epoch_);
-  stamp.pool = static_cast<uint32_t>(rules_.pool_generation());
-  stamp.session = rbac_.db().sessions_generation();
-  stamp.roles = role_state_.roles_generation();
-  return stamp;
-}
-
 void AuthorizationEngine::PublishFastPathState() {
-  if (decision_cache_.shared_enabled()) {
-    decision_cache_.PublishCurrentStamp(FastCacheStamp());
+  if (decision_cache_.enabled()) {
+    decision_cache_.PublishCurrentStamp(CacheStamp(Symbol()));
   }
 }
 
@@ -477,15 +468,8 @@ DecisionCache::Stamp AuthorizationEngine::CacheStamp(Symbol session) const {
   DecisionCache::Stamp stamp;
   stamp.epoch = static_cast<uint32_t>(cache_epoch_);
   stamp.pool = static_cast<uint32_t>(rules_.pool_generation());
+  stamp.roles = role_state_.roles_generation();
   stamp.session = rbac_.db().SessionGeneration(session);
-  uint32_t roles = 0;
-  if (const RbacDatabase::SessionState* state =
-          rbac_.db().GetSessionState(session)) {
-    for (Symbol role : state->active_roles) {
-      roles += role_state_.Generation(role);
-    }
-  }
-  stamp.roles = roles;
   return stamp;
 }
 
@@ -605,8 +589,7 @@ Decision AuthorizationEngine::CheckAccess(const SessionId& session,
       CacheableVerdict(decision) && CacheStamp(session_sym) == stamp) {
     decision_cache_.Fill(key, stamp,
                          DecisionCache::Verdict{
-                             decision.allowed, decision.rule == kCaRuleName},
-                         FastCacheStamp());
+                             decision.allowed, decision.rule == kCaRuleName});
     cache_fills_counter_->Inc();
     cache_entries_gauge_->Set(static_cast<int64_t>(decision_cache_.size()));
   }

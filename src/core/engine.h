@@ -307,12 +307,15 @@ class AuthorizationEngine {
   /// What the cache does: CheckAccess verdicts whose deciding rule is the
   /// global CA rule (or the fail-safe default deny) are memoized under a
   /// 64-bit (session, operation, object) symbol key together with a
-  /// validity stamp — policy epoch, rule-pool generation, session
-  /// generation, active-role generation sum. A later identical request
-  /// whose recomputed stamp matches replays the verdict without raising
-  /// rbac.checkAccess at all; every state change that could alter the
-  /// verdict bumps one of the stamp's components at its firing site, so
-  /// stale entries die lazily at lookup. Guard rails, re-derived whenever
+  /// validity stamp — policy epoch, rule-pool generation, the shard's
+  /// role-transition count, the session's generation. A later identical
+  /// request whose recomputed stamp matches replays the verdict without
+  /// raising rbac.checkAccess at all; every state change that could alter
+  /// the verdict bumps one of the stamp's components at its firing site, so
+  /// stale entries die lazily at lookup. The same entries answer zero-hop
+  /// callers (DecisionCache::SharedLookup), which check the stamp against
+  /// the words PublishFastPathState publishes plus the session's live
+  /// generation: one table, one stamp. Guard rails, re-derived whenever
   /// the pool or epoch moves: caching is bypassed entirely if anything but
   /// the CA rule consumes rbac.checkAccess, denials are only cached while
   /// rbac.accessDenied has no consumers (active-security directives attach
@@ -382,15 +385,11 @@ class AuthorizationEngine {
 
   /// The validity stamp a CheckAccess on `session` depends on, right now.
   DecisionCache::Stamp CacheStamp(Symbol session) const;
-  /// The coarse caller-validatable stamp: epoch, pool generation, and the
-  /// *table-wide* session/role generations (every precise bump also bumps
-  /// its table-wide counter, so a fast-stamp match implies an exact match).
-  DecisionCache::Stamp FastCacheStamp() const;
-  /// Publishes the current fast stamp into the cache's shared view. Called
-  /// at the tail of every mutating public entry point, so the publish is
-  /// complete before that call's result is acknowledged to its caller —
-  /// the zero-hop read path's linearization anchor. A branch when the
-  /// shared view is off.
+  /// Publishes the current epoch, pool and roles words for zero-hop
+  /// readers. Called at the tail of every mutating public entry point, so
+  /// the publish is complete before that call's result is acknowledged to
+  /// its caller — the zero-hop read path's linearization anchor. A branch
+  /// when the cache is off.
   void PublishFastPathState();
   /// Re-derives cache_positive_ok_ / cache_negative_ok_ from the current
   /// rule pool and event graph (called when pool generation or epoch moved).

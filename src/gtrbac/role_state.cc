@@ -13,18 +13,16 @@ RoleStateTable::RoleStateTable(SymbolTable* symbols) {
 
 void RoleStateTable::Enable(const RoleName& role, Time when) {
   disabled_.erase(role);
-  const Symbol sym = symbols_->Intern(role);
-  disabled_sym_.erase(sym.id());
+  disabled_sym_.erase(symbols_->Intern(role).id());
   last_transition_[role] = when;
-  BumpGeneration(sym);
+  ++roles_generation_;
 }
 
 void RoleStateTable::Disable(const RoleName& role, Time when) {
   disabled_.insert(role);
-  const Symbol sym = symbols_->Intern(role);
-  disabled_sym_.insert(sym.id());
+  disabled_sym_.insert(symbols_->Intern(role).id());
   last_transition_[role] = when;
-  BumpGeneration(sym);
+  ++roles_generation_;
 }
 
 bool RoleStateTable::IsEnabled(const RoleName& role) const {
@@ -40,10 +38,9 @@ std::optional<Time> RoleStateTable::LastTransition(
 
 void RoleStateTable::EraseRole(const RoleName& role) {
   disabled_.erase(role);
-  const Symbol sym = symbols_->Intern(role);
-  disabled_sym_.erase(sym.id());
+  disabled_sym_.erase(symbols_->Intern(role).id());
   last_transition_.erase(role);
-  BumpGeneration(sym);
+  ++roles_generation_;
 }
 
 std::set<RoleName> RoleStateTable::DisabledRoles() const { return disabled_; }

@@ -7,7 +7,6 @@
 #include <set>
 #include <string>
 #include <unordered_set>
-#include <vector>
 
 #include "common/interner.h"
 #include "common/status.h"
@@ -53,38 +52,20 @@ class RoleStateTable {
 
   int disabled_count() const { return static_cast<int>(disabled_.size()); }
 
-  /// Monotonic per-role transition counter, bumped by every Enable /
-  /// Disable / EraseRole — the GTRBAC firing sites. The decision cache sums
-  /// these over a session's active roles into its validity stamp, so a
-  /// periodic boundary that flips a role kills every memoized verdict that
-  /// depended on it, lazily. Roles never touched by a transition read 0.
-  uint32_t Generation(Symbol role) const {
-    return role.valid() && role.id() < generation_.size()
-               ? generation_[role.id()]
-               : 0;
-  }
-
-  /// Table-wide transition counter: bumped whenever *any* role's generation
-  /// is. The coarse component of the zero-hop fast stamp — "no role anywhere
-  /// has transitioned" implies "this session's active-role sum is intact".
+  /// Transition counter: bumped by every Enable / Disable / EraseRole —
+  /// the GTRBAC firing sites. A word of the decision cache's validity
+  /// stamp, so a periodic boundary, a cascade or an erase that moves any
+  /// role retires every verdict memoized on this table's shard, lazily.
   uint32_t roles_generation() const { return roles_generation_; }
 
  private:
-  void BumpGeneration(Symbol role) {
-    if (!role.valid()) return;
-    if (role.id() >= generation_.size()) generation_.resize(role.id() + 1, 0);
-    ++generation_[role.id()];
-    ++roles_generation_;
-  }
-
   std::set<RoleName> disabled_;
   std::map<RoleName, Time> last_transition_;
 
   std::unique_ptr<SymbolTable> owned_symbols_;
   SymbolTable* symbols_;
   std::unordered_set<uint32_t> disabled_sym_;
-  std::vector<uint32_t> generation_;  // Indexed by role symbol id.
-  uint32_t roles_generation_ = 0;     // Sum of all per-role bumps.
+  uint32_t roles_generation_ = 0;
 };
 
 }  // namespace sentinel

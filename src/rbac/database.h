@@ -2,6 +2,8 @@
 #define SENTINELPP_RBAC_DATABASE_H_
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -115,18 +117,16 @@ class RbacDatabase {
   /// cascaded drops from DeleteUser / DeleteRole / deassignment). Never
   /// reset — a session id deleted and re-created under the same name keeps
   /// counting up, so a decision-cache stamp taken before the delete can
-  /// never match again. Sessions never seen read 0.
+  /// never match again. Sessions share kSessionStripes counters by symbol
+  /// id, so a bump also moves every session on the same stripe, which only
+  /// costs their cached verdicts. Safe to call from any thread (the
+  /// zero-hop read path does); only the owning engine's thread bumps. The
+  /// invalid symbol reads 0.
   uint32_t SessionGeneration(Symbol session) const {
-    return session.valid() && session.id() < session_gen_.size()
-               ? session_gen_[session.id()]
+    return session.valid()
+               ? session_gen_[StripeOf(session)].load(std::memory_order_acquire)
                : 0;
   }
-
-  /// Table-wide session mutation counter: bumped whenever *any* session's
-  /// generation is. The coarse component of the zero-hop fast stamp — a
-  /// caller-side reader cannot recompute a per-session generation, but "no
-  /// session anywhere has changed" implies "this session has not changed".
-  uint32_t sessions_generation() const { return sessions_generation_; }
 
   /// Adds/removes an active role in a session. Validity (assignment,
   /// authorization, DSD) is checked by the enforcement layer, not here —
@@ -175,13 +175,15 @@ class RbacDatabase {
   Symbol InternName(const std::string& name);
   void SetKind(Symbol s, uint8_t bit);
   void ClearKind(Symbol s, uint8_t bit);
+  static constexpr size_t kSessionStripes = 4096;  // A power of two.
+  static size_t StripeOf(Symbol session) {
+    return session.id() & (kSessionStripes - 1);
+  }
   void BumpSessionGeneration(Symbol session) {
     if (!session.valid()) return;
-    if (session.id() >= session_gen_.size()) {
-      session_gen_.resize(session.id() + 1, 0);
-    }
-    ++session_gen_[session.id()];
-    ++sessions_generation_;
+    std::atomic<uint32_t>& stripe = session_gen_[StripeOf(session)];
+    stripe.store(stripe.load(std::memory_order_relaxed) + 1,
+                 std::memory_order_release);
   }
   static uint64_t PackPermission(Symbol op, Symbol obj) {
     return (static_cast<uint64_t>(op.id()) << 32) | obj.id();
@@ -208,9 +210,9 @@ class RbacDatabase {
   std::unordered_map<uint32_t, std::unordered_set<uint64_t>> pa_sym_;
   std::unordered_map<uint32_t, SessionState> sessions_sym_;
   std::unordered_map<uint32_t, int> active_counts_sym_;
-  std::vector<uint32_t> session_gen_;  // Indexed by session symbol id.
-  uint32_t sessions_generation_ = 0;   // Sum of all per-session bumps.
-  uint64_t removals_ = 0;              // Successful base-relation removals.
+  /// Session generations by stripe; see SessionGeneration.
+  std::array<std::atomic<uint32_t>, kSessionStripes> session_gen_{};
+  uint64_t removals_ = 0;  // Successful base-relation removals.
 };
 
 }  // namespace sentinel

@@ -306,10 +306,9 @@ void AuthorizationService::ShardLoop(Shard* shard) {
 
 void AuthorizationService::RunTask(Shard& shard, Task& task) {
   task(shard);
-  // Tap after every envelope, not every PopAll batch: one envelope can emit
-  // at most its own requests' records, so a ring sized to the largest batch
-  // never wraps between taps (see ServiceConfig::audit_path), while a long
-  // PopAll batch could outrun the whole ring before a per-batch drain.
+  // Tap after every task, not every PopAll batch, which could outrun the
+  // whole ring. An envelope has already tapped after each of its engine
+  // calls (RunEnvelope); this catches admin broadcasts and time advances.
   if (audit_ != nullptr) DrainShardAudit(shard);
 }
 
@@ -687,7 +686,8 @@ bool AuthorizationService::TryFastPath(const AccessRequest& request,
   // the decision we return is stamped no newer than the state it was
   // validated against.
   const uint64_t epoch = home.applied_epoch.load(std::memory_order_acquire);
-  const SymbolTable& symbols = home.engine->symbols();
+  const AuthorizationEngine& engine = *home.engine;
+  const SymbolTable& symbols = engine.symbols();
   // Find, never Intern: interning is the shard thread's privilege. A name
   // this shard has not published yet is simply a miss.
   const Symbol session = symbols.Find(request.session);
@@ -697,7 +697,8 @@ bool AuthorizationService::TryFastPath(const AccessRequest& request,
   const std::optional<uint64_t> key = DecisionCache::PackKey(session, op, obj);
   if (!key.has_value()) return false;
   DecisionCache::Verdict verdict;
-  if (!home.engine->decision_cache().SharedLookup(*key, &verdict)) {
+  if (!engine.decision_cache().SharedLookup(
+          *key, engine.rbac().db().SessionGeneration(session), &verdict)) {
     return false;
   }
   out->allowed = verdict.allowed;
@@ -895,6 +896,9 @@ void AuthorizationService::RunEnvelope(const Call& call, Shard& shard,
             ? (*call.op)(*shard.engine)
             : shard.engine->CheckAccess(request.session, request.operation,
                                         request.object, request.purpose);
+    // Tap per engine call: a batch of any size then leaves at most one
+    // call's records in the ring at a time, so it never wraps.
+    if (audit_ != nullptr) DrainShardAudit(shard);
     call.out[i] = Convert(decision, shard.index, epoch, call.submit_ns);
   }
   call.done->Arrive();

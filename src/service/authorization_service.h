@@ -100,10 +100,10 @@ struct ServiceConfig {
   /// See AuthorizationEngine::ConfigureDecisionCache for semantics.
   size_t decision_cache_capacity = 0;
   /// Zero-hop read path: purpose-free CheckAccess / CheckAccessBatch items
-  /// first consult the home shard's published cache snapshot from the
-  /// *caller's* thread — a cache hit whose validity stamp matches the
-  /// shard's live published stamp is answered without a mailbox hop or any
-  /// lock. Misses, stale entries, purpose-qualified requests and
+  /// first consult the home shard's decision cache from the *caller's*
+  /// thread — a cache hit whose validity stamp matches the shard's
+  /// published words and the session's live generation is answered without
+  /// a mailbox hop or any lock. Misses, stale entries, purpose-qualified requests and
   /// symbol-overflow keys fall back to the mailbox path unchanged. Requires
   /// decision_cache_capacity > 0 (rejected by ValidateConfig otherwise) and
   /// is ignored in synchronous mode, where every call is already inline.
@@ -130,16 +130,10 @@ struct ServiceConfig {
   Duration default_deadline = 0;
   /// Durable audit stream: when non-empty, an async JSONL exporter (see
   /// audit::AuditExporter) is attached and every shard's DecisionLog is
-  /// tapped after each envelope it processes — on the shard thread, without
+  /// tapped after each engine call it makes — on the shard thread, without
   /// copying the ring and without ever blocking on I/O. Fast-path hits and
   /// overload verdicts, which never reach an engine, are exported as
-  /// service-level records (seq 0). Requires decision_log_capacity large
-  /// enough that one envelope cannot wrap the ring (a batch envelope emits
-  /// one record per request it carries). The default ring holds 256
-  /// records, while one WireServer sweep can fold up to its max_batch of
-  /// 1,024 requests into a batch: behind a WireServer, raise
-  /// decision_log_capacity to at least max_batch, or a wrapped ring's
-  /// records are lost and counted as audit drops.
+  /// service-level records (seq 0).
   std::string audit_path;
   /// Rotate the audit file once it exceeds this size; 0 disables. See
   /// audit::AuditExporter::Options::rotate_bytes.
@@ -244,13 +238,16 @@ struct TelemetrySnapshot {
 ///    decision lane is a lock-free MPSC ring, and only the low-rate exempt
 ///    admin lane takes a mutex.
 ///  * **Zero-hop read path (opt-in).** With `decision_cache_fastpath` set,
-///    each shard publishes a seqlock-stamped snapshot of its decision cache
-///    plus its live validity-stamp components; purpose-free CheckAccess
-///    calls probe that snapshot from the caller's thread and return
-///    repeated verdicts without entering the mailbox at all. Any admin
-///    broadcast, session change or role transition moves the published
-///    stamp before the mutation is acknowledged, so a fast hit can never
-///    replay across a change the caller has been told about.
+///    purpose-free CheckAccess calls probe the home shard's decision cache
+///    from the caller's thread — the same seqlock-stamped slots and stamps
+///    the shard reads — and return repeated verdicts without entering the
+///    mailbox at all. An entry answers while its stamp equals the epoch,
+///    pool and role words the shard published at the end of its last
+///    mutating call plus the session's live generation. Any admin
+///    broadcast, role transition or change to that session moves one of
+///    them before the mutation is acknowledged, so a fast hit can never
+///    replay across a change the caller has been told about, while other
+///    sessions' logins leave it answering.
 ///  * **Routing by user.** Every request carrying a user name is delivered
 ///    to `hash(user) % num_shards` (a fixed FNV-1a hash, so placement is
 ///    deterministic across runs and across service instances). Sessions,
@@ -535,7 +532,8 @@ class AuthorizationService {
   /// a refused push answers each of its items.
   void SubmitEnvelope(const Call& call, uint32_t shard, bool restricted,
                       uint32_t begin, uint32_t end);
-  /// The envelope body: per item, the expiry check, then the engine call.
+  /// The envelope body: per item, the expiry check, then the engine call
+  /// and the audit tap.
   void RunEnvelope(const Call& call, Shard& shard, uint32_t begin,
                    uint32_t end);
   /// A session op as a batch of one on `shard`. A refusal's audit record
@@ -562,10 +560,10 @@ class AuthorizationService {
 
   static AdminResult ToAdminResult(const AccessDecision& decision);
 
-  /// Zero-hop read path: answers `request` from its home shard's published
-  /// cache snapshot, entirely on the caller's thread. Returns true and
-  /// fills `*out` only on a hit whose stamp matches the shard's live
-  /// published stamp; every other case (fast path off, purpose-qualified,
+  /// Zero-hop read path: answers `request` from its home shard's decision
+  /// cache, entirely on the caller's thread. Returns true and fills `*out`
+  /// only on a hit whose stamp matches the shard's published words and the
+  /// session's live generation; every other case (purpose-qualified,
   /// unknown symbols, key overflow, miss, stale, torn publish) returns
   /// false and the caller takes the mailbox path.
   bool TryFastPath(const AccessRequest& request, AccessDecision* out);

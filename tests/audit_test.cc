@@ -506,6 +506,42 @@ TEST(ServiceAuditTest, ShedSingleCallsExportAttributedOverloadRecords) {
   EXPECT_EQ(overload_records, 2u);
 }
 
+// The tap drains after every engine call, so one batch envelope longer
+// than the ring loses nothing.
+TEST(ServiceAuditTest, BatchLongerThanTheRingExportsEveryRecord) {
+  const std::string path = TempPath("service_audit_long_batch.jsonl");
+  std::remove(path.c_str());
+  ServiceConfig config;
+  config.num_shards = 1;
+  config.decision_log_capacity = 8;
+  config.audit_path = path;
+  AuthorizationService service(config);
+  ASSERT_TRUE(service.init_status().ok());
+  ASSERT_TRUE(service.LoadPolicy(TinyPolicy()).ok());
+  ASSERT_TRUE(service.CreateSession("alice", "s1").ok());
+  ASSERT_TRUE(service.AddActiveRole("alice", "s1", "worker").ok());
+
+  AccessRequest request;
+  request.user = "alice";
+  request.session = "s1";
+  request.operation = "read";
+  request.object = "ledger";
+  const std::vector<AccessRequest> batch(64, request);
+  for (const AccessDecision& decision : service.CheckAccessBatch(batch)) {
+    EXPECT_TRUE(decision.allowed);
+  }
+  service.Shutdown();
+
+  size_t checks = 0;
+  for (const std::string& line : ReadLines(path)) {
+    AuditRecord parsed;
+    ASSERT_TRUE(ParseJsonLine(line, &parsed)) << line;
+    if (parsed.kind == "rbac.checkAccess") ++checks;
+  }
+  EXPECT_EQ(checks, 64u);
+  EXPECT_EQ(service.audit_exporter()->counters().drops, 0u);
+}
+
 TEST(ServiceAuditTest, RejectsZeroQueueCapacityWithAuditPath) {
   ServiceConfig config;
   config.audit_path = TempPath("never_written.jsonl");

@@ -359,98 +359,167 @@ TEST(DecisionCacheUnitTest, EvictionKeepsTableBounded) {
   EXPECT_LE(cache.size(), 8u);
 }
 
-// ------------------------------------- Shared mirror (zero-hop) unit
+// ------------------------------------------- Zero-hop reader (unit)
 
-TEST(DecisionCacheSharedViewTest, SharedLookupMirrorsFillsUnderTheFastStamp) {
+TEST(DecisionCacheSharedViewTest, SharedLookupReadsTheSlotsFillsWrite) {
   DecisionCache cache;
   cache.Configure(64);
   const uint64_t key = *DecisionCache::PackKey(Symbol(7), Symbol(8), Symbol(9));
-  const DecisionCache::Stamp exact{1, 2, 3, 4};
-  const DecisionCache::Stamp fast{1, 2, 10, 20};
+  const DecisionCache::Stamp stamp{1, 2, 3, 4};
 
   DecisionCache::Verdict verdict{};
-  EXPECT_FALSE(cache.SharedLookup(key, &verdict));  // Empty mirror.
+  EXPECT_FALSE(cache.SharedLookup(key, stamp.session, &verdict));  // Empty.
 
-  cache.PublishCurrentStamp(fast);
-  cache.Fill(key, exact, {true, true}, fast);
-  ASSERT_TRUE(cache.SharedLookup(key, &verdict));
+  cache.PublishCurrentStamp(stamp);
+  cache.Fill(key, stamp, {true, true});
+  ASSERT_TRUE(cache.SharedLookup(key, stamp.session, &verdict));
   EXPECT_TRUE(verdict.allowed);
   EXPECT_TRUE(verdict.by_rule);
 
   // A different key in the same table misses without a false positive.
   const uint64_t other =
       *DecisionCache::PackKey(Symbol(1), Symbol(2), Symbol(3));
-  EXPECT_FALSE(cache.SharedLookup(other, &verdict));
+  EXPECT_FALSE(cache.SharedLookup(other, stamp.session, &verdict));
 }
 
-TEST(DecisionCacheSharedViewTest, MovedCurrentStampKillsSharedHits) {
+TEST(DecisionCacheSharedViewTest, MovedWordOrSessionGenerationKillsHits) {
   DecisionCache cache;
   cache.Configure(64);
   const uint64_t key = *DecisionCache::PackKey(Symbol(7), Symbol(8), Symbol(9));
-  DecisionCache::Stamp fast{1, 1, 1, 1};
-  cache.PublishCurrentStamp(fast);
-  cache.Fill(key, fast, {false, false}, fast);
+  const DecisionCache::Stamp stamp{1, 1, 1, 1};
+  cache.PublishCurrentStamp(stamp);
+  cache.Fill(key, stamp, {false, false});
 
   DecisionCache::Verdict verdict{};
-  ASSERT_TRUE(cache.SharedLookup(key, &verdict));
+  ASSERT_TRUE(cache.SharedLookup(key, stamp.session, &verdict));
   EXPECT_FALSE(verdict.allowed);
   EXPECT_FALSE(verdict.by_rule);
 
-  // Any component of the published stamp moving makes every mirrored entry
-  // filled under the old stamp unreadable — low word and high word alike.
-  DecisionCache::Stamp moved = fast;
-  moved.pool += 1;  // Low word.
+  // Any published word moving makes every entry filled under the old words
+  // unreadable — the epoch | pool word and the roles word alike.
+  DecisionCache::Stamp moved = stamp;
+  moved.pool += 1;
   cache.PublishCurrentStamp(moved);
-  EXPECT_FALSE(cache.SharedLookup(key, &verdict));
-  moved = fast;
-  moved.roles += 1;  // High word.
+  EXPECT_FALSE(cache.SharedLookup(key, stamp.session, &verdict));
+  moved = stamp;
+  moved.roles += 1;
   cache.PublishCurrentStamp(moved);
-  EXPECT_FALSE(cache.SharedLookup(key, &verdict));
+  EXPECT_FALSE(cache.SharedLookup(key, stamp.session, &verdict));
 
-  // Republishing the fill-time stamp revives the entry: staleness is a
+  // Republishing the fill-time words revives the entry: staleness is a
   // property of the comparison, not the slot.
-  cache.PublishCurrentStamp(fast);
-  EXPECT_TRUE(cache.SharedLookup(key, &verdict));
+  cache.PublishCurrentStamp(stamp);
+  EXPECT_TRUE(cache.SharedLookup(key, stamp.session, &verdict));
+  // The session's live generation is the fourth word.
+  EXPECT_FALSE(cache.SharedLookup(key, stamp.session + 1, &verdict));
 }
 
 TEST(DecisionCacheSharedViewTest, TornPublishMakesTheSlotUnreadable) {
   DecisionCache cache;
   cache.Configure(64);
   const uint64_t key = *DecisionCache::PackKey(Symbol(7), Symbol(8), Symbol(9));
-  const DecisionCache::Stamp fast{1, 1, 1, 1};
-  cache.PublishCurrentStamp(fast);
-  cache.Fill(key, fast, {true, true}, fast);
+  const DecisionCache::Stamp stamp{1, 1, 1, 1};
+  cache.PublishCurrentStamp(stamp);
+  cache.Fill(key, stamp, {true, true});
 
   DecisionCache::Verdict verdict{};
-  ASSERT_TRUE(cache.SharedLookup(key, &verdict));
+  ASSERT_TRUE(cache.SharedLookup(key, stamp.session, &verdict));
   cache.BeginTornPublishForTest(key);  // Sequence left odd.
-  EXPECT_FALSE(cache.SharedLookup(key, &verdict));
+  EXPECT_FALSE(cache.SharedLookup(key, stamp.session, &verdict));
+  // The shard is the writer: its own probe does not read the sequence.
+  EXPECT_EQ(cache.Lookup(key, stamp, &verdict), DecisionCache::Outcome::kHit);
   cache.EndTornPublishForTest(key);
-  EXPECT_TRUE(cache.SharedLookup(key, &verdict));
+  EXPECT_TRUE(cache.SharedLookup(key, stamp.session, &verdict));
 }
 
-TEST(DecisionCacheSharedViewTest, ClearWipesTheMirrorToo) {
+TEST(DecisionCacheSharedViewTest, ClearWipesBothReaders) {
   DecisionCache cache;
   cache.Configure(64);
   const uint64_t key = *DecisionCache::PackKey(Symbol(7), Symbol(8), Symbol(9));
-  const DecisionCache::Stamp fast{1, 1, 1, 1};
-  cache.PublishCurrentStamp(fast);
-  cache.Fill(key, fast, {true, true}, fast);
+  const DecisionCache::Stamp stamp{1, 1, 1, 1};
+  cache.PublishCurrentStamp(stamp);
+  cache.Fill(key, stamp, {true, true});
 
   DecisionCache::Verdict verdict{};
-  ASSERT_TRUE(cache.SharedLookup(key, &verdict));
+  ASSERT_TRUE(cache.SharedLookup(key, stamp.session, &verdict));
   cache.Clear();
-  EXPECT_FALSE(cache.SharedLookup(key, &verdict));
+  EXPECT_FALSE(cache.SharedLookup(key, stamp.session, &verdict));
+  EXPECT_EQ(cache.Lookup(key, stamp, &verdict),
+            DecisionCache::Outcome::kMiss);
 }
 
-TEST(DecisionCacheSharedViewTest, DisabledCacheHasNoSharedView) {
+TEST(DecisionCacheSharedViewTest, DisabledCacheAnswersNoReader) {
   DecisionCache cache;  // Never configured.
-  EXPECT_FALSE(cache.shared_enabled());
+  EXPECT_FALSE(cache.enabled());
   DecisionCache::Verdict verdict{};
-  EXPECT_FALSE(cache.SharedLookup(42, &verdict));
+  EXPECT_FALSE(cache.SharedLookup(42, 0, &verdict));
   cache.PublishCurrentStamp({1, 1, 1, 1});  // Must not crash.
   cache.BeginTornPublishForTest(42);
   cache.EndTornPublishForTest(42);
+}
+
+/// One table, one stamp: the slot a CheckAccess fills is the one zero-hop
+/// callers read, so the shard's Lookup and SharedLookup answer from it
+/// together and stop together when a published word or the session's own
+/// generation moves. Other sessions' logins move neither.
+TEST_F(CacheTest, ShardAndZeroHopReadersShareOneSlot) {
+  Load(CacheLabPolicy());
+  ASSERT_TRUE(engine_.CreateSession("dave", "s1").allowed);
+  ASSERT_TRUE(engine_.AddActiveRole("dave", "s1", "Doctor").allowed);
+  ASSERT_TRUE(engine_.CheckAccess("s1", "read", "chart").allowed);  // Fill.
+
+  const SymbolTable& symbols = engine_.symbols();
+  const Symbol session = symbols.Find("s1");
+  const uint64_t key = *DecisionCache::PackKey(session, symbols.Find("read"),
+                                               symbols.Find("chart"));
+  const DecisionCache& cache = engine_.decision_cache();
+  const auto shard_hit = [&] {
+    const DecisionCache::Stamp live{
+        static_cast<uint32_t>(engine_.decision_cache_epoch()),
+        static_cast<uint32_t>(engine_.rule_manager().pool_generation()),
+        engine_.role_state().roles_generation(),
+        engine_.rbac().db().SessionGeneration(session)};
+    DecisionCache::Verdict verdict;
+    return cache.Lookup(key, live, &verdict) ==
+               DecisionCache::Outcome::kHit &&
+           verdict.allowed;
+  };
+  const auto zero_hop_hit = [&] {
+    DecisionCache::Verdict verdict;
+    return cache.SharedLookup(
+               key, engine_.rbac().db().SessionGeneration(session),
+               &verdict) &&
+           verdict.allowed;
+  };
+  EXPECT_TRUE(shard_hit());
+  EXPECT_TRUE(zero_hop_hit());
+
+  ASSERT_TRUE(engine_.CreateSession("nina", "n1").allowed);
+  ASSERT_TRUE(engine_.AddActiveRole("nina", "n1", "Nurse").allowed);
+  EXPECT_TRUE(shard_hit());
+  EXPECT_TRUE(zero_hop_hit());
+
+  // A published word: the epoch.
+  engine_.BumpDecisionCacheEpoch();
+  EXPECT_FALSE(shard_hit());
+  EXPECT_FALSE(zero_hop_hit());
+
+  // Refilled, then the session's own generation.
+  ASSERT_TRUE(engine_.CheckAccess("s1", "read", "chart").allowed);
+  EXPECT_TRUE(shard_hit());
+  EXPECT_TRUE(zero_hop_hit());
+  ASSERT_TRUE(engine_.AddActiveRole("dave", "s1", "Auditor").allowed);
+  EXPECT_FALSE(shard_hit());
+  EXPECT_FALSE(zero_hop_hit());
+
+  // Refilled, then a role transition anywhere on the shard — even of a
+  // role dave does not hold — moves the roles word.
+  ASSERT_TRUE(engine_.CheckAccess("s1", "read", "chart").allowed);
+  EXPECT_TRUE(shard_hit());
+  EXPECT_TRUE(zero_hop_hit());
+  ASSERT_TRUE(engine_.DisableRole("Biller").allowed);
+  EXPECT_FALSE(shard_hit());
+  EXPECT_FALSE(zero_hop_hit());
 }
 
 // -------------------------------------- Satellite 6: config validation

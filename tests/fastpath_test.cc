@@ -200,14 +200,29 @@ TEST_F(FastPathServiceTest, UnrelatedBroadcastCostsHitsNeverCorrectness) {
   ASSERT_TRUE(service().CheckAccess(Req("read", "chart")).allowed);
   ASSERT_TRUE(service().CheckAccess(Req("read", "chart")).allowed);  // Warm.
 
-  // An admin change that does not touch alice still moves the coarse stamp
-  // (epoch component) — the next call re-dispatches and re-fills, then
-  // replays resume.
+  // An admin change that does not touch alice still moves the published
+  // epoch word — the next call re-dispatches and re-fills, then replays
+  // resume.
   ASSERT_TRUE(service().EnableRole("Temp").ok());
   EXPECT_TRUE(service().CheckAccess(Req("read", "chart")).allowed);
   const uint64_t hits = service().Stats().fastpath_hits;
   EXPECT_TRUE(service().CheckAccess(Req("read", "chart")).allowed);
   EXPECT_EQ(service().Stats().fastpath_hits, hits + 1);
+}
+
+/// Another user's login on the same shard moves only that session's
+/// generation, so a warmed key keeps answering zero-hop.
+TEST_F(FastPathServiceTest, OtherUsersLoginsLeaveWarmKeysZeroHop) {
+  Start(/*shards=*/1);
+  ASSERT_TRUE(service().CheckAccess(Req("read", "chart")).allowed);  // Fill.
+  const uint64_t warm_hits = service().Stats().fastpath_hits;
+
+  ASSERT_TRUE(service().CreateSession("bob", "b1").ok());
+  ASSERT_TRUE(service().AddActiveRole("bob", "b1", "Temp").ok());
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(service().CheckAccess(Req("read", "chart")).allowed);
+  }
+  EXPECT_EQ(service().Stats().fastpath_hits, warm_hits + 3);
 }
 
 // -------------------------------------- Torn publish (fault injection)
@@ -229,8 +244,8 @@ TEST_F(FastPathServiceTest, TornPublishForcesTheMailboxFallback) {
     key = *DecisionCache::PackKey(session, op, obj);
   });
 
-  // Writer-stall fault: freeze the entry's shared slot mid-publish, on the
-  // shard thread. InjectShardFault returns without waiting, so barrier
+  // Writer-stall fault: freeze the entry's slot mid-write, on the shard
+  // thread. InjectShardFault returns without waiting, so barrier
   // with a no-op Inspect before reading.
   ASSERT_TRUE(service().InjectShardFault(shard, [shard_engine, key] {
     shard_engine->decision_cache_for_test().BeginTornPublishForTest(key);
@@ -332,7 +347,7 @@ TEST(FastPathConfigTest, ConstructorDegradeForcesTheFastPathOff) {
   EXPECT_FALSE(service.init_status().ok());
 
   // Degraded but serving — with no cache there is no snapshot, so the fast
-  // path must be off, not crashing on an empty mirror.
+  // path must be off, not crashing on an empty table.
   ASSERT_TRUE(service.LoadPolicy(FastLabPolicy()).ok());
   ASSERT_TRUE(service.CreateSession("alice", "s1").ok());
   ASSERT_TRUE(service.AddActiveRole("alice", "s1", "Doctor").ok());
@@ -413,7 +428,7 @@ TEST(FastPathStressTest, ReadersRaceAdminBroadcastsAndChurn) {
 /// The same reader race against continuous PAUSELESS SWAPS instead of
 /// epoch broadcasts: the storm thread streams ApplyPolicyUpdates toggling
 /// Temp's permission set (each one regenerates rules, flips every shard's
-/// generation pointer and republishes the fast stamp — with no barrier and
+/// generation pointer and republishes the stamp words — with no barrier and
 /// no cache-epoch wipe) interleaved with session churn and advances.
 /// alice's truths never change across generations, so every fast-path
 /// verdict stays exactly checkable while the generation underneath it

@@ -133,7 +133,7 @@ TEST(PolicySwapTest, InFlightEnvelopeSeesOneGeneration) {
 
 /// Entries filled under generation N must never answer under N+1 — the
 /// swap bumps the rule-pool generation, which every cached verdict stamp
-/// (and the published fast stamp) carries.
+/// (and the published stamp words) carry.
 TEST(PolicySwapTest, WarmCacheEntriesDieAtTheSwap) {
   for (const bool fastpath : {false, true}) {
     SCOPED_TRACE(fastpath ? "fastpath" : "mailbox cache");
