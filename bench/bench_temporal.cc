@@ -48,14 +48,15 @@ void BM_Temporal_CancelHalf(benchmark::State& state) {
     EventDetector detector(&clock);
     const EventId a = *detector.DefinePrimitive("a");
     const EventId plus = *detector.DefinePlus("plus", a, kMinute);
+    const Symbol parity = detector.symbols().Intern("parity");
     for (int i = 0; i < pending; ++i) {
       clock.Advance(3);
       (void)detector.Raise(
           a, {{"parity", Value(int64_t{i % 2})}});
     }
     state.ResumeTiming();
-    benchmark::DoNotOptimize(
-        detector.CancelPendingPlus(plus, {{"parity", Value(int64_t{0})}}));
+    benchmark::DoNotOptimize(detector.CancelPendingPlusInterned(
+        plus, {{parity, Value(int64_t{0})}}));
     detector.AdvanceTo(clock.Now() + 2 * kMinute, &clock);
   }
   state.counters["pending"] = pending;
@@ -127,6 +128,56 @@ void BM_Temporal_BaselineDurationExpiryWave(benchmark::State& state) {
 }
 BENCHMARK(BM_Temporal_BaselineDurationExpiryWave)->Arg(100)->Arg(1000)
     ->Arg(5000)->Unit(benchmark::kMillisecond);
+
+// One early deactivation among N pending expiries spread over 50 duration
+// roles: each iteration drops one activation (cancelling its expiry) and
+// re-adds it (scheduling a fresh one). The drop should cost what the
+// activation owns, not grow with N.
+Policy DurationRolesPolicy(int roles, int users) {
+  Policy policy("duration-roles");
+  for (int r = 0; r < roles; ++r) {
+    RoleSpec role;
+    role.name = "Dur" + std::to_string(r);
+    role.max_activation = 30 * kMinute;
+    (void)policy.AddRole(std::move(role));
+  }
+  for (int i = 0; i < users; ++i) {
+    UserSpec user;
+    user.name = SyntheticUserName(i);
+    user.assignments.insert("Dur" + std::to_string(i % roles));
+    (void)policy.AddUser(std::move(user));
+  }
+  return policy;
+}
+
+void BM_Temporal_EngineDeactivateAmongPendingExpiries(
+    benchmark::State& state) {
+  constexpr int kRoles = 50;
+  const int pending = static_cast<int>(state.range(0));
+  benchutil::EngineUnderTest sut(DurationRolesPolicy(kRoles, pending));
+  for (int i = 0; i < pending; ++i) {
+    const std::string name = SyntheticUserName(i);
+    const std::string session = "s" + std::to_string(i);
+    (void)sut.engine->CreateSession(name, session);
+    (void)sut.engine->AddActiveRole(name, session,
+                                    "Dur" + std::to_string(i % kRoles));
+  }
+  if (sut.engine->detector().pending_timer_count() <
+      static_cast<size_t>(pending)) {
+    state.SkipWithError("activations missing");
+  }
+  const std::string user = SyntheticUserName(0);
+  for (auto _ : state) {
+    if (!sut.engine->DropActiveRole(user, "s0", "Dur0").allowed ||
+        !sut.engine->AddActiveRole(user, "s0", "Dur0").allowed) {
+      state.SkipWithError("drop or re-add refused");
+      break;
+    }
+  }
+  state.counters["pending"] = pending;
+}
+BENCHMARK(BM_Temporal_EngineDeactivateAmongPendingExpiries)->Arg(100)
+    ->Arg(1000)->Arg(10000)->Unit(benchmark::kMicrosecond);
 
 // Absolute (calendar) events: advance a month with k daily shift roles.
 void BM_Temporal_ShiftBoundariesMonth(benchmark::State& state) {

@@ -57,6 +57,13 @@ for bench in build/bench/bench_*; do
   "$bench" --benchmark_min_time=0.001 >/dev/null
 done
 
+echo "== perfbench smoke: build, oracle, guards and metrics of each workload =="
+# The end-to-end benchmark builds src/ in its own Release tree
+# (.bench_build) and checks every verdict against its oracle. A short run
+# of each workload, traced and not, fails here when a change breaks that
+# build, the oracle or a guard, or drops a metric.
+python3 perfbench/run.py --smoke
+
 # Exercises the shipped binaries over a real socket: serve on an ephemeral
 # port, parse the bound port from its banner line, run a fixed-count load,
 # assert zero protocol errors from the client (its exit code) AND from the

@@ -74,7 +74,9 @@ class DecisionCache {
     bool by_rule = false;
   };
 
-  enum class Outcome { kHit, kMiss, kStale };
+  /// kTorn only comes from SharedLookup: a slot whose write was in flight
+  /// or moved under the read.
+  enum class Outcome { kHit, kMiss, kStale, kTorn };
 
   static bool IsPowerOfTwo(size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
@@ -174,15 +176,15 @@ class DecisionCache {
     published_roles_.store(current.roles, std::memory_order_release);
   }
 
-  /// Caller-side zero-hop probe: true (with `*out` set) only for an entry
+  /// Caller-side zero-hop probe: kHit (with `*out` set) only for an entry
   /// whose stamp equals the published words and `session_generation`, the
-  /// key's session's live RbacDatabase::SessionGeneration. Every other
-  /// outcome — empty window, key absent, stamp mismatch, write in flight,
-  /// torn read — returns false: the caller falls back to the mailbox, which
-  /// re-derives exactly. Safe from any thread.
-  bool SharedLookup(uint64_t key, uint32_t session_generation,
-                    Verdict* out) const {
-    if (slots_.empty()) return false;
+  /// key's session's live RbacDatabase::SessionGeneration. Otherwise it
+  /// says why — kMiss (disabled, window empty or key absent), kStale (stamp
+  /// mismatch) or kTorn (write in flight, torn read) — and the caller falls
+  /// back to the mailbox, which re-derives exactly. Safe from any thread.
+  Outcome SharedLookup(uint64_t key, uint32_t session_generation,
+                       Verdict* out) const {
+    if (slots_.empty()) return Outcome::kMiss;
     const uint64_t want_lo = published_lo_.load(std::memory_order_acquire);
     const uint64_t want_hi =
         published_roles_.load(std::memory_order_acquire) |
@@ -193,20 +195,22 @@ class DecisionCache {
     for (size_t i = 0; i < kProbeWindow; ++i, index = (index + 1) & mask) {
       const Slot& slot = slots_[index];
       const uint32_t seq = slot.seq.load(std::memory_order_acquire);
-      if ((seq & 1u) != 0) return false;  // Write in flight.
+      if ((seq & 1u) != 0) return Outcome::kTorn;  // Write in flight.
       const uint64_t k = slot.key_plus_1.load(std::memory_order_relaxed);
       const uint64_t lo = slot.stamp_lo.load(std::memory_order_relaxed);
       const uint64_t hi = slot.stamp_hi.load(std::memory_order_relaxed);
       const uint32_t v = slot.verdict.load(std::memory_order_relaxed);
       std::atomic_thread_fence(std::memory_order_acquire);
-      if (slot.seq.load(std::memory_order_relaxed) != seq) return false;
-      if (k == 0) return false;  // Absent, as in Lookup.
+      if (slot.seq.load(std::memory_order_relaxed) != seq) {
+        return Outcome::kTorn;
+      }
+      if (k == 0) return Outcome::kMiss;  // Absent, as in Lookup.
       if (k != stored) continue;
-      if (lo != want_lo || hi != want_hi) return false;  // Stale.
+      if (lo != want_lo || hi != want_hi) return Outcome::kStale;
       *out = Unpack(v);
-      return true;
+      return Outcome::kHit;
     }
-    return false;
+    return Outcome::kMiss;
   }
 
   /// Test-only fault injection (shard thread, via InjectShardFault):

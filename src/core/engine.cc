@@ -569,6 +569,7 @@ Decision AuthorizationEngine::CheckAccess(const SessionId& session,
           fillable = true;
           break;
         case DecisionCache::Outcome::kMiss:
+        case DecisionCache::Outcome::kTorn:  // Only SharedLookup tears.
           cache_misses_counter_->Inc();
           fillable = true;
           break;
@@ -676,14 +677,14 @@ Status AuthorizationEngine::ForceDeactivate(const UserName& user,
                                             const SessionId& session,
                                             const RoleName& role) {
   SENTINEL_RETURN_IF_ERROR(rbac_.db().DropSessionRole(session, role));
-  const Value user_v(symbols_.Intern(user));
-  const Value session_v(symbols_.Intern(session));
-  const Value role_v(symbols_.Intern(role));
-  CancelDurationTimers({{keys_.session, session_v}, {keys_.role, role_v}});
+  const Symbol user_sym = symbols_.Intern(user);
+  const Symbol session_sym = symbols_.Intern(session);
+  const Symbol role_sym = symbols_.Intern(role);
+  CancelDurationTimers(session_sym, role_sym);
   return detector_.RaiseInterned(events_.session_role_dropped,
-                                 {{keys_.user, user_v},
-                                  {keys_.session, session_v},
-                                  {keys_.role, role_v}});
+                                 {{keys_.user, Value(user_sym)},
+                                  {keys_.session, Value(session_sym)},
+                                  {keys_.role, Value(role_sym)}});
 }
 
 int AuthorizationEngine::DeactivateAllInstances(const RoleName& role) {
@@ -762,12 +763,25 @@ bool AuthorizationEngine::EnableTsodOk(const RoleName& role) const {
   return true;
 }
 
-void AuthorizationEngine::RegisterDurationEvent(EventId plus_event) {
-  duration_events_.push_back(plus_event);
+void AuthorizationEngine::RegisterDurationEvent(Symbol role,
+                                                EventId plus_event) {
+  std::vector<EventId>& events = duration_events_[role];
+  std::erase_if(events, [this](EventId event) {
+    return detector_.IsDeactivated(event);
+  });
+  events.push_back(plus_event);
 }
 
-void AuthorizationEngine::CancelDurationTimers(const FlatParamMap& match) {
-  for (EventId event : duration_events_) {
+void AuthorizationEngine::CancelDurationTimers(Symbol session, Symbol role) {
+  // Both duration families start from a filter on the role (ev.added.<role>
+  // and ev.added.u.<user>.r.<role>), so only events filed under `role` can
+  // hold an expiry of this activation; each PLUS buckets its expiries by
+  // session, so the cancel checks one bucket per event.
+  auto it = duration_events_.find(role);
+  if (it == duration_events_.end()) return;
+  const FlatParamMap match{{keys_.session, Value(session)},
+                           {keys_.role, Value(role)}};
+  for (EventId event : it->second) {
     if (detector_.IsDeactivated(event)) continue;
     (void)detector_.CancelPendingPlusInterned(event, match);
   }

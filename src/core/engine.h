@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -240,11 +241,13 @@ class AuthorizationEngine {
   /// containing `role`, some counter-role must remain disabled.
   bool EnableTsodOk(const RoleName& role) const;
 
-  /// Registers a duration-expiry PLUS event so session teardown can cancel
-  /// its pending expiries. Called by the rule generator.
-  void RegisterDurationEvent(EventId plus_event);
-  /// Cancels pending duration expiries matching `match` (symbol-keyed).
-  void CancelDurationTimers(const FlatParamMap& match);
+  /// Files a duration-expiry PLUS event under the role it bounds, so a
+  /// deactivation can cancel its pending expiries, and drops that role's
+  /// retired events. Called by the rule generator.
+  void RegisterDurationEvent(Symbol role, EventId plus_event);
+  /// Cancels the pending duration expiries of `role`'s activation in
+  /// `session`.
+  void CancelDurationTimers(Symbol session, Symbol role);
 
   /// Raises a primitive event (used by rule actions for cascades). Params
   /// are symbol-keyed; name values must already be interned.
@@ -432,7 +435,8 @@ class AuthorizationEngine {
   uint64_t base_reconcile_skips_ = 0;
   std::unique_ptr<RuleGenerator> generator_;
   CoreEvents events_;
-  std::vector<EventId> duration_events_;
+  /// Live duration-expiry PLUS events by the role they bound.
+  std::unordered_map<Symbol, std::vector<EventId>> duration_events_;
   std::map<std::string, std::string> context_;
   ThrottleSink throttle_sink_;
   DecisionLog decision_log_;

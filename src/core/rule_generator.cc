@@ -698,11 +698,11 @@ Status RuleGenerator::GenerateRoleRules(const Policy& policy,
   // --- DUR.<role>: Rule 7 duration chain via PLUS -------------------------
   if (spec.max_activation > 0) {
     const std::string plus_name = TemporalName(tag, "ev.durexp." + role);
-    auto plus_ev = eng->detector().DefinePlus(plus_name, added_ev,
-                                              spec.max_activation);
+    auto plus_ev = eng->detector().DefinePlus(
+        plus_name, added_ev, spec.max_activation, k.session);
     if (!plus_ev.ok()) return plus_ev.status();
     TrackTemporal(tag, *plus_ev);
-    eng->RegisterDurationEvent(*plus_ev);
+    eng->RegisterDurationEvent(role_sym, *plus_ev);
 
     Rule rule("DUR." + role, *plus_ev,
               Rule::Options{0, true, RuleClass::kActivityControl,
@@ -808,13 +808,14 @@ Status RuleGenerator::GenerateUserRules(const Policy& policy,
                      {{"user", V(user)}, {"role", V(role)}}));
     const std::string plus_name =
         TemporalName(tag, "ev.durexp.u." + user + ".r." + role);
-    auto plus_ev = eng->detector().DefinePlus(plus_name, added_ev, duration);
+    auto plus_ev =
+        eng->detector().DefinePlus(plus_name, added_ev, duration, k.session);
     if (!plus_ev.ok()) return plus_ev.status();
     TrackTemporal(tag, *plus_ev);
-    eng->RegisterDurationEvent(*plus_ev);
+    const Symbol role_sym = eng->symbols().Intern(role);
+    eng->RegisterDurationEvent(role_sym, *plus_ev);
 
     const RoleName role_copy = role;
-    const Symbol role_sym = eng->symbols().Intern(role);
     Rule rule("DUR." + user + "." + role, *plus_ev,
               Rule::Options{0, true, RuleClass::kActivityControl,
                             RuleGranularity::kSpecialized});

@@ -140,7 +140,8 @@ Result<EventId> EventDetector::DefineNot(const std::string& name,
 }
 
 Result<EventId> EventDetector::DefinePlus(const std::string& name,
-                                          EventId base, Duration delta) {
+                                          EventId base, Duration delta,
+                                          Symbol cancel_key) {
   if (delta <= 0) {
     return Status::InvalidArgument("PLUS duration must be positive: " + name);
   }
@@ -149,6 +150,7 @@ Result<EventId> EventDetector::DefinePlus(const std::string& name,
   def.name = name;
   def.children = {base};
   def.duration = delta;
+  def.cancel_key = cancel_key;
   return Install(std::move(def));
 }
 
@@ -363,11 +365,6 @@ void EventDetector::PollTimers() {
   while (timers_.FireDueOne(now)) {
   }
   UpdateTimerGauge();
-}
-
-Result<int> EventDetector::CancelPendingPlus(EventId plus_event,
-                                             const ParamMap& match) {
-  return CancelPendingPlusInterned(plus_event, InternParams(*symbols_, match));
 }
 
 Result<int> EventDetector::CancelPendingPlusInterned(

@@ -77,8 +77,12 @@ class EventDetector final : public NodeContext {
   Result<EventId> DefineNot(const std::string& name, EventId initiator,
                             EventId middle, EventId terminator,
                             ConsumptionMode mode = ConsumptionMode::kRecent);
+  /// PLUS(base, delta). `cancel_key` names the parameter its pending
+  /// expiries are cancelled by: a cancel that binds it to a name checks
+  /// only the expiries carrying that name. Symbol() leaves every cancel a
+  /// scan of all pending expiries.
   Result<EventId> DefinePlus(const std::string& name, EventId base,
-                             Duration delta);
+                             Duration delta, Symbol cancel_key = Symbol());
   Result<EventId> DefineAperiodic(
       const std::string& name, EventId initiator, EventId middle,
       EventId terminator, ConsumptionMode mode = ConsumptionMode::kRecent);
@@ -142,10 +146,8 @@ class EventDetector final : public NodeContext {
   void PollTimers();
 
   /// Cancels pending PLUS expiries of `plus_event` whose initiating params
-  /// contain `match`. Returns count, or error if the event is not a PLUS.
-  /// The ParamMap form interns `match` first; the Interned form expects
-  /// symbol keys/values (the engine's duration-cancel path).
-  Result<int> CancelPendingPlus(EventId plus_event, const ParamMap& match);
+  /// contain `match` (symbol keys/values). Returns count, or error if the
+  /// event is not a PLUS.
   Result<int> CancelPendingPlusInterned(EventId plus_event,
                                         const FlatParamMap& match);
 

@@ -39,6 +39,7 @@ struct EventDef {
   std::string name;
   std::vector<EventId> children;
   Duration duration = 0;            // kPlus delta; kPeriodic(/Star) tau.
+  Symbol cancel_key;                // kPlus: param expiries are cancelled by.
   FlatParamMap filter;              // kFilter equality constraints (interned).
   TimePattern pattern;              // kAbsolute calendar pattern.
   ConsumptionMode mode = ConsumptionMode::kRecent;

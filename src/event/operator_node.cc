@@ -232,16 +232,57 @@ void PlusNode::OnChild(int slot, const Occurrence& occ) {
         if (it == pending_.end()) return;
         const Occurrence init = std::move(it->second);
         pending_.erase(it);
+        Unfile(timer_id, init.params);
         Emit(init.start, fire_time, init.params, id_);
       });
   pending_.emplace(id, occ);
+  const uint32_t bucket = BucketOf(occ.params);
+  if (bucket != Symbol::kInvalidId) buckets_[bucket].push_back(id);
+}
+
+uint32_t PlusNode::BucketOf(const FlatParamMap& params) const {
+  if (!def_->cancel_key.valid()) return Symbol::kInvalidId;
+  const Value* value = params.Find(def_->cancel_key);
+  if (value == nullptr || !value->is_symbol()) return Symbol::kInvalidId;
+  return value->AsSymbol().id();
+}
+
+void PlusNode::Unfile(TimerId id, const FlatParamMap& params) {
+  const uint32_t bucket = BucketOf(params);
+  if (bucket == Symbol::kInvalidId) return;
+  auto it = buckets_.find(bucket);
+  assert(it != buckets_.end());
+  std::vector<TimerId>& ids = it->second;
+  ids.erase(std::find(ids.begin(), ids.end(), id));
+  if (ids.empty()) buckets_.erase(it);
 }
 
 int PlusNode::CancelMatching(const FlatParamMap& match) {
   int cancelled = 0;
+  const uint32_t bucket = BucketOf(match);
+  if (bucket != Symbol::kInvalidId) {
+    auto it = buckets_.find(bucket);
+    if (it == buckets_.end()) return 0;
+    std::vector<TimerId>& ids = it->second;
+    for (size_t i = 0; i < ids.size();) {
+      auto entry = pending_.find(ids[i]);
+      if (!entry->second.params.ContainsAll(match)) {
+        ++i;
+        continue;
+      }
+      ctx_->CancelTimer(ids[i]);
+      pending_.erase(entry);
+      ids[i] = ids.back();
+      ids.pop_back();
+      ++cancelled;
+    }
+    if (ids.empty()) buckets_.erase(it);
+    return cancelled;
+  }
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (it->second.params.ContainsAll(match)) {
       ctx_->CancelTimer(it->first);
+      Unfile(it->first, it->second.params);
       it = pending_.erase(it);
       ++cancelled;
     } else {

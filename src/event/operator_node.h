@@ -152,7 +152,9 @@ class PlusNode final : public OperatorNode {
   void OnChild(int slot, const Occurrence& occ) override;
 
   /// Cancels pending expiries whose stored params contain every pair of
-  /// `match`; returns how many were cancelled.
+  /// `match`; returns how many were cancelled. When `match` binds the
+  /// def's cancel key to a symbol, only that symbol's bucket is checked:
+  /// any expiry that can match carries the same symbol, so it is there.
   int CancelMatching(const FlatParamMap& match);
 
   void Deactivate() override { CancelMatching({}); }
@@ -160,7 +162,17 @@ class PlusNode final : public OperatorNode {
   size_t pending_count() const { return pending_.size(); }
 
  private:
+  /// Symbol id `params` binds the cancel key to, or kInvalidId when the def
+  /// has no cancel key or `params` binds it to no symbol (such expiries sit
+  /// in no bucket and are only reached by a scan).
+  uint32_t BucketOf(const FlatParamMap& params) const;
+  /// Removes `id` from the bucket of its initiating `params`.
+  void Unfile(TimerId id, const FlatParamMap& params);
+
   std::unordered_map<TimerId, Occurrence> pending_;
+  /// Ids of pending_ by BucketOf their params; holds exactly the pending
+  /// ids with a bucket.
+  std::unordered_map<uint32_t, std::vector<TimerId>> buckets_;
 };
 
 /// APERIODIC(A, B, C): B occurrences detected while a window opened by A

@@ -256,6 +256,20 @@ AuthorizationService::AuthorizationService(const ServiceConfig& config)
         "decision_cache_fastpath_hits_total",
         "CheckAccess verdicts answered caller-side from the published cache "
         "snapshot (zero mailbox hops)");
+    static constexpr const char* kFallbackSeries[kFastPathFallbacks][2] = {
+        {"purpose", "the request carries a purpose"},
+        {"unknown_symbol", "a name the shard has not interned, or a key too "
+                           "wide to pack"},
+        {"miss", "the key is not cached"},
+        {"stale", "the entry's stamp no longer matches"},
+        {"torn", "the slot was written during the read"}};
+    for (int reason = 0; reason < kFastPathFallbacks; ++reason) {
+      shard->fastpath_fallbacks[reason] = registry.AddCounter(
+          std::string("decision_cache_fastpath_fallback_") +
+              kFallbackSeries[reason][0] + "_total",
+          std::string("zero-hop probes sent to the mailbox: ") +
+              kFallbackSeries[reason][1]);
+    }
     shard->queue_depth_hist = registry.AddHistogram(
         "mailbox_queue_depth", "shard mailbox depth observed at each push",
         telemetry::Histogram::ExponentialBounds(1, 2.0, 12));
@@ -672,7 +686,10 @@ bool AuthorizationService::TryFastPath(const AccessRequest& request,
                                        AccessDecision* out) {
   // Purpose stays outside the packed cache key (privacy-qualified requests
   // always dispatch), so it bypasses here too.
-  if (!request.purpose.empty()) return false;
+  if (!request.purpose.empty()) {
+    shards_[RouteRequest(request)]->fastpath_fallbacks[kFallbackPurpose]->Add();
+    return false;
+  }
   // Clock reads are sampled exactly like the engines' dispatch path; an
   // unsampled hit never touches the wall clock and reports latency 0.
   thread_local uint32_t latency_tick = 1;
@@ -693,13 +710,26 @@ bool AuthorizationService::TryFastPath(const AccessRequest& request,
   const Symbol session = symbols.Find(request.session);
   const Symbol op = symbols.Find(request.operation);
   const Symbol obj = symbols.Find(request.object);
-  if (!session.valid() || !op.valid() || !obj.valid()) return false;
-  const std::optional<uint64_t> key = DecisionCache::PackKey(session, op, obj);
-  if (!key.has_value()) return false;
-  DecisionCache::Verdict verdict;
-  if (!engine.decision_cache().SharedLookup(
-          *key, engine.rbac().db().SessionGeneration(session), &verdict)) {
+  const auto fall_back = [&home](FastPathFallback reason) {
+    home.fastpath_fallbacks[reason]->Add();
     return false;
+  };
+  if (!session.valid() || !op.valid() || !obj.valid()) {
+    return fall_back(kFallbackUnknownSymbol);
+  }
+  const std::optional<uint64_t> key = DecisionCache::PackKey(session, op, obj);
+  if (!key.has_value()) return fall_back(kFallbackUnknownSymbol);
+  DecisionCache::Verdict verdict;
+  switch (engine.decision_cache().SharedLookup(
+      *key, engine.rbac().db().SessionGeneration(session), &verdict)) {
+    case DecisionCache::Outcome::kHit:
+      break;
+    case DecisionCache::Outcome::kMiss:
+      return fall_back(kFallbackMiss);
+    case DecisionCache::Outcome::kStale:
+      return fall_back(kFallbackStale);
+    case DecisionCache::Outcome::kTorn:
+      return fall_back(kFallbackTorn);
   }
   out->allowed = verdict.allowed;
   if (verdict.allowed) {
@@ -1063,6 +1093,13 @@ ServiceStats AuthorizationService::Stats() {
     stats.shed += shards_[shard]->shed_counter->value();
     stats.expired += shards_[shard]->expired_counter->value();
     stats.fastpath_hits += shards_[shard]->fastpath_counter->value();
+    const auto& fallbacks = shards_[shard]->fastpath_fallbacks;
+    stats.fastpath_fallback_purpose += fallbacks[kFallbackPurpose]->value();
+    stats.fastpath_fallback_unknown_symbol +=
+        fallbacks[kFallbackUnknownSymbol]->value();
+    stats.fastpath_fallback_miss += fallbacks[kFallbackMiss]->value();
+    stats.fastpath_fallback_stale += fallbacks[kFallbackStale]->value();
+    stats.fastpath_fallback_torn += fallbacks[kFallbackTorn]->value();
   }
   if (audit_ != nullptr) {
     const audit::AuditExporter::Counters counters = audit_->counters();

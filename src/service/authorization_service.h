@@ -192,6 +192,15 @@ struct ServiceStats {
   /// CheckAccess verdicts answered on the caller's thread from a shard's
   /// published cache snapshot — zero mailbox hops, zero locks.
   uint64_t fastpath_hits = 0;
+  /// Zero-hop probes sent to the mailbox instead, by reason: the request
+  /// carries a purpose; the shard has not interned one of its names (or
+  /// the key is too wide to pack); the key is absent; its entry is stale;
+  /// the slot was being written. Hits plus these five count every probe.
+  uint64_t fastpath_fallback_purpose = 0;
+  uint64_t fastpath_fallback_unknown_symbol = 0;
+  uint64_t fastpath_fallback_miss = 0;
+  uint64_t fastpath_fallback_stale = 0;
+  uint64_t fastpath_fallback_torn = 0;
   /// Audit export pipeline (zeros when no audit_path was configured).
   /// Completeness invariant when only engine-dispatched traffic runs:
   /// audit_records + audit_drops covers every decision made.
@@ -461,6 +470,16 @@ class AuthorizationService {
   using PushResult = Mailbox<Task>::PushResult;
   using SessionOp = std::function<Decision(AuthorizationEngine&)>;
 
+  /// Why TryFastPath sent a check to the mailbox (see ServiceStats).
+  enum FastPathFallback {
+    kFallbackPurpose,
+    kFallbackUnknownSymbol,
+    kFallbackMiss,
+    kFallbackStale,
+    kFallbackTorn,
+    kFastPathFallbacks
+  };
+
   struct Shard {
     uint32_t index = 0;
     std::unique_ptr<SimulatedClock> clock;
@@ -475,6 +494,8 @@ class AuthorizationService {
     telemetry::Counter* shed_counter = nullptr;     // Owned by the registry.
     telemetry::Counter* expired_counter = nullptr;  // Owned by the registry.
     telemetry::Counter* fastpath_counter = nullptr;
+    /// Indexed by FastPathFallback; bumped from caller threads.
+    telemetry::Counter* fastpath_fallbacks[kFastPathFallbacks] = {};
     telemetry::Histogram* queue_depth_hist = nullptr;
     telemetry::Histogram* queue_wait_hist = nullptr;
     /// On-shard-thread cost of one pauseless swap commit (delta replay +
@@ -564,8 +585,8 @@ class AuthorizationService {
   /// cache, entirely on the caller's thread. Returns true and fills `*out`
   /// only on a hit whose stamp matches the shard's published words and the
   /// session's live generation; every other case (purpose-qualified,
-  /// unknown symbols, key overflow, miss, stale, torn publish) returns
-  /// false and the caller takes the mailbox path.
+  /// unknown symbols, key overflow, miss, stale, torn publish) counts its
+  /// FastPathFallback, returns false, and the caller takes the mailbox path.
   bool TryFastPath(const AccessRequest& request, AccessDecision* out);
 
   /// `request`'s steady-clock expiry instant in ns for a budget starting

@@ -368,18 +368,21 @@ TEST(DecisionCacheSharedViewTest, SharedLookupReadsTheSlotsFillsWrite) {
   const DecisionCache::Stamp stamp{1, 2, 3, 4};
 
   DecisionCache::Verdict verdict{};
-  EXPECT_FALSE(cache.SharedLookup(key, stamp.session, &verdict));  // Empty.
+  EXPECT_EQ(cache.SharedLookup(key, stamp.session, &verdict),
+            DecisionCache::Outcome::kMiss);  // Empty.
 
   cache.PublishCurrentStamp(stamp);
   cache.Fill(key, stamp, {true, true});
-  ASSERT_TRUE(cache.SharedLookup(key, stamp.session, &verdict));
+  ASSERT_EQ(cache.SharedLookup(key, stamp.session, &verdict),
+            DecisionCache::Outcome::kHit);
   EXPECT_TRUE(verdict.allowed);
   EXPECT_TRUE(verdict.by_rule);
 
   // A different key in the same table misses without a false positive.
   const uint64_t other =
       *DecisionCache::PackKey(Symbol(1), Symbol(2), Symbol(3));
-  EXPECT_FALSE(cache.SharedLookup(other, stamp.session, &verdict));
+  EXPECT_EQ(cache.SharedLookup(other, stamp.session, &verdict),
+            DecisionCache::Outcome::kMiss);
 }
 
 TEST(DecisionCacheSharedViewTest, MovedWordOrSessionGenerationKillsHits) {
@@ -391,7 +394,8 @@ TEST(DecisionCacheSharedViewTest, MovedWordOrSessionGenerationKillsHits) {
   cache.Fill(key, stamp, {false, false});
 
   DecisionCache::Verdict verdict{};
-  ASSERT_TRUE(cache.SharedLookup(key, stamp.session, &verdict));
+  ASSERT_EQ(cache.SharedLookup(key, stamp.session, &verdict),
+            DecisionCache::Outcome::kHit);
   EXPECT_FALSE(verdict.allowed);
   EXPECT_FALSE(verdict.by_rule);
 
@@ -400,18 +404,22 @@ TEST(DecisionCacheSharedViewTest, MovedWordOrSessionGenerationKillsHits) {
   DecisionCache::Stamp moved = stamp;
   moved.pool += 1;
   cache.PublishCurrentStamp(moved);
-  EXPECT_FALSE(cache.SharedLookup(key, stamp.session, &verdict));
+  EXPECT_EQ(cache.SharedLookup(key, stamp.session, &verdict),
+            DecisionCache::Outcome::kStale);
   moved = stamp;
   moved.roles += 1;
   cache.PublishCurrentStamp(moved);
-  EXPECT_FALSE(cache.SharedLookup(key, stamp.session, &verdict));
+  EXPECT_EQ(cache.SharedLookup(key, stamp.session, &verdict),
+            DecisionCache::Outcome::kStale);
 
   // Republishing the fill-time words revives the entry: staleness is a
   // property of the comparison, not the slot.
   cache.PublishCurrentStamp(stamp);
-  EXPECT_TRUE(cache.SharedLookup(key, stamp.session, &verdict));
+  EXPECT_EQ(cache.SharedLookup(key, stamp.session, &verdict),
+            DecisionCache::Outcome::kHit);
   // The session's live generation is the fourth word.
-  EXPECT_FALSE(cache.SharedLookup(key, stamp.session + 1, &verdict));
+  EXPECT_EQ(cache.SharedLookup(key, stamp.session + 1, &verdict),
+            DecisionCache::Outcome::kStale);
 }
 
 TEST(DecisionCacheSharedViewTest, TornPublishMakesTheSlotUnreadable) {
@@ -423,13 +431,16 @@ TEST(DecisionCacheSharedViewTest, TornPublishMakesTheSlotUnreadable) {
   cache.Fill(key, stamp, {true, true});
 
   DecisionCache::Verdict verdict{};
-  ASSERT_TRUE(cache.SharedLookup(key, stamp.session, &verdict));
+  ASSERT_EQ(cache.SharedLookup(key, stamp.session, &verdict),
+            DecisionCache::Outcome::kHit);
   cache.BeginTornPublishForTest(key);  // Sequence left odd.
-  EXPECT_FALSE(cache.SharedLookup(key, stamp.session, &verdict));
+  EXPECT_EQ(cache.SharedLookup(key, stamp.session, &verdict),
+            DecisionCache::Outcome::kTorn);
   // The shard is the writer: its own probe does not read the sequence.
   EXPECT_EQ(cache.Lookup(key, stamp, &verdict), DecisionCache::Outcome::kHit);
   cache.EndTornPublishForTest(key);
-  EXPECT_TRUE(cache.SharedLookup(key, stamp.session, &verdict));
+  EXPECT_EQ(cache.SharedLookup(key, stamp.session, &verdict),
+            DecisionCache::Outcome::kHit);
 }
 
 TEST(DecisionCacheSharedViewTest, ClearWipesBothReaders) {
@@ -441,9 +452,11 @@ TEST(DecisionCacheSharedViewTest, ClearWipesBothReaders) {
   cache.Fill(key, stamp, {true, true});
 
   DecisionCache::Verdict verdict{};
-  ASSERT_TRUE(cache.SharedLookup(key, stamp.session, &verdict));
+  ASSERT_EQ(cache.SharedLookup(key, stamp.session, &verdict),
+            DecisionCache::Outcome::kHit);
   cache.Clear();
-  EXPECT_FALSE(cache.SharedLookup(key, stamp.session, &verdict));
+  EXPECT_EQ(cache.SharedLookup(key, stamp.session, &verdict),
+            DecisionCache::Outcome::kMiss);
   EXPECT_EQ(cache.Lookup(key, stamp, &verdict),
             DecisionCache::Outcome::kMiss);
 }
@@ -452,7 +465,8 @@ TEST(DecisionCacheSharedViewTest, DisabledCacheAnswersNoReader) {
   DecisionCache cache;  // Never configured.
   EXPECT_FALSE(cache.enabled());
   DecisionCache::Verdict verdict{};
-  EXPECT_FALSE(cache.SharedLookup(42, 0, &verdict));
+  EXPECT_EQ(cache.SharedLookup(42, 0, &verdict),
+            DecisionCache::Outcome::kMiss);
   cache.PublishCurrentStamp({1, 1, 1, 1});  // Must not crash.
   cache.BeginTornPublishForTest(42);
   cache.EndTornPublishForTest(42);
@@ -488,7 +502,7 @@ TEST_F(CacheTest, ShardAndZeroHopReadersShareOneSlot) {
     DecisionCache::Verdict verdict;
     return cache.SharedLookup(
                key, engine_.rbac().db().SessionGeneration(session),
-               &verdict) &&
+               &verdict) == DecisionCache::Outcome::kHit &&
            verdict.allowed;
   };
   EXPECT_TRUE(shard_hit());

@@ -104,6 +104,109 @@ user u { assign: OnCall }
   EXPECT_TRUE(engine_.rbac().db().IsSessionRoleActive("s1", "OnCall"));
 }
 
+TEST_F(EngineTemporalTest, PerUserDurationEarlyDropCancelsExpiry) {
+  Load(R"(
+policy "dur"
+role R3 {}
+user bob { assign: R3  duration: R3 = 30m }
+)");
+  ASSERT_TRUE(engine_.CreateSession("bob", "sb").allowed);
+  ASSERT_TRUE(engine_.AddActiveRole("bob", "sb", "R3").allowed);
+  engine_.AdvanceBy(10 * kMinute);
+  ASSERT_TRUE(engine_.DropActiveRole("bob", "sb", "R3").allowed);
+  // The re-activation gets its own full 30 minutes.
+  ASSERT_TRUE(engine_.AddActiveRole("bob", "sb", "R3").allowed);
+  engine_.AdvanceBy(25 * kMinute);  // 35min after the first activation.
+  EXPECT_TRUE(engine_.rbac().db().IsSessionRoleActive("sb", "R3"));
+  engine_.AdvanceBy(6 * kMinute);  // 31min after the second.
+  EXPECT_FALSE(engine_.rbac().db().IsSessionRoleActive("sb", "R3"));
+}
+
+TEST_F(EngineTemporalTest, EarlyDropCancelsRoleAndPerUserExpiries) {
+  Load(R"(
+policy "dur"
+role R { max-activation: 30m }
+user bob { assign: R  duration: R = 20m }
+)");
+  ASSERT_TRUE(engine_.CreateSession("bob", "s1").allowed);
+  ASSERT_TRUE(engine_.AddActiveRole("bob", "s1", "R").allowed);
+  engine_.AdvanceBy(15 * kMinute);
+  ASSERT_TRUE(engine_.DropActiveRole("bob", "s1", "R").allowed);
+  ASSERT_TRUE(engine_.AddActiveRole("bob", "s1", "R").allowed);
+  // +32min: past both of the first activation's expiries (+20, +30).
+  engine_.AdvanceBy(17 * kMinute);
+  EXPECT_TRUE(engine_.rbac().db().IsSessionRoleActive("s1", "R"));
+  engine_.AdvanceBy(4 * kMinute);  // The tighter 20m bound of the second.
+  EXPECT_FALSE(engine_.rbac().db().IsSessionRoleActive("s1", "R"));
+}
+
+TEST_F(EngineTemporalTest, DroppingOneDurationRoleLeavesTheOthersExpiry) {
+  Load(R"(
+policy "dur"
+role A { max-activation: 30m }
+role B { max-activation: 1h }
+user u { assign: A, B }
+user v { assign: A }
+)");
+  ASSERT_TRUE(engine_.CreateSession("u", "s1").allowed);
+  ASSERT_TRUE(engine_.CreateSession("v", "s2").allowed);
+  ASSERT_TRUE(engine_.AddActiveRole("u", "s1", "A").allowed);
+  ASSERT_TRUE(engine_.AddActiveRole("u", "s1", "B").allowed);
+  ASSERT_TRUE(engine_.AddActiveRole("v", "s2", "A").allowed);
+  engine_.AdvanceBy(10 * kMinute);
+  ASSERT_TRUE(engine_.DropActiveRole("u", "s1", "A").allowed);
+  ASSERT_TRUE(engine_.AddActiveRole("u", "s1", "A").allowed);
+  // +31min: s1's A was re-added at +10; s2's A expires on schedule.
+  engine_.AdvanceBy(21 * kMinute);
+  EXPECT_TRUE(engine_.rbac().db().IsSessionRoleActive("s1", "A"));
+  EXPECT_FALSE(engine_.rbac().db().IsSessionRoleActive("s2", "A"));
+  // +41min: the re-added A expires; B is untouched by either.
+  engine_.AdvanceBy(10 * kMinute);
+  EXPECT_FALSE(engine_.rbac().db().IsSessionRoleActive("s1", "A"));
+  EXPECT_TRUE(engine_.rbac().db().IsSessionRoleActive("s1", "B"));
+  engine_.AdvanceBy(20 * kMinute);  // +61min.
+  EXPECT_FALSE(engine_.rbac().db().IsSessionRoleActive("s1", "B"));
+}
+
+TEST_F(EngineTemporalTest, EarlyDropCancelsExpiryAfterManyRegenerations) {
+  const char* base_text = R"(
+policy "dur"
+role OnCall { max-activation: 30m  permission: read(pager) }
+user u { assign: OnCall }
+)";
+  const char* toggled_text = R"(
+policy "dur"
+role OnCall { max-activation: 30m  permission: read(pager), write(pager) }
+user u { assign: OnCall }
+)";
+  Load(base_text);
+  auto base = PolicyParser::Parse(base_text);
+  auto toggled = PolicyParser::Parse(toggled_text);
+  ASSERT_TRUE(base.ok() && toggled.ok());
+  // Each update regenerates OnCall's rules and retires its PLUS event.
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(engine_.ApplyPolicyUpdate(i % 2 == 0 ? *toggled : *base).ok());
+  }
+  ASSERT_TRUE(engine_.detector().Lookup("ev.durexp.OnCall#20").ok());
+
+  const auto pending_timers = [this] {
+    return engine_.metrics().Snapshot().FindGauge("pending_timers")->value;
+  };
+  ASSERT_TRUE(engine_.CreateSession("u", "s1").allowed);
+  const int64_t idle = pending_timers();
+  ASSERT_TRUE(engine_.AddActiveRole("u", "s1", "OnCall").allowed);
+  EXPECT_EQ(pending_timers(), idle + 1);
+  engine_.AdvanceBy(10 * kMinute);
+  ASSERT_TRUE(engine_.DropActiveRole("u", "s1", "OnCall").allowed);
+  EXPECT_EQ(pending_timers(), idle);
+  ASSERT_TRUE(engine_.AddActiveRole("u", "s1", "OnCall").allowed);
+  engine_.AdvanceBy(25 * kMinute);  // Past the first activation's expiry.
+  EXPECT_TRUE(engine_.rbac().db().IsSessionRoleActive("s1", "OnCall"));
+  engine_.AdvanceBy(6 * kMinute);
+  EXPECT_FALSE(engine_.rbac().db().IsSessionRoleActive("s1", "OnCall"));
+  EXPECT_EQ(pending_timers(), idle);
+}
+
 // --------------------------------------------- GTRBAC shifts (enable:)
 
 TEST_F(EngineTemporalTest, ShiftWindowEnablesAndDisables) {

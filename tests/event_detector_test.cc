@@ -29,6 +29,10 @@ class EventDetectorTest : public ::testing::Test {
     ASSERT_TRUE(detector_.Raise(event, std::move(params)).ok());
   }
 
+  Symbol Sym(const std::string& name) {
+    return detector_.symbols().Intern(name);
+  }
+
   SimulatedClock clock_;
   EventDetector detector_;
   std::vector<Occurrence> log_;
@@ -316,8 +320,8 @@ TEST_F(EventDetectorTest, PlusCancelByParamMatch) {
   Watch(plus);
   Raise(a, {{"session", Value("s1")}});
   Raise(a, {{"session", Value("s2")}});
-  auto cancelled =
-      detector_.CancelPendingPlus(plus, {{"session", Value("s1")}});
+  auto cancelled = detector_.CancelPendingPlusInterned(
+      plus, {{Sym("session"), Value(Sym("s1"))}});
   ASSERT_TRUE(cancelled.ok());
   EXPECT_EQ(*cancelled, 1);
   detector_.AdvanceTo(testutil::Noon() + kMinute, &clock_);
@@ -325,9 +329,86 @@ TEST_F(EventDetectorTest, PlusCancelByParamMatch) {
   EXPECT_EQ(log_[0].params.GetString(detector_.symbols(), "session"), "s2");
 }
 
+TEST_F(EventDetectorTest, PlusCancelKeyCancelsOnlyMatchesInItsBucket) {
+  const EventId a = Prim("a");
+  const EventId plus =
+      *detector_.DefinePlus("plus", a, 5 * kSecond, Sym("session"));
+  Watch(plus);
+  Raise(a, {{"session", Value("s1")}, {"role", Value("r1")}});
+  Raise(a, {{"session", Value("s1")}, {"role", Value("r2")}});
+  Raise(a, {{"session", Value("s2")}, {"role", Value("r1")}});
+  auto cancelled = detector_.CancelPendingPlusInterned(
+      plus, {{Sym("session"), Value(Sym("s1"))},
+             {Sym("role"), Value(Sym("r1"))}});
+  ASSERT_TRUE(cancelled.ok());
+  EXPECT_EQ(*cancelled, 1);
+  detector_.AdvanceTo(testutil::Noon() + kMinute, &clock_);
+  ASSERT_EQ(log_.size(), 2u);
+  EXPECT_EQ(log_[0].params.GetString(detector_.symbols(), "role"), "r2");
+  EXPECT_EQ(log_[1].params.GetString(detector_.symbols(), "session"), "s2");
+}
+
+TEST_F(EventDetectorTest, PlusCancelWithoutTheKeyScansEveryBucket) {
+  const EventId a = Prim("a");
+  const EventId plus =
+      *detector_.DefinePlus("plus", a, 5 * kSecond, Sym("session"));
+  Watch(plus);
+  Raise(a, {{"session", Value("s1")}, {"role", Value("r1")}});
+  Raise(a, {{"session", Value("s2")}, {"role", Value("r1")}});
+  Raise(a, {{"session", Value("s2")}, {"role", Value("r2")}});
+  Raise(a, {{"role", Value("r1")}});  // Binds no key: in no bucket.
+  auto cancelled = detector_.CancelPendingPlusInterned(
+      plus, {{Sym("role"), Value(Sym("r1"))}});
+  ASSERT_TRUE(cancelled.ok());
+  EXPECT_EQ(*cancelled, 3);
+  // The scan kept the buckets in step: s2's bucket still cancels its rest.
+  cancelled = detector_.CancelPendingPlusInterned(
+      plus, {{Sym("session"), Value(Sym("s2"))}});
+  ASSERT_TRUE(cancelled.ok());
+  EXPECT_EQ(*cancelled, 1);
+  detector_.AdvanceTo(testutil::Noon() + kMinute, &clock_);
+  EXPECT_EQ(log_.size(), 0u);
+}
+
+TEST_F(EventDetectorTest, FiredPlusLeavesItsBucket) {
+  const EventId a = Prim("a");
+  const EventId plus =
+      *detector_.DefinePlus("plus", a, 5 * kSecond, Sym("session"));
+  Watch(plus);
+  Raise(a, {{"session", Value("s1")}});
+  detector_.AdvanceTo(testutil::Noon() + kMinute, &clock_);
+  ASSERT_EQ(log_.size(), 1u);
+  auto cancelled = detector_.CancelPendingPlusInterned(
+      plus, {{Sym("session"), Value(Sym("s1"))}});
+  ASSERT_TRUE(cancelled.ok());
+  EXPECT_EQ(*cancelled, 0);
+  // A later expiry for the same session files and cancels afresh.
+  Raise(a, {{"session", Value("s1")}});
+  cancelled = detector_.CancelPendingPlusInterned(
+      plus, {{Sym("session"), Value(Sym("s1"))}});
+  ASSERT_TRUE(cancelled.ok());
+  EXPECT_EQ(*cancelled, 1);
+  EXPECT_EQ(detector_.pending_timer_count(), 0u);
+}
+
+TEST_F(EventDetectorTest, DeactivatedKeyedPlusCancelsEveryPendingExpiry) {
+  const EventId a = Prim("a");
+  const EventId plus =
+      *detector_.DefinePlus("plus", a, 5 * kSecond, Sym("session"));
+  Watch(plus);
+  Raise(a, {{"session", Value("s1")}});
+  Raise(a, {{"session", Value("s2")}});
+  Raise(a, {{"n", Value(1)}});
+  EXPECT_EQ(detector_.pending_timer_count(), 3u);
+  ASSERT_TRUE(detector_.DeactivateEvent(plus).ok());
+  EXPECT_EQ(detector_.pending_timer_count(), 0u);
+  detector_.AdvanceTo(testutil::Noon() + kMinute, &clock_);
+  EXPECT_EQ(log_.size(), 0u);
+}
+
 TEST_F(EventDetectorTest, CancelPendingPlusRejectsNonPlus) {
   const EventId a = Prim("a");
-  EXPECT_FALSE(detector_.CancelPendingPlus(a, {}).ok());
+  EXPECT_FALSE(detector_.CancelPendingPlusInterned(a, {}).ok());
 }
 
 TEST_F(EventDetectorTest, PlusRejectsNonPositiveDelta) {

@@ -268,6 +268,63 @@ TEST_F(FastPathServiceTest, TornPublishForcesTheMailboxFallback) {
   EXPECT_EQ(service().Stats().fastpath_hits, hits_before + 1);
 }
 
+/// Every zero-hop probe either hits or counts one fallback reason.
+TEST_F(FastPathServiceTest, EachFallbackReasonIsCountedOnce) {
+  Start();
+  const uint32_t shard = service().ShardOf("alice");
+  uint64_t key = 0;
+  AuthorizationEngine* shard_engine = nullptr;
+  service().Inspect(shard, [&](const AuthorizationEngine& engine) {
+    shard_engine = const_cast<AuthorizationEngine*>(&engine);
+    key = *DecisionCache::PackKey(engine.symbols().Find("s1"),
+                                  engine.symbols().Find("read"),
+                                  engine.symbols().Find("chart"));
+  });
+  int probed = 0;
+  const auto check = [&](const AccessRequest& request) {
+    ++probed;
+    return service().CheckAccess(request).allowed;
+  };
+
+  EXPECT_TRUE(check(Req("read", "chart")));            // Miss, then fill.
+  EXPECT_TRUE(check(Req("read", "chart")));            // Hit.
+  EXPECT_TRUE(check(Req("read", "chart", "care")));    // Purpose.
+  EXPECT_FALSE(check(Req("read", "no-such-object")));  // Unknown symbol.
+  ASSERT_TRUE(service().EnableRole("Temp").ok());      // Moves the epoch.
+  EXPECT_TRUE(check(Req("read", "chart")));            // Stale, then refill.
+  ASSERT_TRUE(service().InjectShardFault(shard, [shard_engine, key] {
+    shard_engine->decision_cache_for_test().BeginTornPublishForTest(key);
+  }));
+  service().Inspect(shard, [](const AuthorizationEngine&) {});
+  EXPECT_TRUE(check(Req("read", "chart")));  // Torn.
+  ASSERT_TRUE(service().InjectShardFault(shard, [shard_engine, key] {
+    shard_engine->decision_cache_for_test().EndTornPublishForTest(key);
+  }));
+  service().Inspect(shard, [](const AuthorizationEngine&) {});
+  EXPECT_TRUE(check(Req("read", "chart")));  // Hit.
+
+  const ServiceStats stats = service().Stats();
+  EXPECT_EQ(stats.fastpath_hits, 2u);
+  EXPECT_EQ(stats.fastpath_fallback_purpose, 1u);
+  EXPECT_EQ(stats.fastpath_fallback_unknown_symbol, 1u);
+  EXPECT_EQ(stats.fastpath_fallback_miss, 1u);
+  EXPECT_EQ(stats.fastpath_fallback_stale, 1u);
+  EXPECT_EQ(stats.fastpath_fallback_torn, 1u);
+  EXPECT_EQ(stats.fastpath_hits + stats.fastpath_fallback_purpose +
+                stats.fastpath_fallback_unknown_symbol +
+                stats.fastpath_fallback_miss + stats.fastpath_fallback_stale +
+                stats.fastpath_fallback_torn,
+            static_cast<uint64_t>(probed));
+  const std::string exposition = service().RenderMetrics();
+  for (const char* reason :
+       {"purpose", "unknown_symbol", "miss", "stale", "torn"}) {
+    EXPECT_NE(exposition.find(std::string("decision_cache_fastpath_fallback_") +
+                              reason + "_total"),
+              std::string::npos)
+        << reason;
+  }
+}
+
 // ----------------------------------------------- Modes and observability
 
 TEST(FastPathModeTest, SynchronousModeIgnoresTheFlag) {
