@@ -35,11 +35,12 @@ BENCHMARK(BM_Op_PrimitiveRaise);
 
 void BM_Op_Filter(benchmark::State& state) {
   Rig rig;
+  SymbolTable& symbols = rig.detector.symbols();
   const EventId a = *rig.detector.DefinePrimitive("a");
-  const EventId f =
-      *rig.detector.DefineFilter("f", a, {{"role", Value("R1")}});
+  const FlatParamMap hit{
+      {symbols.Intern("role"), Value(symbols.Intern("R1"))}};
+  const EventId f = *rig.detector.DefineFilter("f", a, hit);
   rig.Count(f);
-  ParamMap hit = {{"role", Value("R1")}};
   for (auto _ : state) {
     rig.clock.Advance(1);
     benchmark::DoNotOptimize(rig.detector.Raise(a, hit));
@@ -182,13 +183,16 @@ BENCHMARK(BM_Op_SeqChainDepth)->Arg(1)->Arg(4)->Arg(16);
 void BM_Op_FilterFanout(benchmark::State& state) {
   const int fanout = static_cast<int>(state.range(0));
   Rig rig;
+  SymbolTable& symbols = rig.detector.symbols();
+  const Symbol role = symbols.Intern("role");
   const EventId a = *rig.detector.DefinePrimitive("a");
   for (int i = 0; i < fanout; ++i) {
-    const EventId f = *rig.detector.DefineFilter(
-        "f" + std::to_string(i), a, {{"role", Value("R" + std::to_string(i))}});
+    const Symbol name = symbols.Intern("R" + std::to_string(i));
+    const EventId f = *rig.detector.DefineFilter("f" + std::to_string(i), a,
+                                                 {{role, Value(name)}});
     rig.Count(f);
   }
-  ParamMap params = {{"role", Value("R0")}};
+  const FlatParamMap params{{role, Value(symbols.Intern("R0"))}};
   for (auto _ : state) {
     rig.clock.Advance(1);
     benchmark::DoNotOptimize(rig.detector.Raise(a, params));

@@ -19,14 +19,14 @@ void BM_Temporal_PlusScheduleAndFire(benchmark::State& state) {
     EventDetector detector(&clock);
     const EventId a = *detector.DefinePrimitive("a");
     const EventId plus = *detector.DefinePlus("plus", a, kMinute);
+    const Symbol n = detector.symbols().Intern("n");
     uint64_t fired = 0;
     detector.Subscribe(plus, [&fired](const Occurrence&) { ++fired; });
     state.ResumeTiming();
 
     for (int i = 0; i < pending; ++i) {
       clock.Advance(3);  // Offset expiries; odd microsecond spacing.
-      benchmark::DoNotOptimize(
-          detector.Raise(a, {{"n", Value(int64_t{i})}}));
+      benchmark::DoNotOptimize(detector.Raise(a, {{n, Value(int64_t{i})}}));
     }
     detector.AdvanceTo(clock.Now() + 2 * kMinute, &clock);
     if (fired != static_cast<uint64_t>(pending)) {
@@ -51,12 +51,11 @@ void BM_Temporal_CancelHalf(benchmark::State& state) {
     const Symbol parity = detector.symbols().Intern("parity");
     for (int i = 0; i < pending; ++i) {
       clock.Advance(3);
-      (void)detector.Raise(
-          a, {{"parity", Value(int64_t{i % 2})}});
+      (void)detector.Raise(a, {{parity, Value(int64_t{i % 2})}});
     }
     state.ResumeTiming();
-    benchmark::DoNotOptimize(detector.CancelPendingPlusInterned(
-        plus, {{parity, Value(int64_t{0})}}));
+    benchmark::DoNotOptimize(
+        detector.CancelPendingPlus(plus, {{parity, Value(int64_t{0})}}));
     detector.AdvanceTo(clock.Now() + 2 * kMinute, &clock);
   }
   state.counters["pending"] = pending;

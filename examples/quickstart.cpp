@@ -66,7 +66,10 @@ void Part1_HandWrittenOwteRules() {
   (void)rules.AddRule(std::move(c1));
 
   // Bob opens the file at 09:00...
-  (void)detector.Raise(e1, {{"user", Value("Bob")}});
+  // Event parameters are interned names: symbols of the detector's table.
+  SymbolTable& names = detector.symbols();
+  (void)detector.Raise(e1,
+                       {{names.Intern("user"), Value(names.Intern("Bob"))}});
   // ...and keeps working. At 11:00 the PLUS event fires.
   detector.AdvanceTo(clock.Now() + 3 * kHour, &clock);
   std::printf("  file open at end: %s\n\n", file_open ? "yes" : "no");

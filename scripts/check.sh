@@ -8,6 +8,19 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS=$(nproc 2>/dev/null || echo 4)
 
+echo "== Symbol invariant: event parameters are symbols =="
+# Names enter the engine as strings only at its public API. The event and
+# rule layers keep no string-keyed std::map, and no file under src/ brings
+# back the string-keyed ParamMap (whole word: FlatParamMap does not match).
+if grep -rn 'std::map<std::string' src/event src/rules; then
+  echo "symbol-invariant: string-keyed std::map in src/event or src/rules" >&2
+  exit 1
+fi
+if grep -rnw 'ParamMap' src; then
+  echo "symbol-invariant: ParamMap under src/" >&2
+  exit 1
+fi
+
 echo "== Tier-1: build + ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j"$JOBS"

@@ -156,20 +156,6 @@ struct AdminResult {
   Duration latency = 0;
 
   bool ok() const { return status.ok(); }
-
-  /// Lossy adaptation to the old return type: `rule` and
-  /// `failed_condition` are gone (they never meant anything for
-  /// mutators), `reason` is the status message. Prefer `.ok()`/`.status`.
-  AccessDecision ToDecision() const {
-    AccessDecision decision;
-    decision.allowed = status.ok();
-    decision.reason = status.message();
-    decision.outcome = outcome;
-    decision.epoch = epoch;
-    decision.shard = shard;
-    decision.latency = latency;
-    return decision;
-  }
 };
 
 }  // namespace sentinel

@@ -117,31 +117,20 @@ void FlatParamMap::Set(Symbol key, Value value) {
       base, base + size_, key,
       [](const Entry& e, Symbol k) { return e.key < k; });
   if (pos != base + size_ && pos->key == key) {
-    pos->value = std::move(value);
+    pos->value = value;
     return;
   }
   size_t idx = static_cast<size_t>(pos - base);
   if (size_ < kInlineCapacity) {
-    Entry* p = inline_data();
-    if (idx == size_) {
-      new (p + size_) Entry{key, std::move(value)};
-    } else {
-      // Open the gap: construct the new tail slot from the old last entry,
-      // shift the middle, then overwrite the vacated slot.
-      new (p + size_) Entry(std::move(p[size_ - 1]));
-      for (size_t i = size_ - 1; i > idx; --i) p[i] = std::move(p[i - 1]);
-      p[idx] = Entry{key, std::move(value)};
-    }
+    std::copy_backward(pos, base + size_, base + size_ + 1);
+    *pos = Entry{key, value};
   } else {
     if (size_ == kInlineCapacity) {
-      Entry* p = inline_data();
       heap_.reserve(kInlineCapacity + 1);
-      heap_.assign(std::make_move_iterator(p),
-                   std::make_move_iterator(p + kInlineCapacity));
-      DestroyInline(kInlineCapacity);
+      heap_.assign(inline_.begin(), inline_.end());
     }
     heap_.insert(heap_.begin() + static_cast<ptrdiff_t>(idx),
-                 Entry{key, std::move(value)});
+                 Entry{key, value});
   }
   ++size_;
 }
@@ -178,32 +167,9 @@ void FlatParamMap::MergeFrom(const FlatParamMap& overlay) {
   for (const Entry& e : overlay) Set(e.key, e.value);
 }
 
-void FlatParamMap::InternStringValues(SymbolTable& symbols) {
-  Entry* base = data();
-  for (size_t i = 0; i < size_; ++i) {
-    if (base[i].value.is_string()) {
-      base[i].value = Value(symbols.Intern(base[i].value.AsString()));
-    }
-  }
-}
-
-const Value& FlatParamMap::Get(const SymbolTable& symbols,
-                               std::string_view key) const {
-  Symbol k = symbols.Find(key);
-  if (!k.valid()) return kNullValue;
-  return Get(k);
-}
-
-const std::string& FlatParamMap::GetString(const SymbolTable& symbols,
-                                           std::string_view key) const {
-  const Value& v = Get(symbols, key);
-  if (v.is_symbol()) return symbols.NameOf(v.AsSymbol());
-  return v.AsString();
-}
-
 std::string FlatParamMap::ToString(const SymbolTable& symbols) const {
-  // Render sorted by key *name* so the output matches ParamMapToString for
-  // the same logical content regardless of intern order.
+  // Render sorted by key *name*, so equal content renders the same
+  // whatever the intern order.
   std::map<std::string_view, const Value*> by_name;
   for (const Entry& e : *this) by_name[symbols.NameOf(e.key)] = &e.value;
   std::ostringstream os;
@@ -221,30 +187,6 @@ std::string FlatParamMap::ToString(const SymbolTable& symbols) const {
   }
   os << '}';
   return os.str();
-}
-
-FlatParamMap InternParams(SymbolTable& symbols, const ParamMap& params) {
-  FlatParamMap out;
-  for (const auto& [key, value] : params) {
-    if (value.is_string()) {
-      out.Set(symbols.Intern(key), Value(symbols.Intern(value.AsString())));
-    } else {
-      out.Set(symbols.Intern(key), value);
-    }
-  }
-  return out;
-}
-
-ParamMap ExternParams(const SymbolTable& symbols, const FlatParamMap& params) {
-  ParamMap out;
-  for (const auto& e : params) {
-    if (e.value.is_symbol()) {
-      out[symbols.NameOf(e.key)] = Value(symbols.NameOf(e.value.AsSymbol()));
-    } else {
-      out[symbols.NameOf(e.key)] = e.value;
-    }
-  }
-  return out;
 }
 
 }  // namespace sentinel

@@ -5,9 +5,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <new>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -89,18 +89,16 @@ class SymbolTable {
 
 /// \brief A small sorted flat map from Symbol to Value.
 ///
-/// Replaces `std::map<std::string, Value>` for event occurrence parameters.
-/// Param maps carry at most a handful of entries (user/session/role/...), so
-/// a sorted inline vector beats a node-based map on every raise, merge and
-/// compare; entries spill to the heap only past kInlineCapacity. Keys are
-/// unique and kept sorted by symbol id, which makes equality and subset
-/// checks a linear merge.
+/// The parameter list of an event occurrence. Param maps carry at most a
+/// handful of entries (user/session/role/...), so a sorted inline array
+/// beats a node-based map on every raise, merge and compare; entries spill
+/// to the heap only past kInlineCapacity. Keys are unique and kept sorted
+/// by symbol id, which makes equality and subset checks a linear merge.
 ///
-/// The inline slots are raw storage: only the `size_` live entries are ever
-/// constructed, so default construction, destruction and copies of the
-/// mostly-small maps that ride on every Occurrence cost exactly what their
-/// content costs. After a spill every entry lives in `heap_` and no inline
-/// slot is constructed; entries never move back inline.
+/// Entries are trivially copyable (a Value holds no string), so copies are
+/// plain member copies. `heap_` is empty unless the map has spilled; after
+/// a spill every entry lives in `heap_` and entries never move back inline.
+/// A moved-from map is empty.
 class FlatParamMap {
  public:
   struct Entry {
@@ -111,6 +109,7 @@ class FlatParamMap {
       return a.key == b.key && a.value == b.value;
     }
   };
+  static_assert(std::is_trivially_copyable_v<Entry>);
 
   static constexpr size_t kInlineCapacity = 6;
 
@@ -119,24 +118,17 @@ class FlatParamMap {
     for (const Entry& e : entries) Set(e.key, e.value);
   }
 
-  FlatParamMap(const FlatParamMap& other) { CopyFrom(other); }
-  FlatParamMap& operator=(const FlatParamMap& other) {
-    if (this != &other) {
-      Reset();
-      CopyFrom(other);
-    }
-    return *this;
-  }
-  FlatParamMap(FlatParamMap&& other) noexcept { MoveFrom(std::move(other)); }
+  FlatParamMap(const FlatParamMap&) = default;
+  FlatParamMap& operator=(const FlatParamMap&) = default;
+  FlatParamMap(FlatParamMap&& other) noexcept { *this = std::move(other); }
   FlatParamMap& operator=(FlatParamMap&& other) noexcept {
     if (this != &other) {
-      Reset();
-      MoveFrom(std::move(other));
+      inline_ = other.inline_;
+      heap_ = std::move(other.heap_);
+      other.heap_.clear();
+      size_ = std::exchange(other.size_, 0);
     }
     return *this;
-  }
-  ~FlatParamMap() {
-    if (!spilled()) DestroyInline(size_);
   }
 
   /// Inserts or overwrites (latest write wins, as with std::map::operator[]).
@@ -157,11 +149,6 @@ class FlatParamMap {
   /// Matches the seed's MergeParams semantics (later constituent wins).
   void MergeFrom(const FlatParamMap& overlay);
 
-  /// Replaces every string-typed value with its interned symbol. The engine
-  /// canonicalizes params at the raise boundary so that inside the detector
-  /// and rule layers a name is always a Symbol, never a std::string.
-  void InternStringValues(SymbolTable& symbols);
-
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
@@ -178,79 +165,21 @@ class FlatParamMap {
     return true;
   }
 
-  /// String-keyed conveniences for tests and debugging (resolve through the
-  /// table; absent or never-interned keys yield the null-Value fallbacks).
-  const Value& Get(const SymbolTable& symbols, std::string_view key) const;
-  /// Returns the string form of a string/symbol value, or "" if absent.
-  const std::string& GetString(const SymbolTable& symbols,
-                               std::string_view key) const;
-
   /// Renders as `{a=1, b="x"}` with entries sorted by key name and symbol
-  /// values resolved, matching ParamMapToString output for equal content.
+  /// values resolved through `symbols`, for logs and debugging.
   std::string ToString(const SymbolTable& symbols) const;
 
  private:
   bool spilled() const { return size_ > kInlineCapacity; }
-  Entry* inline_data() {
-    return std::launder(reinterpret_cast<Entry*>(inline_storage_));
+  const Entry* data() const {
+    return spilled() ? heap_.data() : inline_.data();
   }
-  const Entry* inline_data() const {
-    return std::launder(reinterpret_cast<const Entry*>(inline_storage_));
-  }
-  const Entry* data() const { return spilled() ? heap_.data() : inline_data(); }
-  Entry* data() { return spilled() ? heap_.data() : inline_data(); }
+  Entry* data() { return spilled() ? heap_.data() : inline_.data(); }
 
-  void DestroyInline(size_t count) {
-    Entry* p = inline_data();
-    for (size_t i = 0; i < count; ++i) p[i].~Entry();
-  }
-  /// Destroys all content; leaves *this empty (heap capacity retained).
-  void Reset() {
-    if (!spilled()) DestroyInline(size_);
-    heap_.clear();
-    size_ = 0;
-  }
-  /// Requires *this empty.
-  void CopyFrom(const FlatParamMap& other) {
-    if (other.spilled()) {
-      heap_ = other.heap_;
-    } else {
-      Entry* dst = inline_data();
-      const Entry* src = other.inline_data();
-      for (size_t i = 0; i < other.size_; ++i) new (dst + i) Entry(src[i]);
-    }
-    size_ = other.size_;
-  }
-  /// Requires *this empty; leaves `other` empty.
-  void MoveFrom(FlatParamMap&& other) noexcept {
-    if (other.spilled()) {
-      heap_ = std::move(other.heap_);
-      other.heap_.clear();
-    } else {
-      Entry* dst = inline_data();
-      Entry* src = other.inline_data();
-      for (size_t i = 0; i < other.size_; ++i) {
-        new (dst + i) Entry(std::move(src[i]));
-        src[i].~Entry();
-      }
-    }
-    size_ = other.size_;
-    other.size_ = 0;
-  }
-
-  alignas(Entry) unsigned char inline_storage_[kInlineCapacity * sizeof(Entry)];
+  std::array<Entry, kInlineCapacity> inline_;
   std::vector<Entry> heap_;
   size_t size_ = 0;
 };
-
-/// Interns a string-keyed ParamMap: keys become symbols and string values
-/// become symbol values. The boundary conversion for definition-time filters
-/// and test raises.
-FlatParamMap InternParams(SymbolTable& symbols, const ParamMap& params);
-
-/// Converts back to a string-keyed map, resolving symbol values to string
-/// values. For introspection and tests only; never on the request path.
-ParamMap ExternParams(const SymbolTable& symbols, const FlatParamMap& params);
 
 }  // namespace sentinel
 

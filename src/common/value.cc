@@ -27,12 +27,6 @@ double Value::AsDouble(double fallback) const {
   return fallback;
 }
 
-const std::string& Value::AsString() const {
-  static const std::string kEmpty;
-  if (const std::string* s = std::get_if<std::string>(&v_)) return *s;
-  return kEmpty;
-}
-
 Symbol Value::AsSymbol() const {
   if (const Symbol* s = std::get_if<Symbol>(&v_)) return *s;
   return Symbol();
@@ -48,24 +42,9 @@ std::string Value::ToString() const {
     os << AsInt();
   } else if (is_double()) {
     os << AsDouble();
-  } else if (is_symbol()) {
-    os << '@' << AsSymbol().id();
   } else {
-    os << '"' << AsString() << '"';
+    os << '@' << AsSymbol().id();
   }
-  return os.str();
-}
-
-std::string ParamMapToString(const ParamMap& params) {
-  std::ostringstream os;
-  os << '{';
-  bool first = true;
-  for (const auto& [name, value] : params) {
-    if (!first) os << ", ";
-    first = false;
-    os << name << '=' << value.ToString();
-  }
-  os << '}';
   return os.str();
 }
 

@@ -2,7 +2,6 @@
 #define SENTINELPP_COMMON_VALUE_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <variant>
 
@@ -28,7 +27,9 @@ constexpr Duration kDay = 24 * kHour;
 ///
 /// Events carry parameter lists (`user`, `session`, `role`, ...); rules read
 /// them when evaluating conditions and executing actions. The monostate
-/// alternative represents "absent".
+/// alternative represents "absent". A name is always an interned Symbol:
+/// there is no string alternative, and constructing a Value from a string
+/// does not compile (a `const char*` would otherwise convert to `bool`).
 class Value {
  public:
   Value() : v_() {}
@@ -36,23 +37,21 @@ class Value {
   explicit Value(int64_t i) : v_(i) {}
   explicit Value(int i) : v_(static_cast<int64_t>(i)) {}
   explicit Value(double d) : v_(d) {}
-  explicit Value(std::string s) : v_(std::move(s)) {}
-  explicit Value(const char* s) : v_(std::string(s)) {}
   explicit Value(Symbol s) : v_(s) {}
+  Value(const char*) = delete;
+  Value(std::string) = delete;
 
   bool is_null() const { return std::holds_alternative<std::monostate>(v_); }
   bool is_bool() const { return std::holds_alternative<bool>(v_); }
   bool is_int() const { return std::holds_alternative<int64_t>(v_); }
   bool is_double() const { return std::holds_alternative<double>(v_); }
-  bool is_string() const { return std::holds_alternative<std::string>(v_); }
   bool is_symbol() const { return std::holds_alternative<Symbol>(v_); }
 
   /// Typed accessors; return the fallback when the alternative differs.
   bool AsBool(bool fallback = false) const;
   int64_t AsInt(int64_t fallback = 0) const;
   double AsDouble(double fallback = 0.0) const;
-  const std::string& AsString() const;  // empty string fallback
-  Symbol AsSymbol() const;              // invalid symbol fallback
+  Symbol AsSymbol() const;  // invalid symbol fallback
 
   std::string ToString() const;
 
@@ -61,14 +60,8 @@ class Value {
   }
 
  private:
-  std::variant<std::monostate, bool, int64_t, double, std::string, Symbol> v_;
+  std::variant<std::monostate, bool, int64_t, double, Symbol> v_;
 };
-
-/// Ordered name -> value parameter map attached to event occurrences.
-using ParamMap = std::map<std::string, Value>;
-
-/// Renders a ParamMap as `{a=1, b="x"}` for logs and debugging.
-std::string ParamMapToString(const ParamMap& params);
 
 }  // namespace sentinel
 

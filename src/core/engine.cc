@@ -379,7 +379,7 @@ Decision AuthorizationEngine::Dispatch(EventId event, FlatParamMap params) {
   Decision decision;
   {
     ScopedDecision scope(&rules_, &decision);
-    (void)detector_.RaiseInterned(event, std::move(params));
+    (void)detector_.Raise(event, std::move(params));
   }
   if (!decision.decided) {
     // Fail-safe default: requests no rule adjudicates are denied.
@@ -634,7 +634,7 @@ void AuthorizationEngine::SetContext(const std::string& key,
   // Context moves can flip CTX-rule verdict paths that never touch a
   // session or role generation; a full epoch bump is the safe blanket.
   BumpDecisionCacheEpoch();
-  (void)detector_.RaiseInterned(
+  (void)detector_.Raise(
       events_.context_changed,
       {{keys_.context_key, Value(symbols_.Intern(key))},
        {keys_.context_value, Value(symbols_.Intern(value))}});
@@ -681,10 +681,10 @@ Status AuthorizationEngine::ForceDeactivate(const UserName& user,
   const Symbol session_sym = symbols_.Intern(session);
   const Symbol role_sym = symbols_.Intern(role);
   CancelDurationTimers(session_sym, role_sym);
-  return detector_.RaiseInterned(events_.session_role_dropped,
-                                 {{keys_.user, Value(user_sym)},
-                                  {keys_.session, Value(session_sym)},
-                                  {keys_.role, Value(role_sym)}});
+  return detector_.Raise(events_.session_role_dropped,
+                         {{keys_.user, Value(user_sym)},
+                          {keys_.session, Value(session_sym)},
+                          {keys_.role, Value(role_sym)}});
 }
 
 int AuthorizationEngine::DeactivateAllInstances(const RoleName& role) {
@@ -783,7 +783,7 @@ void AuthorizationEngine::CancelDurationTimers(Symbol session, Symbol role) {
                            {keys_.role, Value(role)}};
   for (EventId event : it->second) {
     if (detector_.IsDeactivated(event)) continue;
-    (void)detector_.CancelPendingPlusInterned(event, match);
+    (void)detector_.CancelPendingPlus(event, match);
   }
 }
 

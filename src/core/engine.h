@@ -249,12 +249,6 @@ class AuthorizationEngine {
   /// `session`.
   void CancelDurationTimers(Symbol session, Symbol role);
 
-  /// Raises a primitive event (used by rule actions for cascades). Params
-  /// are symbol-keyed; name values must already be interned.
-  Status RaiseEvent(EventId event, FlatParamMap params) {
-    return detector_.RaiseInterned(event, std::move(params));
-  }
-
   /// Sink for threshold-rule throttle actions (ThresholdDirective::
   /// throttle_rate_per_s): the hosting service installs one per shard to
   /// feed its admission policer. Runs on the engine's thread inside rule

@@ -10,8 +10,6 @@ namespace sentinel {
 
 namespace {
 
-Value V(const std::string& s) { return Value(s); }
-
 // Decision writers tolerant of monitoring contexts (no decision in flight,
 // e.g. timer-driven rule firings).
 void AllowDecision(RuleContext& ctx, const std::string& rule) {
@@ -33,7 +31,8 @@ void DenyDecision(RuleContext& ctx, const std::string& rule,
 // ======================================================== Bookkeeping
 
 Result<EventId> RuleGenerator::EnsureFilter(const std::string& name,
-                                            EventId base, ParamMap equals) {
+                                            EventId base,
+                                            FlatParamMap equals) {
   EventDetector& detector = engine_->detector();
   if (detector.registry().Contains(name)) {
     return detector.Lookup(name);
@@ -446,8 +445,8 @@ Status RuleGenerator::GenerateGlobalRules(const Policy& policy) {
                   eng->rbac().db().GetSessionState(c.ParamSym(k.session))) {
             params.Set(k.user, Value(state->user));
           }
-          (void)eng->RaiseEvent(eng->events().access_denied,
-                                std::move(params));
+          (void)eng->detector().Raise(eng->events().access_denied,
+                                      std::move(params));
         });
     SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
   }
@@ -473,8 +472,9 @@ Status RuleGenerator::GenerateGlobalRules(const Policy& policy) {
               [eng, k](RuleContext& c) {
                 eng->role_state().Enable(c.ParamString(k.role), eng->Now());
                 AllowDecision(c, "GLOB.enable");
-                (void)eng->RaiseEvent(eng->events().role_enabled,
-                                      {{k.role, Value(c.ParamSym(k.role))}});
+                (void)eng->detector().Raise(
+                    eng->events().role_enabled,
+                    {{k.role, Value(c.ParamSym(k.role))}});
               })
         .Else("deny or defer to CFD rule", [eng, k](RuleContext& c) {
           const RoleName role = c.ParamString(k.role);
@@ -510,8 +510,9 @@ Status RuleGenerator::GenerateGlobalRules(const Policy& policy) {
                 eng->role_state().Disable(role, eng->Now());
                 eng->DeactivateAllInstances(role);
                 AllowDecision(c, "GLOB.disable");
-                (void)eng->RaiseEvent(eng->events().role_disabled,
-                                      {{k.role, Value(c.ParamSym(k.role))}});
+                (void)eng->detector().Raise(
+                    eng->events().role_disabled,
+                    {{k.role, Value(c.ParamSym(k.role))}});
               })
         .Else("deny or defer to TSOD rule", [eng, k](RuleContext& c) {
           const RoleName role = c.ParamString(k.role);
@@ -542,13 +543,13 @@ Status RuleGenerator::GenerateRoleRules(const Policy& policy,
   // Structural events, shared across generations.
   SENTINEL_ASSIGN_OR_RETURN(
       activate_ev, EnsureFilter("ev.act." + role, ev.add_active_role,
-                                {{"role", V(role)}}));
+                                {{k.role, Value(role_sym)}}));
   SENTINEL_ASSIGN_OR_RETURN(
       added_ev, EnsureFilter("ev.added." + role, ev.session_role_added,
-                             {{"role", V(role)}}));
+                             {{k.role, Value(role_sym)}}));
   SENTINEL_ASSIGN_OR_RETURN(
       dropped_ev, EnsureFilter("ev.dropped." + role, ev.session_role_dropped,
-                               {{"role", V(role)}}));
+                               {{k.role, Value(role_sym)}}));
   (void)dropped_ev;
 
   const bool in_hierarchy = policy.RoleInHierarchy(role);
@@ -637,7 +638,7 @@ Status RuleGenerator::GenerateRoleRules(const Policy& policy,
                 (void)eng->rbac().db().AddSessionRole(
                     c.ParamString(k.session), role);
                 AllowDecision(c, "AAR." + role);
-                (void)eng->RaiseEvent(
+                (void)eng->detector().Raise(
                     eng->events().session_role_added,
                     {{k.user, Value(c.ParamSym(k.user))},
                      {k.session, Value(c.ParamSym(k.session))},
@@ -739,8 +740,8 @@ Status RuleGenerator::GenerateRoleRules(const Policy& policy,
                  [eng, k, role, role_sym](RuleContext& c) {
                    (void)c;
                    eng->role_state().Enable(role, eng->Now());
-                   (void)eng->RaiseEvent(eng->events().role_enabled,
-                                         {{k.role, Value(role_sym)}});
+                   (void)eng->detector().Raise(eng->events().role_enabled,
+                                               {{k.role, Value(role_sym)}});
                  });
     SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(on_rule)));
 
@@ -752,8 +753,8 @@ Status RuleGenerator::GenerateRoleRules(const Policy& policy,
                     (void)c;
                     eng->role_state().Disable(role, eng->Now());
                     eng->DeactivateAllInstances(role);
-                    (void)eng->RaiseEvent(eng->events().role_disabled,
-                                          {{k.role, Value(role_sym)}});
+                    (void)eng->detector().Raise(eng->events().role_disabled,
+                                                {{k.role, Value(role_sym)}});
                   });
     SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(off_rule)));
   }
@@ -777,8 +778,9 @@ Status RuleGenerator::GenerateUserRules(const Policy& policy,
   if (spec.max_active_roles > 0) {
     const int cap = spec.max_active_roles;
     SENTINEL_ASSIGN_OR_RETURN(
-        added_ev, EnsureFilter("ev.added.u." + user, ev.session_role_added,
-                               {{"user", V(user)}}));
+        added_ev,
+        EnsureFilter("ev.added.u." + user, ev.session_role_added,
+                     {{k.user, Value(eng->symbols().Intern(user))}}));
     Rule rule("UAC." + user, added_ev,
               Rule::Options{0, true, RuleClass::kActivityControl,
                             RuleGranularity::kSpecialized});
@@ -801,18 +803,19 @@ Status RuleGenerator::GenerateUserRules(const Policy& policy,
 
   // --- DUR.<user>.<role>: Rule 7, specialized duration bounds ------------
   for (const auto& [role, duration] : spec.role_durations) {
+    const Symbol role_sym = eng->symbols().Intern(role);
+    const Symbol user_sym = eng->symbols().Intern(user);
     SENTINEL_ASSIGN_OR_RETURN(
         added_ev,
         EnsureFilter("ev.added.u." + user + ".r." + role,
                      ev.session_role_added,
-                     {{"user", V(user)}, {"role", V(role)}}));
+                     {{k.user, Value(user_sym)}, {k.role, Value(role_sym)}}));
     const std::string plus_name =
         TemporalName(tag, "ev.durexp.u." + user + ".r." + role);
     auto plus_ev =
         eng->detector().DefinePlus(plus_name, added_ev, duration, k.session);
     if (!plus_ev.ok()) return plus_ev.status();
     TrackTemporal(tag, *plus_ev);
-    const Symbol role_sym = eng->symbols().Intern(role);
     eng->RegisterDurationEvent(role_sym, *plus_ev);
 
     const RoleName role_copy = role;
@@ -850,8 +853,9 @@ Status RuleGenerator::GenerateTimeSodRules(const Policy& policy,
   std::vector<EventId> alternatives;
   for (const RoleName& role : tsod.roles) {
     SENTINEL_ASSIGN_OR_RETURN(
-        disable_ev, EnsureFilter("ev.disable." + role, ev.disable_role,
-                                 {{"role", V(role)}}));
+        disable_ev,
+        EnsureFilter("ev.disable." + role, ev.disable_role,
+                     {{k.role, Value(eng->symbols().Intern(role))}}));
     alternatives.push_back(disable_ev);
   }
   auto or_ev = eng->detector().DefineOr(
@@ -904,8 +908,9 @@ Status RuleGenerator::GenerateTimeSodRules(const Policy& policy,
               eng->role_state().Disable(role, eng->Now());
               eng->DeactivateAllInstances(role);
               AllowDecision(c, rule_name);
-              (void)eng->RaiseEvent(eng->events().role_disabled,
-                                    {{k.role, Value(c.ParamSym(k.role))}});
+              (void)eng->detector().Raise(
+                  eng->events().role_disabled,
+                  {{k.role, Value(c.ParamSym(k.role))}});
             })
       .Else("raise error \"Denied as Counter-Role Already Disabled\"",
             [eng, period, rule_name = "TSOD." + tsod.name](RuleContext& c) {
@@ -941,11 +946,11 @@ Status RuleGenerator::GenerateCfdRules(const Policy& policy,
 
   SENTINEL_ASSIGN_OR_RETURN(
       enable_trigger_ev, EnsureFilter("ev.enable." + trigger, ev.enable_role,
-                                      {{"role", V(trigger)}}));
+                                      {{k.role, Value(trigger_sym)}}));
   SENTINEL_ASSIGN_OR_RETURN(
       disable_companion_ev,
       EnsureFilter("ev.disable." + companion, ev.disable_role,
-                   {{"role", V(companion)}}));
+                   {{k.role, Value(companion_sym)}}));
 
   // CFD1: enabling the trigger requires enabling the companion too
   // (paper Rule 8: enableRoleSysAdmin -> enableRoleSysAudit).
@@ -969,12 +974,12 @@ Status RuleGenerator::GenerateCfdRules(const Policy& policy,
               [eng, k, trigger, companion, trigger_sym,
                companion_sym](RuleContext& c) {
                 eng->role_state().Enable(trigger, eng->Now());
-                (void)eng->RaiseEvent(eng->events().role_enabled,
-                                      {{k.role, Value(trigger_sym)}});
+                (void)eng->detector().Raise(eng->events().role_enabled,
+                                            {{k.role, Value(trigger_sym)}});
                 if (!eng->role_state().IsEnabled(companion)) {
                   eng->role_state().Enable(companion, eng->Now());
-                  (void)eng->RaiseEvent(eng->events().role_enabled,
-                                        {{k.role, Value(companion_sym)}});
+                  (void)eng->detector().Raise(eng->events().role_enabled,
+                                              {{k.role, Value(companion_sym)}});
                 }
                 AllowDecision(c, "CFD." + trigger + ".enable");
               })
@@ -1008,8 +1013,8 @@ Status RuleGenerator::GenerateCfdRules(const Policy& policy,
                 (void)c;
                 eng->role_state().Disable(trigger, eng->Now());
                 eng->DeactivateAllInstances(trigger);
-                (void)eng->RaiseEvent(eng->events().role_disabled,
-                                      {{k.role, Value(trigger_sym)}});
+                (void)eng->detector().Raise(eng->events().role_disabled,
+                                            {{k.role, Value(trigger_sym)}});
               });
     SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
   }
@@ -1034,14 +1039,14 @@ Status RuleGenerator::GenerateTransactionRules(
   SENTINEL_ASSIGN_OR_RETURN(
       ctrl_on_ev, EnsureFilter("ev.added." + controller,
                                ev.session_role_added,
-                               {{"role", V(controller)}}));
+                               {{k.role, Value(controller_sym)}}));
   SENTINEL_ASSIGN_OR_RETURN(
       ctrl_off_ev, EnsureFilter("ev.dropped." + controller,
                                 ev.session_role_dropped,
-                                {{"role", V(controller)}}));
+                                {{k.role, Value(controller_sym)}}));
   SENTINEL_ASSIGN_OR_RETURN(
       dep_req_ev, EnsureFilter("ev.act." + dependent, ev.add_active_role,
-                               {{"role", V(dependent)}}));
+                               {{k.role, Value(dependent_sym)}}));
 
   auto boot_ev = eng->detector().DefinePrimitive(
       TemporalName(tag, "ev.tx.boot." + tx.name));
@@ -1130,7 +1135,7 @@ Status RuleGenerator::GenerateTransactionRules(
                 (void)eng->rbac().db().AddSessionRole(
                     c.ParamString(k.session), dependent);
                 AllowDecision(c, "ASEC." + tx_name + ".activate");
-                (void)eng->RaiseEvent(
+                (void)eng->detector().Raise(
                     eng->events().session_role_added,
                     {{k.user, Value(c.ParamSym(k.user))},
                      {k.session, Value(c.ParamSym(k.session))},
@@ -1159,7 +1164,7 @@ Status RuleGenerator::GenerateTransactionRules(
                     0) {
                   eng->DeactivateAllInstances(dependent);
                 } else {
-                  (void)eng->RaiseEvent(boot, {});
+                  (void)eng->detector().Raise(boot, {});
                 }
               });
     SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
@@ -1245,13 +1250,13 @@ Status RuleGenerator::GenerateThresholdRules(
           if (eng->role_state().IsEnabled(role)) {
             eng->role_state().Disable(role, now);
             eng->DeactivateAllInstances(role);
-            (void)eng->RaiseEvent(
+            (void)eng->detector().Raise(
                 eng->events().role_disabled,
                 {{k.role, Value(eng->symbols().Intern(role))}});
           }
         }
-        (void)eng->RaiseEvent(eng->events().security_alert,
-                              {{alert_key, Value(alert_name)}});
+        (void)eng->detector().Raise(eng->events().security_alert,
+                                    {{alert_key, Value(alert_name)}});
       });
   SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
   return Status::OK();

@@ -77,7 +77,7 @@ class RuleGenerator {
   /// Filter event reuse: returns the existing id when `name` is already
   /// registered, otherwise defines Filter(base, equals).
   Result<EventId> EnsureFilter(const std::string& name, EventId base,
-                               ParamMap equals);
+                               FlatParamMap equals);
   /// Adds a rule to the pool and indexes it under `tag`.
   Status AddRule(const std::string& tag, class Rule rule);
   /// Registers a temporal event under `tag` for later deactivation.

@@ -84,12 +84,13 @@ Result<EventId> EventDetector::DefinePrimitive(const std::string& name) {
 }
 
 Result<EventId> EventDetector::DefineFilter(const std::string& name,
-                                            EventId base, ParamMap equals) {
+                                            EventId base,
+                                            FlatParamMap equals) {
   EventDef def;
   def.kind = EventKind::kFilter;
   def.name = name;
   def.children = {base};
-  def.filter = InternParams(*symbols_, equals);
+  def.filter = std::move(equals);
   return Install(std::move(def));
 }
 
@@ -255,11 +256,7 @@ void EventDetector::Unsubscribe(EventId event, SubscriptionId id) {
   }
 }
 
-Status EventDetector::Raise(EventId event, ParamMap params) {
-  return RaiseInterned(event, InternParams(*symbols_, params));
-}
-
-Status EventDetector::RaiseInterned(EventId event, FlatParamMap params) {
+Status EventDetector::Raise(EventId event, FlatParamMap params) {
   if (event < 0 || event >= registry_.size()) {
     return Status::InvalidArgument("unknown event id");
   }
@@ -271,9 +268,6 @@ Status EventDetector::RaiseInterned(EventId event, FlatParamMap params) {
     return Status::FailedPrecondition("event is deactivated: " +
                                       registry_.name(event));
   }
-  // Invariant: occurrence params never carry raw strings — name-valued
-  // entries are symbols, so downstream matching is integer-only.
-  params.InternStringValues(*symbols_);
   Occurrence occ;
   occ.event = event;
   occ.source = event;
@@ -284,11 +278,6 @@ Status EventDetector::RaiseInterned(EventId event, FlatParamMap params) {
   queue_.push_back(std::move(occ));
   Drain();
   return Status::OK();
-}
-
-Status EventDetector::RaiseByName(const std::string& name, ParamMap params) {
-  SENTINEL_ASSIGN_OR_RETURN(id, registry_.Lookup(name));
-  return Raise(id, std::move(params));
 }
 
 void EventDetector::EmitDetected(Occurrence occ) {
@@ -367,8 +356,8 @@ void EventDetector::PollTimers() {
   UpdateTimerGauge();
 }
 
-Result<int> EventDetector::CancelPendingPlusInterned(
-    EventId plus_event, const FlatParamMap& match) {
+Result<int> EventDetector::CancelPendingPlus(EventId plus_event,
+                                             const FlatParamMap& match) {
   if (plus_event < 0 || plus_event >= registry_.size()) {
     return Status::InvalidArgument("unknown event id");
   }

@@ -65,7 +65,7 @@ class EventDetector final : public NodeContext {
   Result<EventId> DefinePrimitive(const std::string& name);
   /// Occurrences of `base` whose params contain every pair of `equals`.
   Result<EventId> DefineFilter(const std::string& name, EventId base,
-                               ParamMap equals);
+                               FlatParamMap equals);
   Result<EventId> DefineAnd(const std::string& name, EventId a, EventId b,
                             ConsumptionMode mode = ConsumptionMode::kRecent);
   /// N-ary OR over `alternatives` (at least one).
@@ -125,16 +125,9 @@ class EventDetector final : public NodeContext {
 
   /// Injects a primitive occurrence at Now() and drains the full cascade
   /// (unless called re-entrantly from a subscriber, in which case the
-  /// occurrence joins the in-progress drain).
-  ///
-  /// The ParamMap overloads intern keys and string values on the way in —
-  /// the convenience path for tests and ad-hoc callers. Hot callers (the
-  /// engine) build a FlatParamMap from pre-interned symbols and use
-  /// RaiseInterned; string-typed values are still canonicalized to symbols
-  /// there so occurrence params never carry raw strings.
-  Status Raise(EventId event, ParamMap params);
-  Status RaiseByName(const std::string& name, ParamMap params);
-  Status RaiseInterned(EventId event, FlatParamMap params);
+  /// occurrence joins the in-progress drain). Keys and name values are
+  /// symbols of this detector's table.
+  Status Raise(EventId event, FlatParamMap params);
 
   /// Advances the simulated clock to `t`, firing due timers in order at
   /// their exact fire times. Requires the detector's clock to be the given
@@ -148,8 +141,8 @@ class EventDetector final : public NodeContext {
   /// Cancels pending PLUS expiries of `plus_event` whose initiating params
   /// contain `match` (symbol keys/values). Returns count, or error if the
   /// event is not a PLUS.
-  Result<int> CancelPendingPlusInterned(EventId plus_event,
-                                        const FlatParamMap& match);
+  Result<int> CancelPendingPlus(EventId plus_event,
+                                const FlatParamMap& match);
 
   /// Permanently deactivates an event: its node cancels timers/state, its
   /// occurrences stop propagating, and primitive raises are rejected. The

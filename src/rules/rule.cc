@@ -35,13 +35,8 @@ const std::string kEmptyParam;
 }  // namespace
 
 const std::string& RuleContext::ParamString(Symbol key) const {
-  if (occurrence == nullptr || detector == nullptr) return kEmptyParam;
-  const Value* v = occurrence->params.Find(key);
-  if (v == nullptr) return kEmptyParam;
-  // Name-valued params are interned at the raise boundary; resolve through
-  // the detector's table. Free-text string values pass through unchanged.
-  if (v->is_symbol()) return detector->symbols().NameOf(v->AsSymbol());
-  return v->AsString();
+  if (detector == nullptr) return kEmptyParam;
+  return detector->symbols().NameOf(ParamSym(key));
 }
 
 Symbol RuleContext::ParamSym(Symbol key) const {
@@ -64,25 +59,6 @@ bool RuleContext::ParamBool(Symbol key) const {
 
 bool RuleContext::HasParam(Symbol key) const {
   return occurrence != nullptr && occurrence->params.Contains(key);
-}
-
-const std::string& RuleContext::ParamString(const std::string& key) const {
-  if (detector == nullptr) return kEmptyParam;
-  return ParamString(detector->symbols().Find(key));
-}
-
-int64_t RuleContext::ParamInt(const std::string& key) const {
-  if (detector == nullptr) return 0;
-  return ParamInt(detector->symbols().Find(key));
-}
-
-bool RuleContext::ParamBool(const std::string& key) const {
-  if (detector == nullptr) return false;
-  return ParamBool(detector->symbols().Find(key));
-}
-
-bool RuleContext::HasParam(const std::string& key) const {
-  return detector != nullptr && HasParam(detector->symbols().Find(key));
 }
 
 Rule::Rule(std::string name, EventId event)

@@ -44,20 +44,14 @@ struct RuleContext {
   const std::string* failed_condition = nullptr;
 
   /// Parameter accessors over the triggering occurrence (fallbacks when
-  /// absent: empty string / invalid symbol / 0 / false). The Symbol-keyed
-  /// overloads are the hot path — generated rules capture their key symbols
-  /// once at generation time; the string-keyed ones resolve the key through
-  /// the detector's table first (tests, hand-written rules).
+  /// absent: empty string / invalid symbol / 0 / false). Generated rules
+  /// capture their key symbols once at generation time. ParamString
+  /// resolves a name-valued param through the detector's table.
   const std::string& ParamString(Symbol key) const;
   Symbol ParamSym(Symbol key) const;
   int64_t ParamInt(Symbol key) const;
   bool ParamBool(Symbol key) const;
   bool HasParam(Symbol key) const;
-
-  const std::string& ParamString(const std::string& key) const;
-  int64_t ParamInt(const std::string& key) const;
-  bool ParamBool(const std::string& key) const;
-  bool HasParam(const std::string& key) const;
 };
 
 /// \brief One On-When-Then-Else authorization rule.

@@ -27,9 +27,13 @@ class ConsumptionModeTest : public ::testing::TestWithParam<ConsumptionMode> {
                         [this](const Occurrence& occ) { log_.push_back(occ); });
   }
 
-  void Raise(EventId event, ParamMap params = {}) {
+  void Raise(EventId event, FlatParamMap params = {}) {
     clock_.Advance(kMillisecond);  // Distinct instants for clean ordering.
     ASSERT_TRUE(detector_.Raise(event, std::move(params)).ok());
+  }
+
+  Symbol Sym(const std::string& name) {
+    return detector_.symbols().Intern(name);
   }
 
   ConsumptionMode mode() const { return GetParam(); }
@@ -78,17 +82,17 @@ TEST_P(ConsumptionModeTest, SeqNeverFiresOnReversedOrder) {
 TEST_P(ConsumptionModeTest, SeqTwoLeftsOneRightCounts) {
   const EventId seq = *detector_.DefineSeq("seq", a_, b_, mode());
   Watch(seq);
-  Raise(a_, {{"x", Value(1)}});
-  Raise(a_, {{"x", Value(2)}});
+  Raise(a_, {{Sym("x"), Value(1)}});
+  Raise(a_, {{Sym("x"), Value(2)}});
   Raise(b_);
   size_t expected = 1u;
   if (mode() == ConsumptionMode::kContinuous) expected = 2u;
   ASSERT_EQ(log_.size(), expected);
   // Which initiator pairs depends on the mode.
   if (mode() == ConsumptionMode::kRecent) {
-    EXPECT_EQ(log_[0].params.Get(detector_.symbols(), "x"), Value(2));
+    EXPECT_EQ(log_[0].params.Get(Sym("x")), Value(2));
   } else if (mode() == ConsumptionMode::kChronicle) {
-    EXPECT_EQ(log_[0].params.Get(detector_.symbols(), "x"), Value(1));
+    EXPECT_EQ(log_[0].params.Get(Sym("x")), Value(1));
   }
 }
 
@@ -232,6 +236,10 @@ class PairingFixture
   ConsumptionMode mode() const { return std::get<0>(GetParam()); }
   const PairingCase& pairing_case() const { return std::get<1>(GetParam()); }
 
+  Symbol Sym(const std::string& name) {
+    return detector_.symbols().Intern(name);
+  }
+
   void Watch(EventId event) {
     detector_.Subscribe(event,
                         [this](const Occurrence& occ) { log_.push_back(occ); });
@@ -243,10 +251,10 @@ class PairingFixture
     std::string token;
     while (tokens >> token) {
       const EventId event = token[0] == 'a' ? a_ : token[0] == 'b' ? b_ : c_;
-      ParamMap params;
+      FlatParamMap params;
       if (token.size() > 1) {
         const Value tag(token[1] - '0');
-        params.emplace(token[0] == 'a' ? "x" : "y", tag);
+        params.Set(Sym(token[0] == 'a' ? "x" : "y"), tag);
       }
       clock_.Advance(kMillisecond);
       ASSERT_TRUE(detector_.Raise(event, std::move(params)).ok());
@@ -261,8 +269,7 @@ class PairingFixture
         << pairing_case().label << " in "
         << ConsumptionModeToString(mode());
     for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(log_[i].params.Get(detector_.symbols(), "x"),
-                Value(expected[i]))
+      EXPECT_EQ(log_[i].params.Get(Sym("x")), Value(expected[i]))
           << pairing_case().label << " detection #" << i << " in "
           << ConsumptionModeToString(mode());
     }

@@ -25,13 +25,16 @@ class EventDetectorTest : public ::testing::Test {
     });
   }
 
-  void Raise(EventId event, ParamMap params = {}) {
+  void Raise(EventId event, FlatParamMap params = {}) {
     ASSERT_TRUE(detector_.Raise(event, std::move(params)).ok());
   }
 
   Symbol Sym(const std::string& name) {
     return detector_.symbols().Intern(name);
   }
+
+  /// A name-valued parameter: the interned symbol, as the engine raises it.
+  Value Name(const std::string& name) { return Value(Sym(name)); }
 
   SimulatedClock clock_;
   EventDetector detector_;
@@ -41,13 +44,13 @@ class EventDetectorTest : public ::testing::Test {
 TEST_F(EventDetectorTest, PrimitiveRaiseNotifiesSubscribers) {
   const EventId e = Prim("e");
   Watch(e);
-  Raise(e, {{"k", Value("v")}});
+  Raise(e, {{Sym("k"), Name("v")}});
   ASSERT_EQ(log_.size(), 1u);
   EXPECT_EQ(log_[0].event, e);
   EXPECT_EQ(log_[0].source, e);
   EXPECT_EQ(log_[0].start, testutil::Noon());
   EXPECT_EQ(log_[0].end, testutil::Noon());
-  EXPECT_EQ(log_[0].params.GetString(detector_.symbols(), "k"), "v");
+  EXPECT_EQ(log_[0].params.Get(Sym("k")), Name("v"));
 }
 
 TEST_F(EventDetectorTest, RaiseRejectsCompositeAndUnknown) {
@@ -55,7 +58,7 @@ TEST_F(EventDetectorTest, RaiseRejectsCompositeAndUnknown) {
   const EventId or_ev = *detector_.DefineOr("or", {a});
   EXPECT_FALSE(detector_.Raise(or_ev, {}).ok());
   EXPECT_FALSE(detector_.Raise(999, {}).ok());
-  EXPECT_FALSE(detector_.RaiseByName("nope", {}).ok());
+  EXPECT_FALSE(detector_.Lookup("nope").ok());
 }
 
 TEST_F(EventDetectorTest, DuplicateNameRejected) {
@@ -79,22 +82,22 @@ TEST_F(EventDetectorTest, UnsubscribeStopsDelivery) {
 TEST_F(EventDetectorTest, FilterPassesOnlyMatchingParams) {
   const EventId e = Prim("e");
   const EventId f =
-      *detector_.DefineFilter("f", e, {{"role", Value("R1")}});
+      *detector_.DefineFilter("f", e, {{Sym("role"), Name("R1")}});
   Watch(f);
-  Raise(e, {{"role", Value("R1")}, {"user", Value("bob")}});
-  Raise(e, {{"role", Value("R2")}});
+  Raise(e, {{Sym("role"), Name("R1")}, {Sym("user"), Name("bob")}});
+  Raise(e, {{Sym("role"), Name("R2")}});
   Raise(e, {});  // Missing key.
   ASSERT_EQ(log_.size(), 1u);
-  EXPECT_EQ(log_[0].params.GetString(detector_.symbols(), "user"), "bob");
+  EXPECT_EQ(log_[0].params.Get(Sym("user")), Name("bob"));
 }
 
 TEST_F(EventDetectorTest, FilterChainsCompose) {
   const EventId e = Prim("e");
-  const EventId f1 = *detector_.DefineFilter("f1", e, {{"a", Value(1)}});
-  const EventId f2 = *detector_.DefineFilter("f2", f1, {{"b", Value(2)}});
+  const EventId f1 = *detector_.DefineFilter("f1", e, {{Sym("a"), Value(1)}});
+  const EventId f2 = *detector_.DefineFilter("f2", f1, {{Sym("b"), Value(2)}});
   Watch(f2);
-  Raise(e, {{"a", Value(1)}, {"b", Value(2)}});
-  Raise(e, {{"a", Value(1)}, {"b", Value(3)}});
+  Raise(e, {{Sym("a"), Value(1)}, {Sym("b"), Value(2)}});
+  Raise(e, {{Sym("a"), Value(1)}, {Sym("b"), Value(3)}});
   EXPECT_EQ(log_.size(), 1u);
 }
 
@@ -120,12 +123,12 @@ TEST_F(EventDetectorTest, AndRecentPairsWithMostRecent) {
   const EventId and_ev =
       *detector_.DefineAnd("and", a, b, ConsumptionMode::kRecent);
   Watch(and_ev);
-  Raise(a, {{"x", Value(1)}});
-  Raise(a, {{"x", Value(2)}});
-  Raise(b, {{"y", Value(9)}});
+  Raise(a, {{Sym("x"), Value(1)}});
+  Raise(a, {{Sym("x"), Value(2)}});
+  Raise(b, {{Sym("y"), Value(9)}});
   ASSERT_EQ(log_.size(), 1u);
-  EXPECT_EQ(log_[0].params.Get(detector_.symbols(), "x"), Value(2));  // Most recent a.
-  EXPECT_EQ(log_[0].params.Get(detector_.symbols(), "y"), Value(9));
+  EXPECT_EQ(log_[0].params.Get(Sym("x")), Value(2));  // Most recent a.
+  EXPECT_EQ(log_[0].params.Get(Sym("y")), Value(9));
   // Recent keeps the initiator: another b pairs again.
   Raise(b);
   EXPECT_EQ(log_.size(), 2u);
@@ -137,14 +140,14 @@ TEST_F(EventDetectorTest, AndChroniclePairsFifoAndConsumes) {
   const EventId and_ev =
       *detector_.DefineAnd("and", a, b, ConsumptionMode::kChronicle);
   Watch(and_ev);
-  Raise(a, {{"x", Value(1)}});
-  Raise(a, {{"x", Value(2)}});
+  Raise(a, {{Sym("x"), Value(1)}});
+  Raise(a, {{Sym("x"), Value(2)}});
   Raise(b);
   ASSERT_EQ(log_.size(), 1u);
-  EXPECT_EQ(log_[0].params.Get(detector_.symbols(), "x"), Value(1));  // Oldest a.
+  EXPECT_EQ(log_[0].params.Get(Sym("x")), Value(1));  // Oldest a.
   Raise(b);
   ASSERT_EQ(log_.size(), 2u);
-  EXPECT_EQ(log_[1].params.Get(detector_.symbols(), "x"), Value(2));
+  EXPECT_EQ(log_[1].params.Get(Sym("x")), Value(2));
   Raise(b);  // No a left: b queues on its own side.
   EXPECT_EQ(log_.size(), 2u);
 }
@@ -155,8 +158,8 @@ TEST_F(EventDetectorTest, AndContinuousPairsWithAllAndConsumes) {
   const EventId and_ev =
       *detector_.DefineAnd("and", a, b, ConsumptionMode::kContinuous);
   Watch(and_ev);
-  Raise(a, {{"x", Value(1)}});
-  Raise(a, {{"x", Value(2)}});
+  Raise(a, {{Sym("x"), Value(1)}});
+  Raise(a, {{Sym("x"), Value(2)}});
   Raise(b);
   EXPECT_EQ(log_.size(), 2u);
   Raise(b);  // All consumed.
@@ -169,13 +172,13 @@ TEST_F(EventDetectorTest, AndCumulativeMergesAll) {
   const EventId and_ev =
       *detector_.DefineAnd("and", a, b, ConsumptionMode::kCumulative);
   Watch(and_ev);
-  Raise(a, {{"x", Value(1)}});
-  Raise(a, {{"y", Value(2)}});
-  Raise(b, {{"z", Value(3)}});
+  Raise(a, {{Sym("x"), Value(1)}});
+  Raise(a, {{Sym("y"), Value(2)}});
+  Raise(b, {{Sym("z"), Value(3)}});
   ASSERT_EQ(log_.size(), 1u);
-  EXPECT_EQ(log_[0].params.Get(detector_.symbols(), "x"), Value(1));
-  EXPECT_EQ(log_[0].params.Get(detector_.symbols(), "y"), Value(2));
-  EXPECT_EQ(log_[0].params.Get(detector_.symbols(), "z"), Value(3));
+  EXPECT_EQ(log_[0].params.Get(Sym("x")), Value(1));
+  EXPECT_EQ(log_[0].params.Get(Sym("y")), Value(2));
+  EXPECT_EQ(log_[0].params.Get(Sym("z")), Value(3));
 }
 
 TEST_F(EventDetectorTest, AndEitherOrderDetects) {
@@ -221,15 +224,15 @@ TEST_F(EventDetectorTest, SeqChronicleConsumesOldestEligible) {
   const EventId seq =
       *detector_.DefineSeq("seq", a, b, ConsumptionMode::kChronicle);
   Watch(seq);
-  Raise(a, {{"x", Value(1)}});
+  Raise(a, {{Sym("x"), Value(1)}});
   clock_.Advance(kSecond);
-  Raise(a, {{"x", Value(2)}});
+  Raise(a, {{Sym("x"), Value(2)}});
   clock_.Advance(kSecond);
   Raise(b);
   Raise(b);
   ASSERT_EQ(log_.size(), 2u);
-  EXPECT_EQ(log_[0].params.Get(detector_.symbols(), "x"), Value(1));
-  EXPECT_EQ(log_[1].params.Get(detector_.symbols(), "x"), Value(2));
+  EXPECT_EQ(log_[0].params.Get(Sym("x")), Value(1));
+  EXPECT_EQ(log_[1].params.Get(Sym("x")), Value(2));
 }
 
 TEST_F(EventDetectorTest, SeqContinuousDetectsPerInitiator) {
@@ -291,42 +294,42 @@ TEST_F(EventDetectorTest, PlusFiresAfterDelta) {
   const EventId a = Prim("a");
   const EventId plus = *detector_.DefinePlus("plus", a, 5 * kSecond);
   Watch(plus);
-  Raise(a, {{"user", Value("bob")}});
+  Raise(a, {{Sym("user"), Name("bob")}});
   detector_.AdvanceTo(testutil::Noon() + 4 * kSecond, &clock_);
   EXPECT_EQ(log_.size(), 0u);
   detector_.AdvanceTo(testutil::Noon() + 5 * kSecond, &clock_);
   ASSERT_EQ(log_.size(), 1u);
   EXPECT_EQ(log_[0].start, testutil::Noon());
   EXPECT_EQ(log_[0].end, testutil::Noon() + 5 * kSecond);
-  EXPECT_EQ(log_[0].params.GetString(detector_.symbols(), "user"), "bob");
+  EXPECT_EQ(log_[0].params.Get(Sym("user")), Name("bob"));
 }
 
 TEST_F(EventDetectorTest, PlusEachOccurrenceSchedulesItsOwnExpiry) {
   const EventId a = Prim("a");
   const EventId plus = *detector_.DefinePlus("plus", a, 10 * kSecond);
   Watch(plus);
-  Raise(a, {{"n", Value(1)}});
+  Raise(a, {{Sym("n"), Value(1)}});
   clock_.Advance(3 * kSecond);
-  Raise(a, {{"n", Value(2)}});
+  Raise(a, {{Sym("n"), Value(2)}});
   detector_.AdvanceTo(testutil::Noon() + kMinute, &clock_);
   ASSERT_EQ(log_.size(), 2u);
-  EXPECT_EQ(log_[0].params.Get(detector_.symbols(), "n"), Value(1));
-  EXPECT_EQ(log_[1].params.Get(detector_.symbols(), "n"), Value(2));
+  EXPECT_EQ(log_[0].params.Get(Sym("n")), Value(1));
+  EXPECT_EQ(log_[1].params.Get(Sym("n")), Value(2));
 }
 
 TEST_F(EventDetectorTest, PlusCancelByParamMatch) {
   const EventId a = Prim("a");
   const EventId plus = *detector_.DefinePlus("plus", a, 5 * kSecond);
   Watch(plus);
-  Raise(a, {{"session", Value("s1")}});
-  Raise(a, {{"session", Value("s2")}});
-  auto cancelled = detector_.CancelPendingPlusInterned(
-      plus, {{Sym("session"), Value(Sym("s1"))}});
+  Raise(a, {{Sym("session"), Name("s1")}});
+  Raise(a, {{Sym("session"), Name("s2")}});
+  auto cancelled = detector_.CancelPendingPlus(
+      plus, {{Sym("session"), Name("s1")}});
   ASSERT_TRUE(cancelled.ok());
   EXPECT_EQ(*cancelled, 1);
   detector_.AdvanceTo(testutil::Noon() + kMinute, &clock_);
   ASSERT_EQ(log_.size(), 1u);
-  EXPECT_EQ(log_[0].params.GetString(detector_.symbols(), "session"), "s2");
+  EXPECT_EQ(log_[0].params.Get(Sym("session")), Name("s2"));
 }
 
 TEST_F(EventDetectorTest, PlusCancelKeyCancelsOnlyMatchesInItsBucket) {
@@ -334,18 +337,17 @@ TEST_F(EventDetectorTest, PlusCancelKeyCancelsOnlyMatchesInItsBucket) {
   const EventId plus =
       *detector_.DefinePlus("plus", a, 5 * kSecond, Sym("session"));
   Watch(plus);
-  Raise(a, {{"session", Value("s1")}, {"role", Value("r1")}});
-  Raise(a, {{"session", Value("s1")}, {"role", Value("r2")}});
-  Raise(a, {{"session", Value("s2")}, {"role", Value("r1")}});
-  auto cancelled = detector_.CancelPendingPlusInterned(
-      plus, {{Sym("session"), Value(Sym("s1"))},
-             {Sym("role"), Value(Sym("r1"))}});
+  Raise(a, {{Sym("session"), Name("s1")}, {Sym("role"), Name("r1")}});
+  Raise(a, {{Sym("session"), Name("s1")}, {Sym("role"), Name("r2")}});
+  Raise(a, {{Sym("session"), Name("s2")}, {Sym("role"), Name("r1")}});
+  auto cancelled = detector_.CancelPendingPlus(
+      plus, {{Sym("session"), Name("s1")}, {Sym("role"), Name("r1")}});
   ASSERT_TRUE(cancelled.ok());
   EXPECT_EQ(*cancelled, 1);
   detector_.AdvanceTo(testutil::Noon() + kMinute, &clock_);
   ASSERT_EQ(log_.size(), 2u);
-  EXPECT_EQ(log_[0].params.GetString(detector_.symbols(), "role"), "r2");
-  EXPECT_EQ(log_[1].params.GetString(detector_.symbols(), "session"), "s2");
+  EXPECT_EQ(log_[0].params.Get(Sym("role")), Name("r2"));
+  EXPECT_EQ(log_[1].params.Get(Sym("session")), Name("s2"));
 }
 
 TEST_F(EventDetectorTest, PlusCancelWithoutTheKeyScansEveryBucket) {
@@ -353,17 +355,16 @@ TEST_F(EventDetectorTest, PlusCancelWithoutTheKeyScansEveryBucket) {
   const EventId plus =
       *detector_.DefinePlus("plus", a, 5 * kSecond, Sym("session"));
   Watch(plus);
-  Raise(a, {{"session", Value("s1")}, {"role", Value("r1")}});
-  Raise(a, {{"session", Value("s2")}, {"role", Value("r1")}});
-  Raise(a, {{"session", Value("s2")}, {"role", Value("r2")}});
-  Raise(a, {{"role", Value("r1")}});  // Binds no key: in no bucket.
-  auto cancelled = detector_.CancelPendingPlusInterned(
-      plus, {{Sym("role"), Value(Sym("r1"))}});
+  Raise(a, {{Sym("session"), Name("s1")}, {Sym("role"), Name("r1")}});
+  Raise(a, {{Sym("session"), Name("s2")}, {Sym("role"), Name("r1")}});
+  Raise(a, {{Sym("session"), Name("s2")}, {Sym("role"), Name("r2")}});
+  Raise(a, {{Sym("role"), Name("r1")}});  // Binds no key: in no bucket.
+  auto cancelled = detector_.CancelPendingPlus(
+      plus, {{Sym("role"), Name("r1")}});
   ASSERT_TRUE(cancelled.ok());
   EXPECT_EQ(*cancelled, 3);
   // The scan kept the buckets in step: s2's bucket still cancels its rest.
-  cancelled = detector_.CancelPendingPlusInterned(
-      plus, {{Sym("session"), Value(Sym("s2"))}});
+  cancelled = detector_.CancelPendingPlus(plus, {{Sym("session"), Name("s2")}});
   ASSERT_TRUE(cancelled.ok());
   EXPECT_EQ(*cancelled, 1);
   detector_.AdvanceTo(testutil::Noon() + kMinute, &clock_);
@@ -375,17 +376,16 @@ TEST_F(EventDetectorTest, FiredPlusLeavesItsBucket) {
   const EventId plus =
       *detector_.DefinePlus("plus", a, 5 * kSecond, Sym("session"));
   Watch(plus);
-  Raise(a, {{"session", Value("s1")}});
+  Raise(a, {{Sym("session"), Name("s1")}});
   detector_.AdvanceTo(testutil::Noon() + kMinute, &clock_);
   ASSERT_EQ(log_.size(), 1u);
-  auto cancelled = detector_.CancelPendingPlusInterned(
-      plus, {{Sym("session"), Value(Sym("s1"))}});
+  auto cancelled = detector_.CancelPendingPlus(
+      plus, {{Sym("session"), Name("s1")}});
   ASSERT_TRUE(cancelled.ok());
   EXPECT_EQ(*cancelled, 0);
   // A later expiry for the same session files and cancels afresh.
-  Raise(a, {{"session", Value("s1")}});
-  cancelled = detector_.CancelPendingPlusInterned(
-      plus, {{Sym("session"), Value(Sym("s1"))}});
+  Raise(a, {{Sym("session"), Name("s1")}});
+  cancelled = detector_.CancelPendingPlus(plus, {{Sym("session"), Name("s1")}});
   ASSERT_TRUE(cancelled.ok());
   EXPECT_EQ(*cancelled, 1);
   EXPECT_EQ(detector_.pending_timer_count(), 0u);
@@ -396,9 +396,9 @@ TEST_F(EventDetectorTest, DeactivatedKeyedPlusCancelsEveryPendingExpiry) {
   const EventId plus =
       *detector_.DefinePlus("plus", a, 5 * kSecond, Sym("session"));
   Watch(plus);
-  Raise(a, {{"session", Value("s1")}});
-  Raise(a, {{"session", Value("s2")}});
-  Raise(a, {{"n", Value(1)}});
+  Raise(a, {{Sym("session"), Name("s1")}});
+  Raise(a, {{Sym("session"), Name("s2")}});
+  Raise(a, {{Sym("n"), Value(1)}});
   EXPECT_EQ(detector_.pending_timer_count(), 3u);
   ASSERT_TRUE(detector_.DeactivateEvent(plus).ok());
   EXPECT_EQ(detector_.pending_timer_count(), 0u);
@@ -408,7 +408,7 @@ TEST_F(EventDetectorTest, DeactivatedKeyedPlusCancelsEveryPendingExpiry) {
 
 TEST_F(EventDetectorTest, CancelPendingPlusRejectsNonPlus) {
   const EventId a = Prim("a");
-  EXPECT_FALSE(detector_.CancelPendingPlusInterned(a, {}).ok());
+  EXPECT_FALSE(detector_.CancelPendingPlus(a, {}).ok());
 }
 
 TEST_F(EventDetectorTest, PlusRejectsNonPositiveDelta) {
@@ -439,11 +439,11 @@ TEST_F(EventDetectorTest, AperiodicMergesInitiatorAndMiddleParams) {
   const EventId c = Prim("c");
   const EventId ap = *detector_.DefineAperiodic("ap", a, b, c);
   Watch(ap);
-  Raise(a, {{"w", Value("win")}});
-  Raise(b, {{"m", Value("mid")}});
+  Raise(a, {{Sym("w"), Name("win")}});
+  Raise(b, {{Sym("m"), Name("mid")}});
   ASSERT_EQ(log_.size(), 1u);
-  EXPECT_EQ(log_[0].params.GetString(detector_.symbols(), "w"), "win");
-  EXPECT_EQ(log_[0].params.GetString(detector_.symbols(), "m"), "mid");
+  EXPECT_EQ(log_[0].params.Get(Sym("w")), Name("win"));
+  EXPECT_EQ(log_[0].params.Get(Sym("m")), Name("mid"));
 }
 
 TEST_F(EventDetectorTest, AperiodicRecentNewInitiatorReplacesWindow) {
@@ -453,11 +453,11 @@ TEST_F(EventDetectorTest, AperiodicRecentNewInitiatorReplacesWindow) {
   const EventId ap =
       *detector_.DefineAperiodic("ap", a, b, c, ConsumptionMode::kRecent);
   Watch(ap);
-  Raise(a, {{"w", Value(1)}});
-  Raise(a, {{"w", Value(2)}});
+  Raise(a, {{Sym("w"), Value(1)}});
+  Raise(a, {{Sym("w"), Value(2)}});
   Raise(b);
   ASSERT_EQ(log_.size(), 1u);
-  EXPECT_EQ(log_[0].params.Get(detector_.symbols(), "w"), Value(2));
+  EXPECT_EQ(log_[0].params.Get(Sym("w")), Value(2));
 }
 
 TEST_F(EventDetectorTest, AperiodicStarAccumulatesAndEmitsAtTerminator) {
@@ -473,7 +473,7 @@ TEST_F(EventDetectorTest, AperiodicStarAccumulatesAndEmitsAtTerminator) {
   EXPECT_EQ(log_.size(), 0u);  // Nothing until the terminator.
   Raise(c);
   ASSERT_EQ(log_.size(), 1u);
-  EXPECT_EQ(log_[0].params.Get(detector_.symbols(), "_count"), Value(int64_t{3}));
+  EXPECT_EQ(log_[0].params.Get(Sym("_count")), Value(int64_t{3}));
 }
 
 TEST_F(EventDetectorTest, AperiodicStarEmitsZeroCountWindow) {
@@ -485,7 +485,7 @@ TEST_F(EventDetectorTest, AperiodicStarEmitsZeroCountWindow) {
   Raise(a);
   Raise(c);
   ASSERT_EQ(log_.size(), 1u);
-  EXPECT_EQ(log_[0].params.Get(detector_.symbols(), "_count"), Value(int64_t{0}));
+  EXPECT_EQ(log_[0].params.Get(Sym("_count")), Value(int64_t{0}));
 }
 
 // ------------------------------------------------------------ PERIODIC
@@ -515,7 +515,7 @@ TEST_F(EventDetectorTest, PeriodicStarCountsTicks) {
   EXPECT_EQ(log_.size(), 0u);
   Raise(c);
   ASSERT_EQ(log_.size(), 1u);
-  EXPECT_EQ(log_[0].params.Get(detector_.symbols(), "_ticks"), Value(int64_t{2}));
+  EXPECT_EQ(log_[0].params.Get(Sym("_ticks")), Value(int64_t{2}));
 }
 
 TEST_F(EventDetectorTest, PeriodicRejectsNonPositiveTau) {

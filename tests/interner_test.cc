@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/value.h"
@@ -143,10 +145,10 @@ TEST(FlatParamMapTest, SetKeepsEntriesSortedRegardlessOfInsertOrder) {
 
 TEST(FlatParamMapTest, LatestWriteWins) {
   FlatParamMap m;
-  m.Set(Sym(2), Value("old"));
-  m.Set(Sym(2), Value("new"));
+  m.Set(Sym(2), Value(Sym(10)));
+  m.Set(Sym(2), Value(Sym(11)));
   EXPECT_EQ(m.size(), 1u);
-  EXPECT_EQ(m.Get(Sym(2)), Value("new"));
+  EXPECT_EQ(m.Get(Sym(2)), Value(Sym(11)));
 }
 
 TEST(FlatParamMapTest, FindAndGetMissingKey) {
@@ -207,40 +209,127 @@ TEST(FlatParamMapTest, MergeFromOverlayWins) {
   EXPECT_EQ(base.Get(Sym(3)), Value(3));
 }
 
-TEST(FlatParamMapTest, InternStringValuesCanonicalizesOnlyStrings) {
+TEST(FlatParamMapTest, ToStringSortsByKeyNameAndQuotesSymbols) {
   SymbolTable t;
-  const Symbol k1 = t.Intern("user");
-  const Symbol k2 = t.Intern("count");
-  FlatParamMap m{{k1, Value("bob")}, {k2, Value(7)}};
-  m.InternStringValues(t);
-  ASSERT_TRUE(m.Get(k1).is_symbol());
-  EXPECT_EQ(t.NameOf(m.Get(k1).AsSymbol()), "bob");
-  EXPECT_EQ(m.Get(k2), Value(7));  // Non-strings untouched.
+  // Interned out of name order: rendering sorts by name, not by id.
+  const Symbol b = t.Intern("b");
+  const Symbol a = t.Intern("a");
+  const Symbol c = t.Intern("c");
+  const FlatParamMap m{
+      {b, Value(t.Intern("beta"))}, {a, Value(1)}, {c, Value(true)}};
+  EXPECT_EQ(m.ToString(t), "{a=1, b=\"beta\", c=true}");
+  EXPECT_EQ(FlatParamMap().ToString(t), "{}");
 }
 
-TEST(FlatParamMapTest, StringKeyedAccessorsResolveThroughTable) {
-  SymbolTable t;
-  FlatParamMap m = InternParams(t, {{"user", Value("bob")}, {"n", Value(3)}});
-  EXPECT_EQ(m.GetString(t, "user"), "bob");
-  EXPECT_EQ(m.Get(t, "n"), Value(3));
-  EXPECT_TRUE(m.Get(t, "missing").is_null());
-  EXPECT_EQ(m.GetString(t, "never-interned-key"), "");
+// Copies and moves across the spill boundary. Inline maps hold at most
+// kInlineCapacity entries; larger ones live on the heap.
+constexpr uint32_t kInline = FlatParamMap::kInlineCapacity;
+const uint32_t kSizes[] = {2, kInline, kInline + 1, 20};
+
+/// Keys first..first+n-1, each valued ten times its id, set in descending
+/// order so every insert lands in front of the existing entries.
+FlatParamMap Filled(uint32_t first, uint32_t n) {
+  FlatParamMap m;
+  for (uint32_t id = first + n; id-- > first;) {
+    m.Set(Sym(id), Value(int64_t{id} * 10));
+  }
+  return m;
 }
 
-TEST(FlatParamMapTest, ToStringMatchesParamMapToStringRendering) {
-  SymbolTable t;
-  const ParamMap source = {
-      {"b", Value("beta")}, {"a", Value(1)}, {"c", Value(true)}};
-  FlatParamMap m = InternParams(t, source);
-  EXPECT_EQ(m.ToString(t), ParamMapToString(source));
+std::vector<uint32_t> Ids(uint32_t first, uint32_t n) {
+  std::vector<uint32_t> ids(n);
+  std::iota(ids.begin(), ids.end(), first);
+  return ids;
 }
 
-TEST(FlatParamMapTest, InternExternRoundTrip) {
-  SymbolTable t;
-  const ParamMap source = {
-      {"user", Value("bob")}, {"x", Value(2)}, {"ok", Value(false)}};
-  const FlatParamMap m = InternParams(t, source);
-  EXPECT_EQ(ExternParams(t, m), source);
+/// The keys in iteration order, after checking each entry's value.
+std::vector<uint32_t> KeysOf(const FlatParamMap& m) {
+  std::vector<uint32_t> keys;
+  for (const FlatParamMap::Entry& e : m) {
+    EXPECT_EQ(e.value, Value(int64_t{e.key.id()} * 10));
+    keys.push_back(e.key.id());
+  }
+  EXPECT_EQ(keys.size(), m.size());
+  return keys;
+}
+
+/// Sets one key in front of `keys` and enough after them to spill, then
+/// checks the order: a map that was copied, moved or assigned stays usable.
+void ExpectAcceptsSets(FlatParamMap& m, std::vector<uint32_t> keys) {
+  m.Set(Sym(0), Value(int64_t{0}));
+  keys.insert(keys.begin(), 0);
+  for (uint32_t id = 500; id <= 500 + kInline; ++id) {
+    m.Set(Sym(id), Value(int64_t{id} * 10));
+    keys.push_back(id);
+  }
+  EXPECT_EQ(KeysOf(m), keys);
+}
+
+TEST(FlatParamMapTest, CopyConstructKeepsBothMapsIndependent) {
+  for (const uint32_t n : kSizes) {
+    SCOPED_TRACE(n);
+    const FlatParamMap source = Filled(1, n);
+    FlatParamMap copy(source);
+    EXPECT_EQ(KeysOf(copy), Ids(1, n));
+    EXPECT_EQ(copy, source);
+    ExpectAcceptsSets(copy, Ids(1, n));
+    EXPECT_EQ(KeysOf(source), Ids(1, n));
+  }
+}
+
+TEST(FlatParamMapTest, MoveConstructLeavesSourceEmptyAndReusable) {
+  for (const uint32_t n : kSizes) {
+    SCOPED_TRACE(n);
+    FlatParamMap source = Filled(1, n);
+    FlatParamMap moved(std::move(source));
+    EXPECT_EQ(KeysOf(moved), Ids(1, n));
+    EXPECT_TRUE(source.empty());
+    EXPECT_EQ(source.begin(), source.end());
+    ExpectAcceptsSets(source, {});
+    ExpectAcceptsSets(moved, Ids(1, n));
+  }
+}
+
+TEST(FlatParamMapTest, CopyAssignBetweenInlineAndSpilledMaps) {
+  for (const uint32_t from : kSizes) {
+    for (const uint32_t to : kSizes) {
+      SCOPED_TRACE(::testing::Message() << from << " onto " << to);
+      const FlatParamMap source = Filled(1, from);
+      FlatParamMap target = Filled(100, to);
+      target = source;
+      EXPECT_EQ(KeysOf(target), Ids(1, from));
+      ExpectAcceptsSets(target, Ids(1, from));
+      EXPECT_EQ(KeysOf(source), Ids(1, from));
+    }
+  }
+}
+
+TEST(FlatParamMapTest, MoveAssignBetweenInlineAndSpilledMaps) {
+  for (const uint32_t from : kSizes) {
+    for (const uint32_t to : kSizes) {
+      SCOPED_TRACE(::testing::Message() << from << " onto " << to);
+      FlatParamMap source = Filled(1, from);
+      FlatParamMap target = Filled(100, to);
+      target = std::move(source);
+      EXPECT_EQ(KeysOf(target), Ids(1, from));
+      EXPECT_TRUE(source.empty());
+      ExpectAcceptsSets(source, {});
+      ExpectAcceptsSets(target, Ids(1, from));
+    }
+  }
+}
+
+TEST(FlatParamMapTest, SelfAssignmentKeepsContents) {
+  for (const uint32_t n : kSizes) {
+    SCOPED_TRACE(n);
+    FlatParamMap m = Filled(1, n);
+    FlatParamMap& alias = m;  // Assign through an alias, as generic code may.
+    m = alias;
+    EXPECT_EQ(KeysOf(m), Ids(1, n));
+    m = std::move(alias);
+    EXPECT_EQ(KeysOf(m), Ids(1, n));
+    ExpectAcceptsSets(m, Ids(1, n));
+  }
 }
 
 }  // namespace

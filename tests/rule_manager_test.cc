@@ -17,6 +17,10 @@ class RuleManagerTest : public ::testing::Test {
     event_ = *detector_.DefinePrimitive("e");
   }
 
+  Symbol Sym(const std::string& name) {
+    return detector_.symbols().Intern(name);
+  }
+
   SimulatedClock clock_;
   EventDetector detector_;
   RuleManager manager_;
@@ -216,10 +220,11 @@ TEST_F(RuleManagerTest, CascadeBudgetStopsRunawayLoops) {
 
 TEST_F(RuleManagerTest, StatsCountFirings) {
   Rule rule("r1", event_);
-  rule.When("coin", [](RuleContext& c) { return c.ParamBool("heads"); });
+  const Symbol heads = Sym("heads");
+  rule.When("coin", [heads](RuleContext& c) { return c.ParamBool(heads); });
   ASSERT_TRUE(manager_.AddRule(std::move(rule)).ok());
-  ASSERT_TRUE(detector_.Raise(event_, {{"heads", Value(true)}}).ok());
-  ASSERT_TRUE(detector_.Raise(event_, {{"heads", Value(false)}}).ok());
+  ASSERT_TRUE(detector_.Raise(event_, {{heads, Value(true)}}).ok());
+  ASSERT_TRUE(detector_.Raise(event_, {{heads, Value(false)}}).ok());
   const Rule* rule_ptr = *manager_.Find("r1");
   EXPECT_EQ(rule_ptr->fired_count(), 2u);
   EXPECT_EQ(rule_ptr->condition_true_count(), 1u);
@@ -263,16 +268,16 @@ TEST_F(RuleManagerTest, RuleParamAccessors) {
   bool flag = false, has = false;
   Rule rule("r1", event_);
   rule.Then("read", [&](RuleContext& c) {
-    user = c.ParamString("user");
-    count = c.ParamInt("count");
-    flag = c.ParamBool("flag");
-    has = c.HasParam("user") && !c.HasParam("absent");
+    user = c.ParamString(Sym("user"));
+    count = c.ParamInt(Sym("count"));
+    flag = c.ParamBool(Sym("flag"));
+    has = c.HasParam(Sym("user")) && !c.HasParam(Sym("absent"));
   });
   ASSERT_TRUE(manager_.AddRule(std::move(rule)).ok());
   ASSERT_TRUE(detector_
-                  .Raise(event_, {{"user", Value("bob")},
-                                  {"count", Value(int64_t{5})},
-                                  {"flag", Value(true)}})
+                  .Raise(event_, {{Sym("user"), Value(Sym("bob"))},
+                                  {Sym("count"), Value(int64_t{5})},
+                                  {Sym("flag"), Value(true)}})
                   .ok());
   EXPECT_EQ(user, "bob");
   EXPECT_EQ(count, 5);

@@ -942,28 +942,27 @@ std::vector<TraceStep> BuildTrace(const Policy& policy,
 
 RecordedDecision ApplyStep(AuthorizationService& service,
                            const UserName& user, const TraceStep& step) {
-  AccessDecision decision;
+  // Session ops report a status and no deciding rule.
+  const auto session_op = [](const AdminResult& result) {
+    return RecordedDecision{result.ok(), "", result.status.message()};
+  };
   switch (step.kind) {
     case TraceStep::kCreate:
-      decision = service.CreateSession(user, step.session).ToDecision();
-      break;
+      return session_op(service.CreateSession(user, step.session));
     case TraceStep::kActivate:
-      decision =
-          service.AddActiveRole(user, step.session, step.role).ToDecision();
-      break;
-    case TraceStep::kCheck:
-      decision = service.CheckAccess(
+      return session_op(service.AddActiveRole(user, step.session, step.role));
+    case TraceStep::kCheck: {
+      const AccessDecision decision = service.CheckAccess(
           {user, step.session, step.operation, step.object, ""});
-      break;
+      return RecordedDecision{decision.allowed, decision.rule,
+                              decision.reason};
+    }
     case TraceStep::kDrop:
-      decision =
-          service.DropActiveRole(user, step.session, step.role).ToDecision();
-      break;
+      return session_op(service.DropActiveRole(user, step.session, step.role));
     case TraceStep::kDelete:
-      decision = service.DeleteSession(step.session).ToDecision();
-      break;
+      return session_op(service.DeleteSession(step.session));
   }
-  return RecordedDecision{decision.allowed, decision.rule, decision.reason};
+  return {};
 }
 
 /// Body of the per-user lockstep stress run, shared by the uncached and

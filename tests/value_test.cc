@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+
 namespace sentinel {
 namespace {
+
+// Names are symbols: a string does not make a Value. Without the deleted
+// overloads, Value("R1") would silently become Value(true).
+static_assert(!std::is_constructible_v<Value, const char*>);
+static_assert(!std::is_constructible_v<Value, std::string>);
+static_assert(std::is_constructible_v<Value, Symbol>);
 
 TEST(ValueTest, DefaultIsNull) {
   Value v;
@@ -15,7 +24,7 @@ TEST(ValueTest, TypedAccessors) {
   EXPECT_EQ(Value(true).AsBool(), true);
   EXPECT_EQ(Value(int64_t{7}).AsInt(), 7);
   EXPECT_DOUBLE_EQ(Value(2.5).AsDouble(), 2.5);
-  EXPECT_EQ(Value("hi").AsString(), "hi");
+  EXPECT_EQ(Value(Symbol(4)).AsSymbol(), Symbol(4));
 }
 
 TEST(ValueTest, CrossTypeCoercions) {
@@ -27,14 +36,14 @@ TEST(ValueTest, CrossTypeCoercions) {
 }
 
 TEST(ValueTest, FallbacksOnMismatch) {
-  EXPECT_EQ(Value("text").AsInt(5), 5);
-  EXPECT_EQ(Value(int64_t{1}).AsString(), "");
+  EXPECT_EQ(Value(Symbol(4)).AsInt(5), 5);
+  EXPECT_FALSE(Value(int64_t{1}).AsSymbol().valid());
   EXPECT_EQ(Value().AsBool(true), true);
 }
 
 TEST(ValueTest, Equality) {
-  EXPECT_EQ(Value("a"), Value("a"));
-  EXPECT_FALSE(Value("a") == Value("b"));
+  EXPECT_EQ(Value(Symbol(1)), Value(Symbol(1)));
+  EXPECT_FALSE(Value(Symbol(1)) == Value(Symbol(2)));
   EXPECT_FALSE(Value(int64_t{1}) == Value(true));  // Distinct alternatives.
   EXPECT_EQ(Value(), Value());
 }
@@ -42,15 +51,7 @@ TEST(ValueTest, Equality) {
 TEST(ValueTest, ToStringForms) {
   EXPECT_EQ(Value(true).ToString(), "true");
   EXPECT_EQ(Value(int64_t{42}).ToString(), "42");
-  EXPECT_EQ(Value("x").ToString(), "\"x\"");
-}
-
-TEST(ParamMapTest, ToStringIsSortedAndReadable) {
-  ParamMap params;
-  params["user"] = Value("bob");
-  params["count"] = Value(int64_t{3});
-  EXPECT_EQ(ParamMapToString(params), "{count=3, user=\"bob\"}");
-  EXPECT_EQ(ParamMapToString({}), "{}");
+  EXPECT_EQ(Value(Symbol(7)).ToString(), "@7");
 }
 
 TEST(DurationConstantsTest, Arithmetic) {
