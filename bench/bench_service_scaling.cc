@@ -1,10 +1,12 @@
 // Service scaling — aggregate CheckAccess throughput of the sharded
 // AuthorizationService at 1/2/4/8 shard threads, driven through the
-// batch API (one mailbox hop per involved shard per batch). The per-shard
-// engines never share request-path state, so on a machine with enough
-// cores throughput scales with the shard count; the `shards` counter and
-// items_per_second make the scaling curve directly readable. A synchronous
-// single-shard run is included as the no-thread reference.
+// batch API (one envelope per involved shard per batch: all but the last
+// cross a mailbox, and the caller runs the last itself while the other
+// shards work). The per-shard engines never share request-path state, so
+// on a machine with enough cores throughput scales with the shard count;
+// the `shards` counter and items_per_second make the scaling curve
+// directly readable. A synchronous single-shard run is included as the
+// no-thread reference.
 
 #include <benchmark/benchmark.h>
 

@@ -23,7 +23,9 @@ namespace sentinel {
 /// is an integer everywhere on the request path. Interned strings are never
 /// released; NameOf references stay valid for the table's lifetime.
 ///
-/// Concurrency: Intern is single-writer (the owning shard thread). Find,
+/// Concurrency: Intern has one writer at a time — the engine, on whichever
+/// thread holds its shard's owner lock (the shard thread or a caller running
+/// an envelope inline); the lock orders each writer after the last. Find,
 /// NameOf and size are lock-free and may run on any thread concurrently with
 /// Intern — the service's zero-hop read path resolves request names on
 /// caller threads while the shard keeps interning. A concurrent reader may
@@ -39,7 +41,7 @@ class SymbolTable {
   SymbolTable& operator=(const SymbolTable&) = delete;
 
   /// Returns the symbol for `name`, interning it if new. O(1) amortized.
-  /// Single-writer: only the thread that owns the table may call this.
+  /// One writer at a time: callers serialize (the service's owner lock).
   Symbol Intern(std::string_view name);
 
   /// Returns the symbol for `name`, or an invalid symbol if never interned.

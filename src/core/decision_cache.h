@@ -29,21 +29,25 @@ namespace sentinel {
 /// reclaimed by overwrite or Clear() — the table tolerates dead weight by
 /// design. One slot array, one stamp per entry, two readers:
 ///
-///  * the owning shard thread (Lookup) compares an entry's stamp with the
-///    live values it recomputes;
+///  * the engine (Lookup), on whichever thread holds its shard's owner
+///    lock, compares an entry's stamp with the live values it recomputes;
 ///  * any caller thread (SharedLookup, the zero-hop read path) compares the
 ///    same stamp with the epoch, pool and role words the engine publishes
 ///    at the tail of every mutating call (PublishCurrentStamp) plus the
 ///    session's live generation, which RbacDatabase keeps readable from any
 ///    thread.
 ///
-/// Only the shard thread writes (Fill, Clear), so it reads its own slots
-/// without the seqlock. Memory ordering contract:
+/// Only the engine writes (Fill, Clear), one thread at a time: the shard's
+/// owner lock, which the service holds around every engine call on the
+/// shard thread or an inline caller, orders each writer after the last. So
+/// the engine reads its own slots without the seqlock. Memory ordering
+/// contract (no fences, which ThreadSanitizer does not model):
 ///
-///  * Writer (shard thread) per slot: seq -> odd (relaxed), release fence,
-///    data stores (relaxed), seq -> even (release).
-///  * Reader: seq load (acquire; odd => fall back), data loads (relaxed),
-///    acquire fence, seq re-load (changed => torn, fall back).
+///  * Writer per slot: seq -> odd (relaxed), data stores (release, so none
+///    is visible before the odd sequence), seq -> even (release).
+///  * Reader: seq load (acquire; odd => fall back), data loads (acquire, so
+///    the re-load cannot move above them), seq re-load (changed => torn,
+///    fall back).
 ///  * Published words: release-stored after every mutating engine call
 ///    returns (AuthorizationEngine::PublishFastPathState). Every stamp word
 ///    only grows, so a word equal to an entry's proves that component has
@@ -110,7 +114,7 @@ class DecisionCache {
   /// per key, at lookup time).
   size_t size() const { return live_; }
 
-  /// Shard-thread probe against the live `stamp`.
+  /// The engine's probe against the live `stamp` (under the owner lock).
   Outcome Lookup(uint64_t key, const Stamp& stamp, Verdict* out) const {
     const uint64_t stored = key + 1;
     const size_t mask = slots_.size() - 1;
@@ -132,7 +136,7 @@ class DecisionCache {
     return Outcome::kMiss;
   }
 
-  /// Writes a verdict under its stamp (shard thread only).
+  /// Writes a verdict under its stamp (engine only, under the owner lock).
   void Fill(uint64_t key, const Stamp& stamp, Verdict verdict) {
     const uint64_t stored = key + 1;
     const size_t mask = slots_.size() - 1;
@@ -168,7 +172,8 @@ class DecisionCache {
 
   // ------------------------------------------------------ Zero-hop reads
 
-  /// Publishes `current`'s epoch, pool and roles words (shard thread only).
+  /// Publishes `current`'s epoch, pool and roles words (engine only, under
+  /// the owner lock).
   /// The engine calls it at the tail of every mutating public call; the
   /// session word is not published — SharedLookup's caller reads it live.
   void PublishCurrentStamp(const Stamp& current) {
@@ -196,11 +201,11 @@ class DecisionCache {
       const Slot& slot = slots_[index];
       const uint32_t seq = slot.seq.load(std::memory_order_acquire);
       if ((seq & 1u) != 0) return Outcome::kTorn;  // Write in flight.
-      const uint64_t k = slot.key_plus_1.load(std::memory_order_relaxed);
-      const uint64_t lo = slot.stamp_lo.load(std::memory_order_relaxed);
-      const uint64_t hi = slot.stamp_hi.load(std::memory_order_relaxed);
-      const uint32_t v = slot.verdict.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
+      // Acquire data loads keep the re-check below after all four.
+      const uint64_t k = slot.key_plus_1.load(std::memory_order_acquire);
+      const uint64_t lo = slot.stamp_lo.load(std::memory_order_acquire);
+      const uint64_t hi = slot.stamp_hi.load(std::memory_order_acquire);
+      const uint32_t v = slot.verdict.load(std::memory_order_acquire);
       if (slot.seq.load(std::memory_order_relaxed) != seq) {
         return Outcome::kTorn;
       }
@@ -213,7 +218,7 @@ class DecisionCache {
     return Outcome::kMiss;
   }
 
-  /// Test-only fault injection (shard thread, via InjectShardFault):
+  /// Test-only fault injection (under the owner lock, via InjectShardFault):
   /// freezes `key`'s slot mid-write — sequence left odd — until
   /// EndTornPublishForTest. Callers must treat the slot as unreadable and
   /// fall back to the mailbox; the shard's own Lookup still reads it.
@@ -256,19 +261,20 @@ class DecisionCache {
     return Verdict{(v & 1u) != 0, (v & 2u) != 0};
   }
 
-  /// Seqlock write of one slot (shard thread only).
+  /// Seqlock write of one slot (engine only, under the owner lock).
   void Write(size_t index, uint64_t stored, const Stamp& stamp,
              Verdict verdict) {
     Slot& slot = slots_[index];
     const uint32_t seq = slot.seq.load(std::memory_order_relaxed);
     slot.seq.store(seq + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    slot.key_plus_1.store(stored, std::memory_order_relaxed);
-    slot.stamp_lo.store(PackLo(stamp), std::memory_order_relaxed);
-    slot.stamp_hi.store(PackHi(stamp), std::memory_order_relaxed);
+    // Release data stores keep the odd sequence above before each of them:
+    // a reader that loads any new word also sees the write in flight.
+    slot.key_plus_1.store(stored, std::memory_order_release);
+    slot.stamp_lo.store(PackLo(stamp), std::memory_order_release);
+    slot.stamp_hi.store(PackHi(stamp), std::memory_order_release);
     slot.verdict.store((verdict.allowed ? 1u : 0u) |
                            (verdict.by_rule ? 2u : 0u),
-                       std::memory_order_relaxed);
+                       std::memory_order_release);
     slot.seq.store(seq + 2, std::memory_order_release);
   }
 

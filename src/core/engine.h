@@ -323,7 +323,8 @@ class AuthorizationEngine {
   void ConfigureDecisionCache(size_t capacity);
   const DecisionCache& decision_cache() const { return decision_cache_; }
   /// Mutable cache access for tests (torn-publish fault injection) and
-  /// service wiring. Must only be used on the engine's owning thread.
+  /// service wiring. Must only be used by the engine's current owner (in
+  /// the service, the thread holding the shard's owner lock).
   DecisionCache& decision_cache_for_test() { return decision_cache_; }
 
   /// Advances the stamp epoch, atomically invalidating every cached

@@ -173,6 +173,13 @@ AuthorizationService::AuthorizationService(const ServiceConfig& config)
   policer_refused_counter_ = service_metrics_.AddCounter(
       "policer_refused_total",
       "requests refused kOverloaded for exceeding their principal's quota");
+  envelopes_inline_counter_ = service_metrics_.AddCounter(
+      "service_envelopes_inline_total",
+      "decision envelopes run on the caller's thread (idle shard, or "
+      "synchronous mode)");
+  envelopes_queued_counter_ = service_metrics_.AddCounter(
+      "service_envelopes_queued_total",
+      "decision envelopes handed to a shard thread through its mailbox");
   // Always constructed: threshold rules can throttle a principal at runtime
   // even when no static quota was configured. Inactive, it costs one
   // relaxed load per request.
@@ -230,8 +237,8 @@ AuthorizationService::AuthorizationService(const ServiceConfig& config)
                                           config.trace_sample_every);
     // Close the paper's reaction loop: a threshold rule that decides to
     // throttle a principal (ThresholdDirective::throttle_rate_per_s) lands
-    // here, on the shard thread, and installs the penalty quota in the
-    // shared policer. SetQuota is lock-free and thread-safe.
+    // here, under the shard's owner lock, and installs the penalty quota in
+    // the shared policer. SetQuota is lock-free and thread-safe.
     shard->engine->set_throttle_sink(
         [this](const std::string& user, double rate_per_s, int64_t burst) {
           policer_->SetQuota(user, Policer::Quota{rate_per_s, burst});
@@ -275,7 +282,7 @@ AuthorizationService::AuthorizationService(const ServiceConfig& config)
         telemetry::Histogram::ExponentialBounds(1, 2.0, 12));
     shard->queue_wait_hist = registry.AddHistogram(
         "mailbox_queue_wait_us",
-        "submit-to-dequeue wait of decision envelopes (us)",
+        "submit-to-run wait of decision envelopes (us); ~0 when run inline",
         telemetry::Histogram::ExponentialBounds(1, 2.0, 15));
     shard->swap_commit_hist = registry.AddHistogram(
         "policy_swap_commit_us",
@@ -313,41 +320,82 @@ AuthorizationService::~AuthorizationService() { Shutdown(); }
 
 void AuthorizationService::ShardLoop(Shard* shard) {
   std::deque<Task> batch;
-  while (shard->mailbox.PopAll(&batch)) {
-    for (Task& task : batch) RunTask(*shard, task);
+  while (shard->mailbox.Park()) {
+    Latch* last = nullptr;
+    {
+      // Pop and run under the owner lock, so an inline caller never
+      // overtakes an envelope this thread has taken out of the mailbox.
+      std::lock_guard<std::mutex> owner(shard->owner);
+      shard->mailbox.TryPopAll(&batch);
+      for (Task& task : batch) {
+        if (last != nullptr) last->Arrive();
+        last = RunTask(*shard, task);
+      }
+    }
+    // The batch's last waiter wakes to a free lock: its next call can run
+    // inline.
+    if (last != nullptr) last->Arrive();
   }
 }
 
-void AuthorizationService::RunTask(Shard& shard, Task& task) {
-  task(shard);
-  // Tap after every task, not every PopAll batch, which could outrun the
+AuthorizationService::Latch* AuthorizationService::RunTask(Shard& shard,
+                                                           Task& task) {
+  Latch* const done = task(shard);
+  // Tap after every task, not every mailbox batch, which could outrun the
   // whole ring. An envelope has already tapped after each of its engine
   // calls (RunEnvelope); this catches admin broadcasts and time advances.
   if (audit_ != nullptr) DrainShardAudit(shard);
+  return done;
+}
+
+AuthorizationService::InlineRun AuthorizationService::RunInline(Shard& shard,
+                                                                Task& task) {
+  Latch* done = nullptr;
+  {
+    std::unique_lock<std::mutex> owner(shard.owner, std::defer_lock);
+    if (synchronous_) {
+      owner.lock();
+    } else if (!owner.try_lock()) {
+      return InlineRun::kBusy;
+    }
+    if (shut_down_.load(std::memory_order_acquire)) return InlineRun::kClosed;
+    // Only after the lock: the shard thread pops under it and runs what it
+    // popped before letting go, so an empty mailbox here means nothing is
+    // queued or popped ahead of this task.
+    if (shard.mailbox.depth() != 0) return InlineRun::kBusy;
+    done = RunTask(shard, task);
+  }
+  if (done != nullptr) done->Arrive();
+  return InlineRun::kRan;
 }
 
 AuthorizationService::PushResult AuthorizationService::PushDecision(
     Shard& shard, Task task, bool block, int64_t deadline_ns,
-    size_t max_depth) {
-  if (synchronous_) {
-    return PushExempt(shard, std::move(task)) ? PushResult::kOk
-                                              : PushResult::kClosed;
+    size_t max_depth, bool run_inline) {
+  if (run_inline) {
+    switch (RunInline(shard, task)) {
+      case InlineRun::kRan:
+        envelopes_inline_counter_->Add();
+        return PushResult::kOk;
+      case InlineRun::kClosed:
+        return PushResult::kClosed;
+      case InlineRun::kBusy:
+        break;  // Queue behind the shard's work.
+    }
   }
   size_t depth = 0;
   const PushResult result = shard.mailbox.PushBounded(
       std::move(task), block, deadline_ns, &depth, max_depth);
   if (result == PushResult::kOk) {
+    envelopes_queued_counter_->Add();
     shard.queue_depth_hist->RecordShared(static_cast<int64_t>(depth));
   }
   return result;
 }
 
 bool AuthorizationService::PushExempt(Shard& shard, Task task) {
-  if (!synchronous_) return shard.mailbox.Push(std::move(task));
-  // The inline executor, closed like a mailbox by Shutdown().
-  if (shut_down_.load(std::memory_order_acquire)) return false;
-  RunTask(shard, task);
-  return true;
+  if (synchronous_) return RunInline(shard, task) == InlineRun::kRan;
+  return shard.mailbox.Push(std::move(task));
 }
 
 bool AuthorizationService::RunOnEveryShard(
@@ -357,7 +405,7 @@ bool AuthorizationService::RunOnEveryShard(
   for (auto& shard : shards_) {
     if (!PushExempt(*shard, [&fn, &done](Shard& s) {
           fn(s);
-          done.Arrive();
+          return &done;
         })) {
       reached = false;
       done.Arrive();
@@ -416,14 +464,16 @@ void AuthorizationService::Shutdown() {
   for (auto& shard : shards_) {
     if (shard->thread.joinable()) shard->thread.join();
   }
-  if (audit_ != nullptr) {
-    // Every shard thread is joined (or never existed): a final inline drain
-    // collects whatever the last envelopes pushed, then Close flushes the
-    // stream to disk before Shutdown returns — the "explicit flush/close on
-    // shutdown" half of the exporter contract.
-    for (auto& shard : shards_) DrainShardAudit(*shard);
-    audit_->Close();
+  // Every shard thread is joined (or never existed); the owner lock waits
+  // out an inline run that began before the close, and no later one can
+  // begin. A final drain collects whatever the last envelopes pushed, then
+  // Close flushes the stream to disk before Shutdown returns — the
+  // "explicit flush/close on shutdown" half of the exporter contract.
+  for (auto& shard : shards_) {
+    std::lock_guard<std::mutex> owner(shard->owner);
+    if (audit_ != nullptr) DrainShardAudit(*shard);
   }
+  if (audit_ != nullptr) audit_->Close();
 }
 
 // ----------------------------------------------------------------- Routing
@@ -705,7 +755,7 @@ bool AuthorizationService::TryFastPath(const AccessRequest& request,
   const uint64_t epoch = home.applied_epoch.load(std::memory_order_acquire);
   const AuthorizationEngine& engine = *home.engine;
   const SymbolTable& symbols = engine.symbols();
-  // Find, never Intern: interning is the shard thread's privilege. A name
+  // Find, never Intern: interning is the engine owner's privilege. A name
   // this shard has not published yet is simply a miss.
   const Symbol session = symbols.Find(request.session);
   const Symbol op = symbols.Find(request.operation);
@@ -840,6 +890,8 @@ void AuthorizationService::Dispatch(std::span<const AccessRequest> requests,
     group_end[k] += group_end[k - 1];
   }
   if (envelopes == 0) return;
+  // No item has the last key, so its entry keeps the total.
+  const uint32_t placed = group_end.back();
   for (size_t i = 0; i < n; ++i) {
     if (items[i].key != kAnswered) {
       items[group_end[items[i].key]++].order = static_cast<uint32_t>(i);
@@ -847,12 +899,15 @@ void AuthorizationService::Dispatch(std::span<const AccessRequest> requests,
   }
   Latch done(envelopes);
   Call call{this, requests, out, op, submit_ns, items, &done};
+  // All but the last envelope go to their shard threads first, so the
+  // shards work in parallel while this thread runs the last one itself
+  // when its shard is idle. In synchronous mode there is only one.
   uint32_t begin = 0;
   for (size_t key = 0; key + 1 < group_end.size(); ++key) {
     const uint32_t end = group_end[key];
     if (end == begin) continue;
     SubmitEnvelope(call, static_cast<uint32_t>(key / 2), key % 2 == 1, begin,
-                   end);
+                   end, /*run_inline=*/end == placed);
     begin = end;
   }
   done.Wait();
@@ -860,7 +915,7 @@ void AuthorizationService::Dispatch(std::span<const AccessRequest> requests,
 
 void AuthorizationService::SubmitEnvelope(const Call& call, uint32_t shard,
                                           bool restricted, uint32_t begin,
-                                          uint32_t end) {
+                                          uint32_t end, bool run_inline) {
   Shard& home = *shards_[shard];
   // A blocked admission may wait until the envelope's *latest* item
   // deadline: earlier-expiring items are answered kOverloaded by the
@@ -882,10 +937,10 @@ void AuthorizationService::SubmitEnvelope(const Call& call, uint32_t shard,
   const PushResult pushed = PushDecision(
       home,
       [c = &call, begin, end](Shard& s) {
-        c->service->RunEnvelope(*c, s, begin, end);
+        return c->service->RunEnvelope(*c, s, begin, end);
       },
       !shed_on_full_ && !restricted, push_deadline_ns,
-      restricted ? over_quota_max_depth_ : 0);
+      restricted ? over_quota_max_depth_ : 0, run_inline);
   if (pushed == PushResult::kOk) return;
   // An over-quota item turned away at a full mailbox is both a shed and a
   // quota refusal.
@@ -907,8 +962,8 @@ void AuthorizationService::SubmitEnvelope(const Call& call, uint32_t shard,
   call.done->Arrive();
 }
 
-void AuthorizationService::RunEnvelope(const Call& call, Shard& shard,
-                                       uint32_t begin, uint32_t end) {
+AuthorizationService::Latch* AuthorizationService::RunEnvelope(
+    const Call& call, Shard& shard, uint32_t begin, uint32_t end) {
   const int64_t start_ns = NowNanos();
   shard.queue_wait_hist->Record((start_ns - call.submit_ns) / 1000);
   const uint64_t epoch = shard.applied_epoch.load(std::memory_order_relaxed);
@@ -931,7 +986,7 @@ void AuthorizationService::RunEnvelope(const Call& call, Shard& shard,
     if (audit_ != nullptr) DrainShardAudit(shard);
     call.out[i] = Convert(decision, shard.index, epoch, call.submit_ns);
   }
-  call.done->Arrive();
+  return call.done;
 }
 
 AdminResult AuthorizationService::RunSessionOp(uint32_t shard,
@@ -1065,15 +1120,15 @@ void AuthorizationService::Inspect(
   Latch done(1);
   const bool pushed = PushExempt(target, [&fn, &done](Shard& s) {
     fn(*s.engine);
-    done.Arrive();
+    return &done;
   });
   if (pushed) {
     done.Wait();
     return;
   }
-  // Mailbox closed: wait for shutdown to finish joining the shard threads
-  // (shutdown_mu_ is held for the whole join), then inspect inline.
-  std::lock_guard<std::mutex> lock(shutdown_mu_);
+  // Closed: the owner lock keeps out a still-draining shard thread and any
+  // inline run.
+  std::lock_guard<std::mutex> owner(target.owner);
   fn(*target.engine);
 }
 
@@ -1113,6 +1168,8 @@ ServiceStats AuthorizationService::Stats() {
   stats.policer_over_quota = policer_->over_quota_verdicts();
   stats.policer_refused = policer_refused_counter_->value();
   stats.policer_refill_tokens = policer_->refilled_tokens();
+  stats.envelopes_inline = envelopes_inline_counter_->value();
+  stats.envelopes_queued = envelopes_queued_counter_->value();
   return stats;
 }
 
@@ -1126,7 +1183,10 @@ size_t AuthorizationService::MailboxPeakDepth(uint32_t shard) const {
 
 bool AuthorizationService::InjectShardFault(uint32_t shard,
                                             std::function<void()> fn) {
-  return PushExempt(*shards_[shard], [fn = std::move(fn)](Shard&) { fn(); });
+  return PushExempt(*shards_[shard], [fn = std::move(fn)](Shard&) -> Latch* {
+    fn();
+    return nullptr;
+  });
 }
 
 // -------------------------------------------------------------- Telemetry
@@ -1191,8 +1251,8 @@ TelemetrySnapshot AuthorizationService::Snapshot() {
       "policer_throttled_principals",
       "principals under an explicit per-principal quota override",
       static_cast<int64_t>(occupancy.throttled)});
-  // Spans hold strings the shard thread mutates freely, so they are copied
-  // on the shard thread via Inspect.
+  // Spans hold strings the engine's owner mutates freely, so they are
+  // copied under the owner lock via Inspect.
   for (size_t shard = 0; shard < shards_.size(); ++shard) {
     Inspect(static_cast<uint32_t>(shard), [&](const AuthorizationEngine& e) {
       std::vector<telemetry::DecisionSpan> spans = e.tracer().Spans();

@@ -72,9 +72,10 @@ struct ServiceConfig {
   /// Status error, not silently clamped.
   int num_shards = kAutoShards;
   /// Synchronous single-shard mode: one engine, every call runs inline on
-  /// the caller's thread, no threads are spawned. Semantically identical to
-  /// driving an AuthorizationEngine directly — the mode existing tests and
-  /// benches (and the stress test's oracle) rely on.
+  /// the caller's thread, no threads are spawned (concurrent callers take
+  /// turns on the shard's owner lock). Semantically identical to driving an
+  /// AuthorizationEngine directly — the mode existing tests and benches
+  /// (and the stress test's oracle) rely on.
   bool synchronous = false;
   /// Simulated start time for every shard clock.
   Time start_time = 0;
@@ -103,8 +104,9 @@ struct ServiceConfig {
   /// first consult the home shard's decision cache from the *caller's*
   /// thread — a cache hit whose validity stamp matches the shard's
   /// published words and the session's live generation is answered without
-  /// a mailbox hop or any lock. Misses, stale entries, purpose-qualified requests and
-  /// symbol-overflow keys fall back to the mailbox path unchanged. Requires
+  /// a mailbox hop or any lock. Misses, stale entries, purpose-qualified
+  /// requests and symbol-overflow keys fall back to the engine unchanged
+  /// (inline on an idle shard, else through its mailbox). Requires
   /// decision_cache_capacity > 0 (rejected by ValidateConfig otherwise) and
   /// is ignored in synchronous mode, where every call is already inline.
   /// Caveat: fast-path hits are counted in decision_cache_fastpath_hits_total
@@ -130,10 +132,11 @@ struct ServiceConfig {
   Duration default_deadline = 0;
   /// Durable audit stream: when non-empty, an async JSONL exporter (see
   /// audit::AuditExporter) is attached and every shard's DecisionLog is
-  /// tapped after each engine call it makes — on the shard thread, without
-  /// copying the ring and without ever blocking on I/O. Fast-path hits and
-  /// overload verdicts, which never reach an engine, are exported as
-  /// service-level records (seq 0).
+  /// tapped after each engine call it makes — by the thread that made the
+  /// call, under the shard's owner lock, without copying the ring and
+  /// without ever blocking on I/O. Fast-path hits and overload verdicts,
+  /// which never reach an engine, are exported as service-level records
+  /// (seq 0).
   std::string audit_path;
   /// Rotate the audit file once it exceeds this size; 0 disables. See
   /// audit::AuditExporter::Options::rotate_bytes.
@@ -220,6 +223,12 @@ struct ServiceStats {
   uint64_t policer_over_quota = 0;
   uint64_t policer_refused = 0;
   uint64_t policer_refill_tokens = 0;
+  /// Decision envelopes (checks, batches, session ops) by how they ran: on
+  /// the caller's thread, because the shard was idle (or the service is
+  /// synchronous), or through the shard's mailbox. Refused envelopes count
+  /// in neither.
+  uint64_t envelopes_inline = 0;
+  uint64_t envelopes_queued = 0;
 };
 
 /// \brief One observability capture of the whole service: every shard
@@ -241,11 +250,15 @@ struct TelemetrySnapshot {
 /// request-path state is read-mostly and partitionable per user:
 ///
 ///  * **Shard-per-core.** The service owns `num_shards` engines, each with
-///    its own SimulatedClock, SymbolTable and rule pool, each driven by one
-///    dedicated shard thread. Engines stay single-threaded internally —
-///    there are no locks anywhere on the decision path: the mailbox
-///    decision lane is a lock-free MPSC ring, and only the low-rate exempt
-///    admin lane takes a mutex.
+///    its own SimulatedClock, SymbolTable and rule pool. An engine is owned
+///    by its shard's owner lock, not by a thread: every engine call runs
+///    under it, so engines stay single-threaded internally. A dedicated
+///    shard thread pops its mailbox under the lock and runs what it popped
+///    before letting go; a caller whose last envelope targets an idle shard
+///    (lock free, mailbox empty) takes the lock with try_lock and runs the
+///    envelope itself, crossing no thread. The mailbox decision lane is a
+///    lock-free MPSC ring, and only the low-rate exempt admin lane takes a
+///    mutex.
 ///  * **Zero-hop read path (opt-in).** With `decision_cache_fastpath` set,
 ///    purpose-free CheckAccess calls probe the home shard's decision cache
 ///    from the caller's thread — the same seqlock-stamped slots and stamps
@@ -267,17 +280,18 @@ struct TelemetrySnapshot {
 ///  * **Admin broadcast + epoch barrier.** Policy loads, user-role
 ///    administration, role enable/disable, and context changes are pushed
 ///    to *every* shard mailbox and stamped with a fresh epoch; the caller
-///    blocks until all shards applied it. Because mailboxes are FIFO, any
-///    request submitted after the broadcast returns is behind the admin
-///    envelope on every shard — a request never observes a half-applied
-///    update (it sees either the whole old or the whole new policy).
+///    blocks until all shards applied it. So any request submitted after
+///    the broadcast returns runs after the admin envelope on every shard,
+///    queued or inline — a request never observes a half-applied update
+///    (it sees either the whole old or the whole new policy).
 ///  * **Pauseless policy swap (RCU).** Incremental policy updates skip the
 ///    barrier: the update is validated and diffed once off the shard
 ///    threads into an immutable shared generation, and each shard flips
 ///    its policy pointer + regenerates only affected rules inside one
 ///    mailbox envelope — requests on other shards keep flowing, and each
 ///    shard's in-flight envelope still sees entirely-old or entirely-new
-///    policy (envelopes are atomic units on a single thread). Cached and
+///    policy (an envelope runs start to finish under the shard's owner
+///    lock, inline or on the shard thread, and so does a commit). Cached and
 ///    fast-path verdicts invalidate through the rule-pool generation in
 ///    their stamps, not an epoch wipe. The retired generation frees by
 ///    shared_ptr refcount once the last shard has flipped. Note
@@ -287,8 +301,17 @@ struct TelemetrySnapshot {
 ///    events (shift boundaries, duration expiries) in one order relative
 ///    to them.
 ///  * **One request path.** Single checks, batches and session calls are
-///    all batches through one envelope; synchronous mode runs each
-///    envelope inline, as a shard thread would.
+///    all batches through one envelope per involved shard. All but a
+///    call's last envelope queue; the last runs inline when its shard is
+///    idle, so a session op or single-shard check on an idle shard crosses
+///    no thread while a multi-shard batch keeps its parallelism.
+///    Broadcasts, swap commits, Inspect and injected faults always run on
+///    the shard threads. Synchronous mode is the same inline executor with
+///    a blocking lock and no shard threads.
+///
+/// No service method may be called while the calling thread holds an owner
+/// lock — from inside an Inspect callback, an injected fault, or a sink an
+/// engine calls: the call could try to take that lock again.
 ///
 /// Caveat (documented, by design): constraints whose scope is global across
 /// users — role activation cardinalities, active-security denial thresholds
@@ -342,9 +365,10 @@ class AuthorizationService {
   /// Decides one access request on its home shard; blocks for the verdict.
   AccessDecision CheckAccess(const AccessRequest& request);
 
-  /// Decides a batch with one mailbox hop per involved shard instead of one
-  /// per request — the bulk-caller fast path. Results are positionally
-  /// aligned with `requests`.
+  /// Decides a batch with one envelope per involved shard instead of one
+  /// per request — the bulk-caller fast path. All but the last envelope
+  /// cross a mailbox; the caller runs the last itself when its shard is
+  /// idle. Results are positionally aligned with `requests`.
   std::vector<AccessDecision> CheckAccessBatch(
       std::span<const AccessRequest> requests);
 
@@ -400,8 +424,9 @@ class AuthorizationService {
   uint32_t ShardOf(const std::string& user) const;
 
   /// Runs `fn` against one shard's engine on that shard's thread (inline in
-  /// synchronous mode) and blocks until done — the race-free window tests
-  /// and stats use to look inside an engine.
+  /// synchronous mode, and under the owner lock after Shutdown()) and
+  /// blocks until done — the race-free window tests and stats use to look
+  /// inside an engine. `fn` must not call back into the service.
   void Inspect(uint32_t shard,
                const std::function<void(const AuthorizationEngine&)>& fn);
 
@@ -432,11 +457,12 @@ class AuthorizationService {
 
   /// Test-only fault injection: enqueues `fn` on `shard`'s mailbox through
   /// the exempt lane (never shed, never expired) and returns immediately,
-  /// without waiting for it to run. While `fn` runs, the shard thread is
-  /// stalled: decision traffic behind it ages in queue and, with a bounded
-  /// mailbox, producers shed or block — the deterministic way tests create
-  /// overload. Returns false once Shutdown() has run. In synchronous mode
-  /// `fn` runs inline before returning.
+  /// without waiting for it to run. While `fn` runs, the shard thread holds
+  /// the owner lock and is stalled: decision traffic behind it queues and
+  /// ages (no caller can run inline) and, with a bounded mailbox, producers
+  /// shed or block — the deterministic way tests create overload. Returns
+  /// false once Shutdown() has run. In synchronous mode `fn` runs inline
+  /// before returning. `fn` must not call back into the service.
   bool InjectShardFault(uint32_t shard, std::function<void()> fn);
 
   // -------------------------------------------------------- Telemetry
@@ -456,7 +482,8 @@ class AuthorizationService {
   std::string RenderMetricsJson();
 
   /// Closes every mailbox, drains queued envelopes (queued requests still
-  /// get real decisions), then joins all threads. Idempotent; the
+  /// get real decisions), joins all threads, then takes every owner lock,
+  /// so no envelope is running anywhere when it returns. Idempotent; the
   /// destructor calls it. In either mode, requests submitted after
   /// shutdown are answered with a denied "service is shut down" decision
   /// (kShutdown), and mutators, LoadPolicy and AdvanceTo with
@@ -465,8 +492,12 @@ class AuthorizationService {
 
  private:
   struct Shard;
-  /// One mailbox envelope: what runs between two audit taps.
-  using Task = std::function<void(Shard&)>;
+  class Latch;
+  /// One mailbox envelope: what runs between two audit taps. It returns
+  /// the latch its caller waits on (null when nobody waits); the executor
+  /// counts it down once it has let go of the owner lock, so a caller's
+  /// next call finds the shard free.
+  using Task = std::function<Latch*(Shard&)>;
   using PushResult = Mailbox<Task>::PushResult;
   using SessionOp = std::function<Decision(AuthorizationEngine&)>;
 
@@ -483,6 +514,12 @@ class AuthorizationService {
   struct Shard {
     uint32_t index = 0;
     std::unique_ptr<SimulatedClock> clock;
+    /// The owner lock: held around every engine call, on the shard thread
+    /// or an inline caller, so the engine and everything documented as
+    /// single-writer (symbol interning, decision-cache writes, Counter::Inc,
+    /// Histogram::Record, the DecisionLog and its audit tap) has one writer
+    /// at a time, each ordered after the last.
+    std::mutex owner;
     std::unique_ptr<AuthorizationEngine> engine;
     /// Epoch of the last admin envelope this shard applied.
     std::atomic<uint64_t> applied_epoch{0};
@@ -529,7 +566,7 @@ class AuthorizationService {
 
   /// One Dispatch call's state, on the caller's stack. The call waits for
   /// every envelope it pushed: once admitted, an envelope always runs
-  /// (expiry is judged at dequeue), so nothing here is ever abandoned.
+  /// (expiry is judged when it runs), so nothing here is ever abandoned.
   struct Call {
     /// Lets an envelope capture only {&call, begin, end}, which fits
     /// std::function's inline storage: pushing one allocates nothing.
@@ -549,35 +586,49 @@ class AuthorizationService {
   /// and every refusal.
   void Dispatch(std::span<const AccessRequest> requests, AccessDecision* out,
                 const SessionOp* op = nullptr, uint32_t op_shard = 0);
-  /// Pushes the envelope for envelope-order slots [begin, end) to `shard`;
-  /// a refused push answers each of its items.
+  /// Runs (`run_inline`, when the shard is idle) or pushes the envelope for
+  /// envelope-order slots [begin, end) on `shard`; a refused push answers
+  /// each of its items.
   void SubmitEnvelope(const Call& call, uint32_t shard, bool restricted,
-                      uint32_t begin, uint32_t end);
+                      uint32_t begin, uint32_t end, bool run_inline);
   /// The envelope body: per item, the expiry check, then the engine call
-  /// and the audit tap.
-  void RunEnvelope(const Call& call, Shard& shard, uint32_t begin,
-                   uint32_t end);
+  /// and the audit tap. Returns the call's latch.
+  Latch* RunEnvelope(const Call& call, Shard& shard, uint32_t begin,
+                     uint32_t end);
   /// A session op as a batch of one on `shard`. A refusal's audit record
   /// names `user`, `session`, the op's `name` and its `role`.
   AdminResult RunSessionOp(uint32_t shard, const char* name,
                            const UserName& user, const SessionId& session,
                            const RoleName& role, const SessionOp& op);
 
-  /// Decision lane: Mailbox::PushBounded, or in synchronous mode the
-  /// inline executor, which has no queue to shed from, block on or expire
-  /// in.
+  /// Decision lane: with `run_inline`, the inline executor first; when it
+  /// finds the shard busy, Mailbox::PushBounded. Counts how the envelope
+  /// ran.
   PushResult PushDecision(Shard& shard, Task task, bool block,
-                          int64_t deadline_ns, size_t max_depth);
+                          int64_t deadline_ns, size_t max_depth,
+                          bool run_inline);
   /// Exempt lane: Mailbox::Push, or in synchronous mode the inline
   /// executor. False once Shutdown() has run.
   bool PushExempt(Shard& shard, Task task);
+  /// How RunInline left its task.
+  enum class InlineRun { kRan, kBusy, kClosed };
+  /// The inline executor: runs `task` on the calling thread under `shard`'s
+  /// owner lock, as the shard thread would. Synchronous mode waits for the
+  /// lock. Otherwise the task runs only if try_lock wins and the mailbox is
+  /// empty once the lock is held — the shard thread pops only under the
+  /// lock and runs what it popped before letting go, so nothing queued or
+  /// popped is overtaken — and kBusy leaves it to be queued. kClosed once
+  /// Shutdown() has run.
+  InlineRun RunInline(Shard& shard, Task& task);
   /// Runs `fn` on every shard through the exempt lane and waits; true iff
   /// every shard ran it. Shutdown() closes the mailboxes under admin_mu_,
   /// so only a caller holding admin_mu_ reaches every shard or none; the
   /// ApplyPolicyUpdate commit, which does not, can reach some of them.
   bool RunOnEveryShard(const std::function<void(Shard&)>& fn);
-  /// What a shard thread does with one envelope: the task, then the tap.
-  void RunTask(Shard& shard, Task& task);
+  /// What the owner of a shard does with one envelope: the task, then the
+  /// tap. Returns the task's latch, for the caller to count down once it
+  /// has let go of the owner lock.
+  Latch* RunTask(Shard& shard, Task& task);
 
   static AdminResult ToAdminResult(const AccessDecision& decision);
 
@@ -628,9 +679,8 @@ class AuthorizationService {
   void ShardLoop(Shard* shard);
 
   /// Export tap: hands the shard's undrained DecisionLog tail to the audit
-  /// exporter and accounts ring evictions as drops. Shard-thread only
-  /// (inline callers in synchronous mode / after joins in Shutdown are the
-  /// same single-threaded world). One comparison when nothing is new.
+  /// exporter and accounts ring evictions as drops. Under the shard's owner
+  /// lock only. One comparison when nothing is new.
   void DrainShardAudit(Shard& shard);
 
   /// Exports a service-level audit marker (seq 0): a verdict that never
@@ -686,6 +736,9 @@ class AuthorizationService {
   telemetry::Counter* broadcasts_counter_ = nullptr;
   /// Caller-visible over-quota refusals ("overloaded: over quota").
   telemetry::Counter* policer_refused_counter_ = nullptr;
+  /// Decision envelopes run inline / pushed to a mailbox (ServiceStats).
+  telemetry::Counter* envelopes_inline_counter_ = nullptr;
+  telemetry::Counter* envelopes_queued_counter_ = nullptr;
   telemetry::Gauge* sessions_gauge_ = nullptr;
   telemetry::Histogram* batch_size_hist_ = nullptr;
   /// Sampled fast-path hit latency. Same name and bounds as the engines'
@@ -716,8 +769,8 @@ class AuthorizationService {
   std::unordered_map<SessionId, uint32_t> sessions_;
 
   std::mutex shutdown_mu_;
-  /// Set by Shutdown() under both mutexes; the inline executor's closed
-  /// mailbox.
+  /// Set by Shutdown() under both mutexes; the inline executor reads it
+  /// under the owner lock, as its closed mailbox.
   std::atomic<bool> shut_down_{false};
 };
 

@@ -31,8 +31,11 @@ namespace sentinel {
 ///    handshake is what the service's latch-based barrier was proved
 ///    against. Exempt traffic is low-rate by construction.
 ///
-/// The two lanes are drained together by `PopAll` (exempt backlog first,
-/// then every published ring slot). Order is FIFO *within* each lane; the
+/// The two lanes are drained together by `TryPopAll` (exempt backlog
+/// first, then every published ring slot), which never blocks; `Park` is
+/// the consumer's wait for the next item. The service's shard thread holds
+/// its shard's owner lock across each `TryPopAll` and the tasks it moved
+/// out, and parks without it. Order is FIFO *within* each lane; the
 /// lanes are not ordered against each other. That is sufficient for the
 /// service: the epoch barrier is enforced by the broadcast latch (producers
 /// wait for all shards to apply before returning), not by queue position,
@@ -65,10 +68,13 @@ namespace sentinel {
 ///  * The consumer decrements `ring_size_` (acq_rel) only *after* moving
 ///    items out, so an admission that reads the decrement finds the freed
 ///    slots free.
-///  * Sleep/wake uses a Dekker handshake: the consumer sets
-///    `consumer_waiting_`, fences seq_cst, then re-checks the ring before
-///    sleeping; the producer publishes, fences seq_cst, then checks the
-///    flag and notifies under the mutex. One side always sees the other.
+///  * Sleep/wake uses a Dekker handshake on seq_cst accesses: the consumer
+///    stores `consumer_waiting_` then loads the ring slot it waits on; the
+///    producer stores the slot's sequence (the publish) then loads the
+///    flag, and notifies under the mutex when it is set. All four are in
+///    the single total order, so one side always sees the other's store.
+///    (Plain accesses rather than fences: ThreadSanitizer models seq_cst
+///    loads and stores, not `atomic_thread_fence`.)
 ///
 /// Close() initiates shutdown: further pushes are refused (both lanes, and
 /// parked producers wake with `kClosed`), but everything already queued is
@@ -177,47 +183,55 @@ class Mailbox {
     return PushResult::kOk;
   }
 
-  /// Blocks until items are available or the mailbox is closed, then moves
-  /// the entire backlog into `*out` (previous contents replaced). Returns
-  /// false only when closed AND fully drained — the consumer's exit signal.
-  bool PopAll(std::deque<T>* out) {
+  /// Moves the entire backlog into `*out` (previous contents replaced)
+  /// without blocking: the exempt backlog first, then every published ring
+  /// slot. Returns whether it moved anything. Consumer only.
+  bool TryPopAll(std::deque<T>* out) {
     out->clear();
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!exempt_.empty()) {
+      const size_t exempt_moved = exempt_.size();
+      while (!exempt_.empty()) {
+        out->push_back(std::move(exempt_.front()));
+        exempt_.pop_front();
+      }
+      exempt_size_.store(0, std::memory_order_relaxed);
+      total_size_.fetch_sub(exempt_moved, std::memory_order_relaxed);
+    }
+    size_t moved = 0;
+    for (;;) {
+      Cell& cell = cells_[head_ & mask_];
+      if (cell.seq.load(std::memory_order_acquire) != head_ + 1) break;
+      out->push_back(std::move(cell.item));
+      cell.seq.store(head_ + slot_count_, std::memory_order_release);
+      ++head_;
+      ++moved;
+    }
+    if (moved > 0) {
+      // Total before ring_size_: a producer's total increment follows its
+      // admission, so keeping the decrements in the same order bounds the
+      // ring's total-size contribution by ring_size_ (and hence by the
+      // capacity) at every instant.
+      total_size_.fetch_sub(moved, std::memory_order_relaxed);
+      // After the moves: the RMW chain on ring_size_ hands the freed slots
+      // to the next admitted producers.
+      ring_size_.fetch_sub(moved, std::memory_order_acq_rel);
+      if (space_waiters_ > 0) space_cv_.notify_all();
+    }
+    return !out->empty();
+  }
+
+  /// Blocks until an item is queued or the mailbox is closed. Returns false
+  /// only when closed AND fully drained — the consumer's exit signal;
+  /// otherwise the next TryPopAll moves at least one item. Consumer only.
+  bool Park() {
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-      bool got = false;
-      if (!exempt_.empty()) {
-        size_t exempt_moved = 0;
-        while (!exempt_.empty()) {
-          out->push_back(std::move(exempt_.front()));
-          exempt_.pop_front();
-          ++exempt_moved;
-        }
-        exempt_size_.store(0, std::memory_order_relaxed);
-        total_size_.fetch_sub(exempt_moved, std::memory_order_relaxed);
-        got = true;
+      if (!exempt_.empty() ||
+          cells_[head_ & mask_].seq.load(std::memory_order_acquire) ==
+              head_ + 1) {
+        return true;
       }
-      size_t moved = 0;
-      for (;;) {
-        Cell& cell = cells_[head_ & mask_];
-        if (cell.seq.load(std::memory_order_acquire) != head_ + 1) break;
-        out->push_back(std::move(cell.item));
-        cell.seq.store(head_ + slot_count_, std::memory_order_release);
-        ++head_;
-        ++moved;
-      }
-      if (moved > 0) {
-        // Total before ring_size_: a producer's total increment follows
-        // its admission, so keeping the decrements in the same order
-        // bounds the ring's total-size contribution by ring_size_ (and
-        // hence by the capacity) at every instant.
-        total_size_.fetch_sub(moved, std::memory_order_relaxed);
-        // After the moves: the RMW chain on ring_size_ hands the freed
-        // slots to the next admitted producers.
-        ring_size_.fetch_sub(moved, std::memory_order_acq_rel);
-        if (space_waiters_ > 0) space_cv_.notify_all();
-        got = true;
-      }
-      if (got) return true;
       if (closed_.load(std::memory_order_relaxed)) {
         if (ring_size_.load(std::memory_order_seq_cst) == 0) return false;
         // A producer admitted but hasn't published yet (or is about to
@@ -227,14 +241,11 @@ class Mailbox {
         lock.lock();
         continue;
       }
-      consumer_waiting_.store(true, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (cells_[head_ & mask_].seq.load(std::memory_order_acquire) ==
-          head_ + 1) {
-        consumer_waiting_.store(false, std::memory_order_relaxed);
-        continue;  // Publish raced our flag; don't sleep.
-      }
-      cv_.wait(lock);
+      consumer_waiting_.store(true, std::memory_order_seq_cst);
+      const bool published =
+          cells_[head_ & mask_].seq.load(std::memory_order_seq_cst) ==
+          head_ + 1;
+      if (!published) cv_.wait(lock);  // Else a publish raced our flag.
       consumer_waiting_.store(false, std::memory_order_relaxed);
     }
   }
@@ -311,14 +322,15 @@ class Mailbox {
       std::this_thread::yield();
     }
     cell.item = std::move(item);
-    cell.seq.store(pos + 1, std::memory_order_release);
+    // seq_cst, not just release: the publish is the producer's store in
+    // the park/wake handshake (WakeConsumer loads the flag next).
+    cell.seq.store(pos + 1, std::memory_order_seq_cst);
   }
 
-  /// Dekker wakeup: publish is visible (release above), fence, then the
-  /// flag read. Notifying under the mutex closes the check-then-sleep gap.
+  /// Dekker wakeup: the seq_cst publish above, then a seq_cst flag load.
+  /// Notifying under the mutex closes the check-then-sleep gap.
   void WakeConsumer() {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (consumer_waiting_.load(std::memory_order_relaxed)) {
+    if (consumer_waiting_.load(std::memory_order_seq_cst)) {
       std::lock_guard<std::mutex> lock(mu_);
       cv_.notify_one();
     }

@@ -19,11 +19,12 @@ int64_t NowNanos();
 /// \brief Monotonic event counter.
 ///
 /// Threading contract: `Inc` is the single-writer fast path — a relaxed
-/// load+store pair with no lock prefix, valid only when exactly one thread
-/// ever writes the counter (each engine shard owns its registry). `Add` is
-/// a full atomic RMW for multi-writer counters (service-level metrics
-/// bumped from arbitrary caller threads). `value` may be read from any
-/// thread at any time; scrapes never block writers.
+/// load+store pair with no lock prefix, valid only when writers never
+/// overlap and each happens after the last (each engine shard owns its
+/// registry, and the shard's owner lock serializes whichever thread runs
+/// the engine). `Add` is a full atomic RMW for multi-writer counters
+/// (service-level metrics bumped from arbitrary caller threads). `value`
+/// may be read from any thread at any time; scrapes never block writers.
 class Counter {
  public:
   void Inc(uint64_t n = 1) {
@@ -75,7 +76,8 @@ struct HistogramSnapshot {
   double Percentile(double p) const;
 };
 
-/// \brief Fixed-bucket histogram; Record is the single-writer fast path.
+/// \brief Fixed-bucket histogram; Record is the single-writer fast path
+/// (same contract as Counter::Inc: serialized writers, not one thread).
 class Histogram {
  public:
   /// `bounds` must be non-empty and strictly ascending.

@@ -54,9 +54,10 @@ std::string DescribeSpan(const DecisionSpan& span);
 /// accumulation, fixed-capacity ring of finished spans.
 ///
 /// Single-threaded by design, like the engine that owns it: Begin/Add*/End
-/// run on the shard thread inside Dispatch; readers copy the ring via the
-/// service's Inspect (which runs on the shard thread too). Nothing here is
-/// atomic and nothing needs to be.
+/// run inside Dispatch under the shard's owner lock (on the shard thread or
+/// a caller running an envelope inline); readers copy the ring via the
+/// service's Inspect, under the same lock. Nothing here is atomic and
+/// nothing needs to be.
 class TraceCollector {
  public:
   struct Options {

@@ -24,16 +24,43 @@ using PushResult = IntBox::PushResult;
 
 int64_t NanosFromNow(int64_t ns) { return telemetry::NowNanos() + ns; }
 
+/// The consumer's blocking pop, composed as the shard loop composes it:
+/// park until something is queued, then take the whole backlog. False once
+/// the mailbox is closed and drained.
+bool PopAll(IntBox& mailbox, std::deque<int>* batch) {
+  while (!mailbox.TryPopAll(batch)) {
+    if (!mailbox.Park()) return false;
+  }
+  return true;
+}
+
 // ------------------------------------------------------------ FIFO & drain
 
 TEST(MailboxTest, PopAllReturnsWholeBacklogInOrder) {
   IntBox mailbox;
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(mailbox.Push(i));
   std::deque<int> batch;
-  ASSERT_TRUE(mailbox.PopAll(&batch));
+  ASSERT_TRUE(PopAll(mailbox, &batch));
   ASSERT_EQ(batch.size(), 5u);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(batch[static_cast<size_t>(i)], i);
   EXPECT_EQ(mailbox.depth(), 0u);
+}
+
+TEST(MailboxTest, TryPopAllNeverBlocks) {
+  IntBox mailbox;
+  std::deque<int> batch{7};
+  EXPECT_FALSE(mailbox.TryPopAll(&batch));  // Empty: returns at once...
+  EXPECT_TRUE(batch.empty());               // ...with the batch cleared.
+  ASSERT_EQ(mailbox.PushBounded(1, /*block=*/false, 0), PushResult::kOk);
+  EXPECT_TRUE(mailbox.Push(2));
+  EXPECT_TRUE(mailbox.Park());  // Something is queued: no wait.
+  ASSERT_TRUE(mailbox.TryPopAll(&batch));
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[0], 2);  // Exempt lane first.
+  EXPECT_EQ(batch[1], 1);
+  EXPECT_FALSE(mailbox.TryPopAll(&batch));
+  mailbox.Close();
+  EXPECT_FALSE(mailbox.Park());  // Closed and drained: the exit signal.
 }
 
 TEST(MailboxTest, FifoOrderHoldsUnderConcurrentProducers) {
@@ -53,7 +80,7 @@ TEST(MailboxTest, FifoOrderHoldsUnderConcurrentProducers) {
   std::vector<int> consumed;
   std::thread consumer([&mailbox, &consumed] {
     std::deque<int> batch;
-    while (mailbox.PopAll(&batch)) {
+    while (PopAll(mailbox, &batch)) {
       consumed.insert(consumed.end(), batch.begin(), batch.end());
     }
   });
@@ -83,12 +110,12 @@ TEST(MailboxTest, CloseDrainsBacklogThenRefuses) {
             PushResult::kClosed);
   // ...but the backlog is still handed over — drain, don't drop.
   std::deque<int> batch;
-  ASSERT_TRUE(mailbox.PopAll(&batch));
+  ASSERT_TRUE(PopAll(mailbox, &batch));
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0], 1);
   EXPECT_EQ(batch[1], 2);
   // Closed and drained: the consumer's exit signal, without blocking.
-  EXPECT_FALSE(mailbox.PopAll(&batch));
+  EXPECT_FALSE(PopAll(mailbox, &batch));
 }
 
 // ------------------------------------------------------------ Bounded lane
@@ -108,7 +135,7 @@ TEST(MailboxTest, ShedModeFailsFastAtCapacity) {
   EXPECT_EQ(mailbox.peak_depth(), 2u);
   // The shed item is gone; the queue holds exactly the admitted two.
   std::deque<int> batch;
-  ASSERT_TRUE(mailbox.PopAll(&batch));
+  ASSERT_TRUE(PopAll(mailbox, &batch));
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[1], 2);
 }
@@ -141,10 +168,10 @@ TEST(MailboxTest, BlockedProducerAdmittedWhenConsumerDrains) {
   EXPECT_EQ(mailbox.depth(), 1u);
 
   std::deque<int> batch;
-  ASSERT_TRUE(mailbox.PopAll(&batch));
+  ASSERT_TRUE(PopAll(mailbox, &batch));
   producer.join();
   EXPECT_TRUE(admitted.load());
-  ASSERT_TRUE(mailbox.PopAll(&batch));
+  ASSERT_TRUE(PopAll(mailbox, &batch));
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0], 2);
   EXPECT_EQ(mailbox.peak_depth(), 1u);  // Never above capacity.
@@ -177,7 +204,7 @@ TEST(MailboxTest, CloseWakesBlockedProducer) {
   EXPECT_TRUE(refused.load());
   // The pre-close item still drains.
   std::deque<int> batch;
-  ASSERT_TRUE(mailbox.PopAll(&batch));
+  ASSERT_TRUE(PopAll(mailbox, &batch));
   ASSERT_EQ(batch.size(), 1u);
 }
 
@@ -221,7 +248,7 @@ TEST(MailboxTest, DepthStaysBoundedUnderShedPressure) {
   std::atomic<uint64_t> consumed{0};
   std::thread consumer([&] {
     std::deque<int> batch;
-    while (mailbox.PopAll(&batch)) {
+    while (PopAll(mailbox, &batch)) {
       consumed.fetch_add(batch.size());
     }
   });
@@ -270,7 +297,7 @@ TEST(MailboxTest, MailboxPeakDepthIsExactAcrossBothLanes) {
 
   // Draining moves the depth down without disturbing the recorded peak.
   std::deque<int> batch;
-  ASSERT_TRUE(mailbox.PopAll(&batch));
+  ASSERT_TRUE(PopAll(mailbox, &batch));
   EXPECT_EQ(batch.size(), kTotal);
   EXPECT_EQ(mailbox.depth(), 0u);
   EXPECT_EQ(mailbox.peak_depth(), kTotal);

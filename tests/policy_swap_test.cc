@@ -2,7 +2,8 @@
 //
 // The contract under test, end to end:
 //   * an in-flight envelope sees entirely-old or entirely-new generation,
-//     never a mix (commits are ordinary envelopes on a single shard thread);
+//     never a mix (a commit and an envelope each run start to finish under
+//     the shard's owner lock, queued or inline);
 //   * cache/fast-path entries filled under generation N never answer under
 //     generation N+1 (the rule-pool generation rides every verdict stamp);
 //   * a builder failure is loud and leaves the old generation serving;
@@ -12,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -81,27 +84,48 @@ std::unique_ptr<AuthorizationService> StartService(int shards, bool fastpath) {
 
 // ----------------------------------------------------- Envelope atomicity
 
-/// One single-user batch is one mailbox envelope on the home shard; a swap
-/// commit is another envelope on the same thread. Whatever the
-/// interleaving, every batch must decide ALL its items under one
-/// generation: all-allow (BothGrants) or all-deny (NoGrants) — a mixed
-/// batch means a commit tore an envelope in half. Fast path off: only the
-/// envelope path carries the atomicity guarantee.
+/// One single-user batch is one envelope on the home shard, run inline
+/// when the shard is idle; a swap commit is an envelope on the shard
+/// thread. Whatever the interleaving, every batch must decide ALL its
+/// items under one generation: all-allow (BothGrants) or all-deny
+/// (NoGrants) — a mixed batch means a commit tore an envelope in half.
+/// Fast path off: only the envelope path carries the atomicity guarantee.
+///
+/// The rounds are paced against the swap thread: round r waits until
+/// r / kRoundsPerSwap swaps have landed. The swap thread never waits, so
+/// swaps keep landing while batches run, and batches that no longer cross
+/// a thread cannot finish every round before the swaps they must meet.
 TEST(PolicySwapTest, InFlightEnvelopeSeesOneGeneration) {
   auto service = StartService(/*shards=*/2, /*fastpath=*/false);
   const Policy with = BothGrantsPolicy();
   const Policy without = NoGrantsPolicy();
 
+  constexpr int kRoundsPerSwap = 40;
+  std::mutex swap_mu;
+  std::condition_variable swap_cv;
+  bool churn_exited = false;  // Guarded by swap_mu.
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> swaps{0};
   std::thread churn([&] {
     bool grant = false;
     while (!stop.load(std::memory_order_acquire)) {
       const auto report = service->ApplyPolicyUpdate(grant ? with : without);
-      ASSERT_TRUE(report.ok()) << report.status();
+      if (!report.ok()) {
+        ADD_FAILURE() << report.status();
+        break;
+      }
       grant = !grant;
-      swaps.fetch_add(1, std::memory_order_relaxed);
+      {
+        std::lock_guard<std::mutex> lock(swap_mu);
+        swaps.fetch_add(1, std::memory_order_relaxed);
+      }
+      swap_cv.notify_all();
     }
+    {
+      std::lock_guard<std::mutex> lock(swap_mu);
+      churn_exited = true;
+    }
+    swap_cv.notify_all();
   });
 
   std::vector<AccessRequest> batch;
@@ -111,6 +135,13 @@ TEST(PolicySwapTest, InFlightEnvelopeSeesOneGeneration) {
   }
   int mixed = 0;
   for (int round = 0; round < 400; ++round) {
+    {
+      std::unique_lock<std::mutex> lock(swap_mu);
+      const uint64_t due = static_cast<uint64_t>(round / kRoundsPerSwap);
+      swap_cv.wait(lock, [&] {
+        return churn_exited || swaps.load(std::memory_order_relaxed) >= due;
+      });
+    }
     const std::vector<AccessDecision> verdicts =
         service->CheckAccessBatch(batch);
     ASSERT_EQ(verdicts.size(), batch.size());

@@ -776,6 +776,178 @@ TEST(ServiceOverloadTest, SynchronousModeRunsInlineWithoutOverload) {
   EXPECT_EQ(stats.expired, 0u);
 }
 
+// ------------------------------------------- Inline runs on an idle shard
+
+TEST(ServiceInlineTest, IdleShardRunsSessionOpsAndChecksInline) {
+  for (const bool synchronous : {false, true}) {
+    SCOPED_TRACE(synchronous ? "synchronous" : "sharded");
+    AuthorizationService service(synchronous ? SyncConfig()
+                                             : ShardedConfig(2));
+    // LoadPolicy's broadcast runs on the shard threads, which count their
+    // caller down only after letting go of the owner lock: both shards are
+    // idle when it returns. Broadcasts are not decision envelopes.
+    ASSERT_TRUE(service.LoadPolicy(testutil::EnterpriseXyzPolicy()).ok());
+    ASSERT_TRUE(service.CreateSession("alice", "s1").ok());
+    ASSERT_TRUE(service.AddActiveRole("alice", "s1", "PM").ok());
+    const AccessDecision check =
+        service.CheckAccess({"alice", "s1", "read", "ledger", ""});
+    EXPECT_TRUE(check.allowed);
+    EXPECT_EQ(check.shard, service.ShardOf("alice"));
+
+    const ServiceStats stats = service.Stats();
+    EXPECT_EQ(stats.envelopes_inline, 3u);
+    EXPECT_EQ(stats.envelopes_queued, 0u);
+    EXPECT_EQ(stats.decisions, 3u);
+    const std::string text = service.RenderMetrics();
+    EXPECT_NE(text.find("sentinelpp_service_envelopes_inline_total 3"),
+              std::string::npos);
+    EXPECT_NE(text.find("sentinelpp_service_envelopes_queued_total 0"),
+              std::string::npos);
+  }
+}
+
+TEST(ServiceInlineTest, CallBehindAStalledShardQueuesAndRunsAfterIt) {
+  AuthorizationService service(ShardedConfig(1));
+  ASSERT_TRUE(service.LoadPolicy(testutil::EnterpriseXyzPolicy()).ok());
+  ASSERT_TRUE(service.CreateSession("alice", "s1").ok());
+  ASSERT_TRUE(service.AddActiveRole("alice", "s1", "PM").ok());
+  const AccessRequest check{"alice", "s1", "read", "ledger", ""};
+  ASSERT_TRUE(service.CheckAccess(check).allowed);
+  AuthorizationEngine* engine = nullptr;
+  service.Inspect(0, [&engine](const AuthorizationEngine& e) {
+    engine = const_cast<AuthorizationEngine*>(&e);
+  });
+  const ServiceStats before = service.Stats();
+
+  // The stall holds the owner lock; behind it queues a fault that drops
+  // the role the check needs. A check decided after that fault is denied,
+  // one that overtook it would be allowed.
+  Gate gate;
+  StallShard(service, 0, gate);
+  ASSERT_TRUE(service.InjectShardFault(0, [engine] {
+    EXPECT_TRUE(engine->DropActiveRole("alice", "s1", "PM").allowed);
+  }));
+  std::atomic<bool> returned{false};
+  AccessDecision queued;
+  std::thread caller([&] {
+    queued = service.CheckAccess(check);
+    returned.store(true);
+  });
+  while (service.MailboxDepth(0) < 2) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_FALSE(returned.load());  // It waits for the shard, not the lock.
+
+  gate.Open();
+  // A call made as the stall ends finds the lock held or the mailbox not
+  // yet empty, or runs after both queued envelopes: never before them.
+  const AccessDecision racing = service.CheckAccess(check);
+  caller.join();
+  EXPECT_EQ(queued.outcome, AccessOutcome::kDecided);
+  EXPECT_FALSE(queued.allowed);
+  EXPECT_EQ(racing.outcome, AccessOutcome::kDecided);
+  EXPECT_FALSE(racing.allowed);
+
+  const ServiceStats after = service.Stats();
+  EXPECT_GE(after.envelopes_queued, before.envelopes_queued + 1);
+  EXPECT_EQ(after.envelopes_inline + after.envelopes_queued,
+            before.envelopes_inline + before.envelopes_queued + 2);
+}
+
+TEST(ServiceInlineTest, BatchOverFourShardsQueuesThreeAndRunsOneInline) {
+  AuthorizationService sharded(ShardedConfig(4));
+  AuthorizationService oracle(SyncConfig());
+  // carol, alice, bob and nina land on four different shards; nina has no
+  // session, so her item is a deny on both sides.
+  const std::vector<std::string> users = {"carol", "alice", "bob", "nina"};
+  std::vector<bool> covered(4, false);
+  for (const std::string& user : users) covered[sharded.ShardOf(user)] = true;
+  ASSERT_EQ(std::count(covered.begin(), covered.end(), true), 4);
+  for (AuthorizationService* service : {&sharded, &oracle}) {
+    ASSERT_TRUE(service->LoadPolicy(testutil::EnterpriseXyzPolicy()).ok());
+    ASSERT_TRUE(service->CreateSession("carol", "sc").ok());
+    ASSERT_TRUE(service->AddActiveRole("carol", "sc", "Clerk").ok());
+    ASSERT_TRUE(service->CreateSession("alice", "sa").ok());
+    ASSERT_TRUE(service->AddActiveRole("alice", "sa", "PM").ok());
+    ASSERT_TRUE(service->CreateSession("bob", "sb").ok());
+    ASSERT_TRUE(service->AddActiveRole("bob", "sb", "AC").ok());
+  }
+  const std::vector<AccessRequest> requests = {
+      {"alice", "sa", "approve", "budget-request", ""},
+      {"carol", "sc", "read", "ledger", ""},
+      {"nina", "sn", "read", "ledger", ""},
+      {"bob", "sb", "write", "approval", ""},
+      {"carol", "sc", "write", "approval", ""},
+      {"alice", "sa", "write", "approval", ""},
+      {"bob", "sb", "read", "ledger", ""},
+      {"nina", "sn", "write", "purchase-order", ""},
+  };
+  // Stats() inspects every shard, and each shard thread counts the
+  // inspection down after letting go of its lock: all four are idle.
+  const ServiceStats before = sharded.Stats();
+  const std::vector<AccessDecision> verdicts =
+      sharded.CheckAccessBatch(requests);
+  const ServiceStats after = sharded.Stats();
+  EXPECT_EQ(after.envelopes_queued - before.envelopes_queued, 3u);
+  EXPECT_EQ(after.envelopes_inline - before.envelopes_inline, 1u);
+
+  const std::vector<AccessDecision> reference =
+      oracle.CheckAccessBatch(requests);
+  ASSERT_EQ(verdicts.size(), requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(verdicts[i].outcome, AccessOutcome::kDecided) << i;
+    EXPECT_EQ(verdicts[i].allowed, reference[i].allowed) << i;
+    EXPECT_EQ(verdicts[i].rule, reference[i].rule) << i;
+    EXPECT_EQ(verdicts[i].reason, reference[i].reason) << i;
+    EXPECT_EQ(verdicts[i].shard, sharded.ShardOf(requests[i].user)) << i;
+  }
+}
+
+TEST(ServiceInlineTest, CallersRacingShutdownGetAVerdictOrShutdown) {
+  AuthorizationService service(ShardedConfig(2));
+  ASSERT_TRUE(service.LoadPolicy(testutil::EnterpriseXyzPolicy()).ok());
+  const uint64_t decisions_before = service.Stats().decisions;
+
+  // Session ops and checks on both shards race Shutdown(): each caller
+  // runs until it is refused, and Shutdown() comes once they have made
+  // some progress, so every caller meets both sides of it. Each call is
+  // decided by an engine or refused kShutdown. (While Shutdown() runs, a
+  // refusal does not forbid a later verdict: it closes shard by shard.)
+  const std::vector<std::string> users = {"alice", "bob", "carol"};
+  std::atomic<uint64_t> decided{0};
+  std::vector<std::thread> callers;
+  for (const std::string& user : users) {
+    callers.emplace_back([&service, &decided, user] {
+      bool refused = false;
+      const auto observe = [&](AccessOutcome outcome) {
+        if (outcome == AccessOutcome::kDecided) {
+          decided.fetch_add(1);
+        } else {
+          EXPECT_EQ(outcome, AccessOutcome::kShutdown) << user;
+          refused = true;
+        }
+      };
+      for (int i = 0; !refused; ++i) {
+        const SessionId session = user + "-" + std::to_string(i);
+        observe(service.CreateSession(user, session).outcome);
+        observe(service.CheckAccess({user, session, "read", "ledger", ""})
+                    .outcome);
+        observe(service.DeleteSession(session).outcome);
+      }
+    });
+  }
+  while (decided.load() < 300) std::this_thread::yield();
+  service.Shutdown();
+  for (std::thread& caller : callers) caller.join();
+
+  // Every decided verdict is one engine decision and every refusal none:
+  // nothing ran after Shutdown() returned, and nothing was fabricated.
+  EXPECT_EQ(service.Stats().decisions - decisions_before, decided.load());
+  EXPECT_EQ(service.CheckAccess({"alice", "x", "read", "ledger", ""}).outcome,
+            AccessOutcome::kShutdown);
+}
+
 // ---------------------------------------------------- Decision audit ring
 
 TEST(ServiceTest, DecisionLogRingBufferCapsAndCountsOverflow) {
