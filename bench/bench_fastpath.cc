@@ -1,9 +1,11 @@
 // Cached-hit A/B: the same warm (session, op, object) key answered through
 // the two hit paths, one closed-loop caller against one shard:
 //
-//   {0}  mailbox hit — the envelope crosses the MPSC ring, the shard thread
-//        wakes, its private cache replays the verdict, the reply latch
-//        wakes the caller. Two scheduler hops per verdict.
+//   {0}  engine-cache hit — the engine's own decision cache replays the
+//        verdict. The one closed-loop caller always finds its shard idle,
+//        so the envelope runs inline on the caller's thread under the
+//        shard's owner lock and crosses no mailbox: this arm measures the
+//        inline dispatch, not a mailbox round trip.
 //   {1}  zero-hop hit — the caller probes the shard's published seqlock
 //        snapshot and reconstructs the verdict in place. No hop, no lock.
 //
@@ -130,7 +132,7 @@ void BM_Service_CachedHit(benchmark::State& state) {
       total == 0 ? 0.0 : static_cast<double>(cached) / total;
 }
 BENCHMARK(BM_Service_CachedHit)
-    ->Arg(0)  // Mailbox hit: ring + shard thread + reply latch.
+    ->Arg(0)  // Engine-cache hit, run inline on the idle shard.
     ->Arg(1)  // Zero-hop hit: caller-side snapshot probe.
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);

@@ -35,7 +35,8 @@ taskset -c 0 ctest --test-dir build --output-on-failure \
 
 # The gate- and stall-sequenced tests, repeated: a test that only passes on
 # most schedules fails here instead of flaking later.
-echo "== Repeat sweep: overload, stress, inline runs, advance/shutdown, fast path, net =="
+echo "== Repeat sweep: mailbox, overload, stress, inline runs, advance/shutdown, fast path, net =="
+./build/tests/mailbox_test --gtest_repeat=50 --gtest_brief=1
 ./build/tests/service_test --gtest_repeat=50 --gtest_brief=1 \
   --gtest_filter='ServiceOverloadTest.*:ServiceStressTest.*:ServiceInlineTest.*:ServiceTest.Advance*:ServiceTest.Shutdown*'
 ./build/tests/fastpath_test --gtest_repeat=50 --gtest_brief=1 \
@@ -358,8 +359,9 @@ echo "== Fast-path stress: snapshot readers vs broadcast storm under TSan =="
 # replay two stable-truth verdicts from the shards' seqlock snapshots while
 # admin broadcasts, session churn and timer advances republish the stamps
 # underneath them. The test asserts zero verdict divergences and a
-# post-storm linearization check; TSan checks the seqlock and ring
-# protocols. Repeats shake out schedule-dependent interleavings.
+# post-storm linearization check; TSan checks the seqlock protocol and
+# the mailbox hand-offs. Repeats shake out schedule-dependent
+# interleavings.
 ./build-tsan/tests/fastpath_test \
   --gtest_filter='FastPathStressTest.*' --gtest_repeat=3 --gtest_brief=1
 

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,9 +50,8 @@ struct DecisionRecord {
 /// Under sustained traffic the audit trail must stay O(capacity): once full,
 /// each Push overwrites the oldest record in place (no allocation, no
 /// deque-block churn) and bumps the overflow counter so administrators can
-/// tell how much history was shed. Indexing and iteration are oldest-first,
-/// mirroring the deque this replaces; capacity 0 disables recording
-/// entirely (every Push counts as overflow).
+/// tell how much history was shed. Indexing is oldest-first; capacity 0
+/// disables recording entirely (every Push counts as overflow).
 class DecisionLog {
  public:
   explicit DecisionLog(size_t capacity = 256) : capacity_(capacity) {}
@@ -145,64 +143,6 @@ class DecisionLog {
   }
   const DecisionRecord& front() const { return (*this)[0]; }
   const DecisionRecord& back() const { return (*this)[size() - 1]; }
-
-  /// Random-access const iterator in logical (oldest-first) order.
-  class const_iterator {
-   public:
-    using iterator_category = std::random_access_iterator_tag;
-    using value_type = DecisionRecord;
-    using difference_type = ptrdiff_t;
-    using pointer = const DecisionRecord*;
-    using reference = const DecisionRecord&;
-
-    const_iterator() = default;
-    const_iterator(const DecisionLog* log, size_t pos)
-        : log_(log), pos_(pos) {}
-
-    reference operator*() const { return (*log_)[pos_]; }
-    pointer operator->() const { return &(*log_)[pos_]; }
-    reference operator[](difference_type n) const { return (*log_)[pos_ + n]; }
-
-    const_iterator& operator++() { ++pos_; return *this; }
-    const_iterator operator++(int) { auto c = *this; ++pos_; return c; }
-    const_iterator& operator--() { --pos_; return *this; }
-    const_iterator operator--(int) { auto c = *this; --pos_; return c; }
-    const_iterator& operator+=(difference_type n) { pos_ += n; return *this; }
-    const_iterator& operator-=(difference_type n) { pos_ -= n; return *this; }
-    friend const_iterator operator+(const_iterator it, difference_type n) {
-      return it += n;
-    }
-    friend const_iterator operator-(const_iterator it, difference_type n) {
-      return it -= n;
-    }
-    friend difference_type operator-(const_iterator a, const_iterator b) {
-      return static_cast<difference_type>(a.pos_) -
-             static_cast<difference_type>(b.pos_);
-    }
-    friend bool operator==(const_iterator a, const_iterator b) {
-      return a.pos_ == b.pos_;
-    }
-    friend bool operator!=(const_iterator a, const_iterator b) {
-      return a.pos_ != b.pos_;
-    }
-    friend bool operator<(const_iterator a, const_iterator b) {
-      return a.pos_ < b.pos_;
-    }
-
-   private:
-    const DecisionLog* log_ = nullptr;
-    size_t pos_ = 0;
-  };
-  using const_reverse_iterator = std::reverse_iterator<const_iterator>;
-
-  const_iterator begin() const { return const_iterator(this, 0); }
-  const_iterator end() const { return const_iterator(this, size()); }
-  const_reverse_iterator rbegin() const {
-    return const_reverse_iterator(end());
-  }
-  const_reverse_iterator rend() const {
-    return const_reverse_iterator(begin());
-  }
 
  private:
   void BumpOverflow(uint64_t n = 1) {

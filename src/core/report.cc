@@ -139,13 +139,16 @@ std::string GenerateAdminReport(const AuthorizationEngine& engine,
   if (options.recent_denials > 0) {
     os << "-- recent denials --\n";
     int listed = 0;
-    const auto& log = engine.decision_log();
-    for (auto it = log.rbegin();
-         it != log.rend() && listed < options.recent_denials; ++it) {
-      if (it->decision.allowed) continue;
-      os << FormatTime(it->when) << ' ' << it->operation << " -> "
-         << (it->decision.rule.empty() ? "(default)" : it->decision.rule)
-         << ": " << it->decision.reason << "\n";
+    const DecisionLog& log = engine.decision_log();
+    // Newest first: the log indexes oldest-first.
+    for (size_t i = log.size(); i > 0 && listed < options.recent_denials;
+         --i) {
+      const DecisionRecord& record = log[i - 1];
+      if (record.decision.allowed) continue;
+      os << FormatTime(record.when) << ' ' << record.operation << " -> "
+         << (record.decision.rule.empty() ? "(default)"
+                                          : record.decision.rule)
+         << ": " << record.decision.reason << "\n";
       ++listed;
     }
     if (listed == 0) os << "(none in the audit trail)\n";

@@ -24,6 +24,10 @@ uint64_t Fnv1a(const std::string& name) {
   return hash;
 }
 
+/// The shard whose thread is running this code; null on every other thread
+/// (a caller running an envelope inline, or synchronous mode).
+thread_local const void* tls_serving_shard = nullptr;
+
 }  // namespace
 
 void AuthorizationService::Latch::Arrive() {
@@ -48,13 +52,6 @@ Status AuthorizationService::ValidateConfig(const ServiceConfig& config) {
     return Status::InvalidArgument(
         "decision_cache_capacity must be 0 or a power of two; got " +
         std::to_string(config.decision_cache_capacity));
-  }
-  if (config.mailbox_capacity != 0 &&
-      !DecisionCache::IsPowerOfTwo(config.mailbox_capacity)) {
-    return Status::InvalidArgument(
-        "mailbox_capacity must be 0 or a power of two (the decision lane is "
-        "a slot ring); got " +
-        std::to_string(config.mailbox_capacity));
   }
   if (config.overload_policy == OverloadPolicy::kShed &&
       config.mailbox_capacity == 0) {
@@ -282,7 +279,8 @@ AuthorizationService::AuthorizationService(const ServiceConfig& config)
         telemetry::Histogram::ExponentialBounds(1, 2.0, 12));
     shard->queue_wait_hist = registry.AddHistogram(
         "mailbox_queue_wait_us",
-        "submit-to-run wait of decision envelopes (us); ~0 when run inline",
+        "submit-to-run wait of decision envelopes a shard thread ran "
+        "(us); inline runs record none",
         telemetry::Histogram::ExponentialBounds(1, 2.0, 15));
     shard->swap_commit_hist = registry.AddHistogram(
         "policy_swap_commit_us",
@@ -319,6 +317,7 @@ AuthorizationService::AuthorizationService(const ServiceConfig& config)
 AuthorizationService::~AuthorizationService() { Shutdown(); }
 
 void AuthorizationService::ShardLoop(Shard* shard) {
+  tls_serving_shard = shard;
   std::deque<Task> batch;
   while (shard->mailbox.Park()) {
     Latch* last = nullptr;
@@ -965,7 +964,10 @@ void AuthorizationService::SubmitEnvelope(const Call& call, uint32_t shard,
 AuthorizationService::Latch* AuthorizationService::RunEnvelope(
     const Call& call, Shard& shard, uint32_t begin, uint32_t end) {
   const int64_t start_ns = NowNanos();
-  shard.queue_wait_hist->Record((start_ns - call.submit_ns) / 1000);
+  // Only an envelope that crossed the mailbox waited in it.
+  if (tls_serving_shard == &shard) {
+    shard.queue_wait_hist->Record((start_ns - call.submit_ns) / 1000);
+  }
   const uint64_t epoch = shard.applied_epoch.load(std::memory_order_relaxed);
   for (uint32_t k = begin; k < end; ++k) {
     const uint32_t i = call.items[k].order;

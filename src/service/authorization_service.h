@@ -116,10 +116,8 @@ struct ServiceConfig {
   /// Per-shard mailbox capacity in queued envelopes for decision traffic
   /// (CheckAccess, session/role calls, one batch envelope per involved
   /// shard). 0 (the default) = unbounded, the pre-overload-protection
-  /// behavior. Nonzero values must be a power of two (the decision lane is
-  /// a slot ring) — anything else is rejected by ValidateConfig. Admin
-  /// broadcasts and time advances are exempt — the epoch barrier requires
-  /// every shard to observe every admin envelope.
+  /// behavior. Admin broadcasts and time advances are exempt — the epoch
+  /// barrier requires every shard to observe every admin envelope.
   size_t mailbox_capacity = 0;
   /// What a producer does when its shard mailbox is full. Only meaningful
   /// with mailbox_capacity > 0; kShed with capacity 0 is rejected by
@@ -256,9 +254,8 @@ struct TelemetrySnapshot {
 ///    shard thread pops its mailbox under the lock and runs what it popped
 ///    before letting go; a caller whose last envelope targets an idle shard
 ///    (lock free, mailbox empty) takes the lock with try_lock and runs the
-///    envelope itself, crossing no thread. The mailbox decision lane is a
-///    lock-free MPSC ring, and only the low-rate exempt admin lane takes a
-///    mutex.
+///    envelope itself, crossing no thread. The mailbox is two deques (the
+///    decision lane and the exempt admin lane) under one mutex.
 ///  * **Zero-hop read path (opt-in).** With `decision_cache_fastpath` set,
 ///    purpose-free CheckAccess calls probe the home shard's decision cache
 ///    from the caller's thread — the same seqlock-stamped slots and stamps
@@ -711,10 +708,10 @@ class AuthorizationService {
   bool quota_always_ = false;
   /// Tenant-aggregation delimiter (0 = full principal names).
   char quota_key_delimiter_ = '\0';
-  /// Ring depth over-quota requests may fill under kOnOverload: capacity
-  /// minus the reserved top quarter. The reservation is what makes shedding
-  /// weighted — conformant principals always find headroom an abuser
-  /// cannot occupy. 0 where no bound applies (unbounded mailbox,
+  /// Decision-lane depth over-quota requests may fill under kOnOverload:
+  /// capacity minus the reserved top quarter. The reservation is what makes
+  /// shedding weighted — conformant principals always find headroom an
+  /// abuser cannot occupy. 0 where no bound applies (unbounded mailbox,
   /// synchronous mode): over-quota requests then share envelopes.
   size_t over_quota_max_depth_ = 0;
   /// Zero-hop read path enabled (config flag, cache on, not synchronous).

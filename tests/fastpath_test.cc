@@ -369,12 +369,12 @@ TEST_F(FastPathServiceTest, HitsSurfaceInExpositionAndAdminReport) {
 
 // ------------------------------------------------- Config validation
 
-TEST(FastPathConfigTest, RejectsNonPowerOfTwoMailboxCapacity) {
+TEST(FastPathConfigTest, AcceptsNonPowerOfTwoMailboxCapacity) {
   ServiceConfig config;
   config.num_shards = 1;
-  config.mailbox_capacity = 3;  // The decision lane is a slot ring.
-  EXPECT_FALSE(AuthorizationService::ValidateConfig(config).ok());
-  EXPECT_FALSE(AuthorizationService::Create(config).ok());
+  config.mailbox_capacity = 3;  // The decision lane is a deque: any bound.
+  EXPECT_TRUE(AuthorizationService::ValidateConfig(config).ok());
+  EXPECT_TRUE(AuthorizationService::Create(config).ok());
 
   config.mailbox_capacity = 4;
   EXPECT_TRUE(AuthorizationService::ValidateConfig(config).ok());

@@ -1,7 +1,7 @@
 // Direct unit tests for the shard Mailbox: FIFO totality under concurrent
-// producers, the drain-not-drop shutdown contract, and the overload
-// behaviors of the bounded decision lane (capacity, blocking admission,
-// deadlines, exemption of the admin lane).
+// producers, the consumer's wake-ups, the drain-not-drop shutdown contract,
+// and the overload behaviors of the bounded decision lane (capacity,
+// blocking admission, deadlines, exemption of the admin lane).
 
 #include "service/mailbox.h"
 
@@ -99,6 +99,45 @@ TEST(MailboxTest, FifoOrderHoldsUnderConcurrentProducers) {
   }
 }
 
+TEST(MailboxTest, ParkWakesOnEveryPushToEitherLane) {
+  // One item in flight at a time, alternating lanes: the consumer takes
+  // each item and parks again before nearly every push, so every push has
+  // to wake it. A lost wake-up fails its round's deadline instead of
+  // hanging the test.
+  IntBox mailbox;
+  mailbox.set_capacity(1);
+  constexpr int kRounds = 10000;
+  std::atomic<int> consumed{0};
+  std::thread consumer([&mailbox, &consumed] {
+    std::deque<int> batch;
+    while (PopAll(mailbox, &batch)) {
+      consumed.fetch_add(static_cast<int>(batch.size()));
+    }
+  });
+  int lost_round = -1;
+  for (int round = 0; round < kRounds && lost_round < 0; ++round) {
+    if (round % 2 == 0) {
+      EXPECT_TRUE(mailbox.Push(round));
+    } else {
+      EXPECT_EQ(mailbox.PushBounded(round, /*block=*/false, 0),
+                PushResult::kOk);
+    }
+    const int64_t deadline = NanosFromNow(5'000'000'000);  // 5s.
+    while (consumed.load() <= round) {
+      if (telemetry::NowNanos() > deadline) {
+        lost_round = round;
+        break;
+      }
+      std::this_thread::yield();
+    }
+  }
+  mailbox.Close();  // Also wakes a consumer a lost wake-up left parked.
+  consumer.join();
+  EXPECT_EQ(lost_round, -1) << "the consumer missed the push of round "
+                            << lost_round;
+  EXPECT_EQ(consumed.load(), kRounds);
+}
+
 TEST(MailboxTest, CloseDrainsBacklogThenRefuses) {
   IntBox mailbox;
   EXPECT_TRUE(mailbox.Push(1));
@@ -121,23 +160,27 @@ TEST(MailboxTest, CloseDrainsBacklogThenRefuses) {
 // ------------------------------------------------------------ Bounded lane
 
 TEST(MailboxTest, ShedModeFailsFastAtCapacity) {
-  IntBox mailbox;
-  mailbox.set_capacity(2);
-  size_t depth = 0;
-  EXPECT_EQ(mailbox.PushBounded(1, /*block=*/false, 0, &depth),
-            PushResult::kOk);
-  EXPECT_EQ(depth, 1u);
-  EXPECT_EQ(mailbox.PushBounded(2, /*block=*/false, 0, &depth),
-            PushResult::kOk);
-  EXPECT_EQ(depth, 2u);
-  EXPECT_EQ(mailbox.PushBounded(3, /*block=*/false, 0), PushResult::kFull);
-  EXPECT_EQ(mailbox.depth(), 2u);
-  EXPECT_EQ(mailbox.peak_depth(), 2u);
-  // The shed item is gone; the queue holds exactly the admitted two.
-  std::deque<int> batch;
-  ASSERT_TRUE(PopAll(mailbox, &batch));
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[1], 2);
+  // Any capacity is exact, a power of two or not.
+  for (const int capacity : {2, 3}) {
+    SCOPED_TRACE(capacity);
+    IntBox mailbox;
+    mailbox.set_capacity(static_cast<size_t>(capacity));
+    for (int i = 1; i <= capacity; ++i) {
+      size_t depth = 0;
+      EXPECT_EQ(mailbox.PushBounded(i, /*block=*/false, 0, &depth),
+                PushResult::kOk);
+      EXPECT_EQ(depth, static_cast<size_t>(i));
+    }
+    EXPECT_EQ(mailbox.PushBounded(capacity + 1, /*block=*/false, 0),
+              PushResult::kFull);
+    EXPECT_EQ(mailbox.depth(), static_cast<size_t>(capacity));
+    EXPECT_EQ(mailbox.peak_depth(), static_cast<size_t>(capacity));
+    // The shed item is gone; the queue holds exactly the admitted ones.
+    std::deque<int> batch;
+    ASSERT_TRUE(PopAll(mailbox, &batch));
+    ASSERT_EQ(batch.size(), static_cast<size_t>(capacity));
+    EXPECT_EQ(batch.back(), capacity);
+  }
 }
 
 TEST(MailboxTest, ExemptLaneIgnoresCapacity) {

@@ -1,7 +1,11 @@
 #include "core/report.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/calendar.h"
 #include "common/logging.h"
 #include "core/engine.h"
 #include "core/policy_parser.h"
@@ -58,6 +62,32 @@ TEST_F(ReportTest, OptionsControlSections) {
   const std::string report = GenerateAdminReport(engine_, options);
   EXPECT_EQ(report.find("-- sessions"), std::string::npos);
   EXPECT_EQ(report.find("-- recent denials"), std::string::npos);
+}
+
+TEST_F(ReportTest, RecentDenialsListNewestFirstUpToTheLimit) {
+  ASSERT_TRUE(engine_.CreateSession("alice", "s1").allowed);
+  // Three denials a minute apart, with allowed calls between them.
+  std::vector<std::string> stamps;
+  for (int i = 0; i < 3; ++i) {
+    engine_.AdvanceBy(kMinute);
+    stamps.push_back(FormatTime(engine_.Now()));
+    EXPECT_FALSE(engine_.AddActiveRole("carol", "s1", "PM").allowed);
+    EXPECT_TRUE(
+        engine_.CreateSession("alice", "a" + std::to_string(i)).allowed);
+  }
+  ReportOptions options;
+  options.recent_denials = 2;
+  const std::string report = GenerateAdminReport(engine_, options);
+  const size_t section = report.find("-- recent denials --");
+  ASSERT_NE(section, std::string::npos);
+  const std::string denials = report.substr(section);
+  const size_t newest = denials.find(stamps[2]);
+  const size_t older = denials.find(stamps[1]);
+  ASSERT_NE(newest, std::string::npos);
+  ASSERT_NE(older, std::string::npos);
+  EXPECT_LT(newest, older);
+  // The limit leaves out the oldest denial.
+  EXPECT_EQ(denials.find(stamps[0]), std::string::npos);
 }
 
 TEST_F(ReportTest, AlertsAppearInReport) {
