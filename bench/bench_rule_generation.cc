@@ -1,11 +1,16 @@
 // E2 — Rule-generation scaling: "large enterprises have hundreds of roles,
 // which requires thousands of rules" (§1/§7). Measures full policy-load
 // time and reports generated rule/event counts as the role count grows,
-// for plain and constraint-rich policies.
+// for plain and constraint-rich policies, and what one engine costs at
+// perfbench's service scale (BM_Load_ServiceScale).
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
+
+#include <chrono>
 
 #include "bench/bench_util.h"
+#include "workload/scenario_gen.h"
 
 namespace sentinel {
 namespace {
@@ -72,6 +77,61 @@ void BM_Generate_BaselineLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_Generate_BaselineLoad)->Arg(100)->Arg(500)->Arg(1000)
     ->Unit(benchmark::kMillisecond);
+
+// Service scale: perfbench's scenario shape (4 divisions, depth 5,
+// branching 3, 2,048 objects, 20,000 users) loaded into one engine, then
+// one of two shards' sessions set up — a session and the assigned
+// activations for every even-numbered user. Counters: load_s and setup_s,
+// and the heap the engine holds after set-up (heap_mib: the change in
+// mallinfo2's in-use arena bytes; mmap_mib: in mmapped chunks).
+void BM_Load_ServiceScale(benchmark::State& state) {
+  ScenarioParams params;
+  params.seed = 5101;
+  params.divisions = 4;
+  params.depth = 5;
+  params.branching = 3;
+  params.num_objects = 2048;
+  params.num_users = 20000;
+  params.num_requests = 0;
+  const Scenario scenario = GenerateScenario(params);
+  using Clock = std::chrono::steady_clock;
+  const auto seconds = [](Clock::duration d) {
+    return std::chrono::duration<double>(d).count();
+  };
+  double load_s = 0, setup_s = 0, heap_mib = 0, mmap_mib = 0;
+  for (auto _ : state) {
+    const struct mallinfo2 before = mallinfo2();
+    const Clock::time_point t0 = Clock::now();
+    SimulatedClock clock(benchutil::Noon());
+    auto engine = std::make_unique<AuthorizationEngine>(&clock);
+    benchmark::DoNotOptimize(engine->LoadPolicy(scenario.policy));
+    const Clock::time_point t1 = Clock::now();
+    for (int i = 0; i < params.num_users; i += 2) {
+      const UserName user = ScenarioUserName(i);
+      const SessionId session = "s" + std::to_string(i);
+      benchmark::DoNotOptimize(engine->CreateSession(user, session));
+      const auto spec = scenario.policy.users().find(user);
+      if (spec == scenario.policy.users().end()) continue;
+      for (const RoleName& role : spec->second.assignments) {
+        benchmark::DoNotOptimize(engine->AddActiveRole(user, session, role));
+      }
+    }
+    const Clock::time_point t2 = Clock::now();
+    const struct mallinfo2 after = mallinfo2();
+    load_s += seconds(t1 - t0);
+    setup_s += seconds(t2 - t1);
+    heap_mib += (static_cast<double>(after.uordblks) -
+                 static_cast<double>(before.uordblks)) / (1 << 20);
+    mmap_mib += (static_cast<double>(after.hblkhd) -
+                 static_cast<double>(before.hblkhd)) / (1 << 20);
+  }
+  const auto per_run = benchmark::Counter::kAvgIterations;
+  state.counters["load_s"] = benchmark::Counter(load_s, per_run);
+  state.counters["setup_s"] = benchmark::Counter(setup_s, per_run);
+  state.counters["heap_mib"] = benchmark::Counter(heap_mib, per_run);
+  state.counters["mmap_mib"] = benchmark::Counter(mmap_mib, per_run);
+}
+BENCHMARK(BM_Load_ServiceScale)->Iterations(3)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace sentinel

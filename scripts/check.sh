@@ -8,7 +8,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS=$(nproc 2>/dev/null || echo 4)
 
-echo "== Symbol invariant: event parameters are symbols =="
+echo "== Symbol invariant: event parameters and RBAC state are symbols =="
 # Names enter the engine as strings only at its public API. The event and
 # rule layers keep no string-keyed std::map, and no file under src/ brings
 # back the string-keyed ParamMap (whole word: FlatParamMap does not match).
@@ -18,6 +18,16 @@ if grep -rn 'std::map<std::string' src/event src/rules; then
 fi
 if grep -rnw 'ParamMap' src; then
   echo "symbol-invariant: ParamMap under src/" >&2
+  exit 1
+fi
+# The RBAC base and the role-state table keep one copy of their state,
+# keyed by symbol: neither header declares a data member that is a set or
+# map keyed by a name type. A member is a declaration with no '(' before
+# its ';', so the by-value accessors that return name sets do not match.
+NAME_KEY='(std::string|UserName|RoleName|SessionId|OperationName|ObjectName|Permission)'
+if grep -nE "std::(set|map|multiset|multimap|unordered_(set|map|multiset|multimap))<${NAME_KEY}[ ,>][^(]*;" \
+    src/rbac/database.h src/gtrbac/role_state.h; then
+  echo "symbol-invariant: name-keyed container member in the RBAC state" >&2
   exit 1
 fi
 

@@ -1,5 +1,7 @@
 #include "audit/exporter.h"
 
+#include <pthread.h>
+
 #include <chrono>
 #include <utility>
 
@@ -106,6 +108,7 @@ void AuditExporter::RotateIfNeeded() {
 }
 
 void AuditExporter::WriterLoop() {
+  pthread_setname_np(pthread_self(), "audit-writer");
   OpenOutput();
   std::vector<AuditRecord> batch;
   while (true) {

@@ -31,7 +31,7 @@ Status DirectEnforcer::ApplyPolicyUpdate(const Policy& updated) {
   for (const SessionId& session : rbac_.db().SessionIds()) {
     auto info = rbac_.db().GetSession(session);
     if (!info.ok()) continue;
-    for (const RoleName& role : (*info)->active_roles) {
+    for (const RoleName& role : info->active_roles) {
       if (affected.count(role) > 0) CancelExpiries(session, role);
     }
   }
@@ -198,10 +198,9 @@ Decision DirectEnforcer::DeleteSession(const SessionId& session) {
     d.Deny("ADM.deleteSession", "No Such Session");
     return Finish(d);
   }
-  const UserName user = (*info)->user;
-  const std::set<RoleName> active = (*info)->active_roles;
-  for (const RoleName& role : active) {
-    DropWithCascades(user, session, role);
+  // GetSession returns a copy, so the drops cannot disturb this loop.
+  for (const RoleName& role : info->active_roles) {
+    DropWithCascades(info->user, session, role);
   }
   (void)rbac_.db().DeleteSession(session);
   d.Allow("ADM.deleteSession");
@@ -224,7 +223,7 @@ Decision DirectEnforcer::AddActiveRole(const UserName& user,
   auto session_info = rbac_.db().GetSession(session);
   const bool base_ok =
       rbac_.db().HasUser(user) && session_info.ok() &&
-      (*session_info)->user == user &&
+      session_info->user == user &&
       !rbac_.db().IsSessionRoleActive(session, role) &&
       (policy_.RoleInHierarchy(role) ? rbac_.IsAuthorized(user, role)
                                      : rbac_.db().IsAssigned(user, role)) &&
@@ -297,7 +296,7 @@ Decision DirectEnforcer::DropActiveRole(const UserName& user,
                                         const RoleName& role) {
   Decision d;
   auto info = rbac_.db().GetSession(session);
-  if (info.ok() && (*info)->user == user &&
+  if (info.ok() && info->user == user &&
       rbac_.db().IsSessionRoleActive(session, role)) {
     DropWithCascades(user, session, role);
     d.Allow("GLOB.drop");
@@ -347,8 +346,7 @@ Decision DirectEnforcer::DeassignUser(const UserName& user,
     for (const SessionId& session : rbac_.db().UserSessions(user)) {
       auto info = rbac_.db().GetSession(session);
       if (!info.ok()) continue;
-      const std::set<RoleName> active = (*info)->active_roles;
-      for (const RoleName& r : active) {
+      for (const RoleName& r : info->active_roles) {
         if (!rbac_.IsAuthorized(user, r)) {
           DropWithCascades(user, session, r);
         }
@@ -530,8 +528,8 @@ void DirectEnforcer::DeactivateAllInstances(const RoleName& role) {
   for (const SessionId& session : rbac_.db().SessionIds()) {
     auto info = rbac_.db().GetSession(session);
     if (!info.ok()) continue;
-    if ((*info)->active_roles.count(role) > 0) {
-      DropWithCascades((*info)->user, session, role);
+    if (info->active_roles.count(role) > 0) {
+      DropWithCascades(info->user, session, role);
     }
   }
 }
@@ -546,7 +544,7 @@ int DirectEnforcer::CountUserActiveRoles(const UserName& user) const {
   int count = 0;
   for (const SessionId& session : rbac_.db().UserSessions(user)) {
     auto info = rbac_.db().GetSession(session);
-    if (info.ok()) count += static_cast<int>((*info)->active_roles.size());
+    if (info.ok()) count += static_cast<int>(info->active_roles.size());
   }
   return count;
 }

@@ -111,6 +111,13 @@ const std::string& SymbolTable::NameOf(Symbol s) const {
   return NameUnchecked(s.id());
 }
 
+std::vector<Symbol> SymbolTable::ByName(std::vector<Symbol> symbols) const {
+  std::sort(symbols.begin(), symbols.end(), [this](Symbol a, Symbol b) {
+    return NameOf(a) < NameOf(b);
+  });
+  return symbols;
+}
+
 void FlatParamMap::Set(Symbol key, Value value) {
   Entry* base = data();
   Entry* pos = std::lower_bound(

@@ -52,6 +52,10 @@ class SymbolTable {
   /// Safe from any thread.
   const std::string& NameOf(Symbol s) const;
 
+  /// `symbols` sorted by name: the order of loops whose order is visible
+  /// (events raised, first offender reported). Safe from any thread.
+  std::vector<Symbol> ByName(std::vector<Symbol> symbols) const;
+
   size_t size() const { return size_.load(std::memory_order_acquire); }
 
  private:

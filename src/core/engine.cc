@@ -342,7 +342,7 @@ Status AuthorizationEngine::ApplyBaseDelta(const BaseStateDelta& delta,
       role_state_.Enable(name, now);
     } else {
       role_state_.Disable(name, now);
-      DeactivateAllInstances(name);
+      DeactivateAllInstances(symbols_.Find(name));
     }
   }
   for (const RoleName& name : delta.window_removed) {
@@ -673,38 +673,36 @@ bool AuthorizationEngine::ContextSatisfied(
   return true;
 }
 
-Status AuthorizationEngine::ForceDeactivate(const UserName& user,
-                                            const SessionId& session,
-                                            const RoleName& role) {
+Status AuthorizationEngine::ForceDeactivate(Symbol user, Symbol session,
+                                            Symbol role) {
   SENTINEL_RETURN_IF_ERROR(rbac_.db().DropSessionRole(session, role));
-  const Symbol user_sym = symbols_.Intern(user);
-  const Symbol session_sym = symbols_.Intern(session);
-  const Symbol role_sym = symbols_.Intern(role);
-  CancelDurationTimers(session_sym, role_sym);
+  CancelDurationTimers(session, role);
   return detector_.Raise(events_.session_role_dropped,
-                         {{keys_.user, Value(user_sym)},
-                          {keys_.session, Value(session_sym)},
-                          {keys_.role, Value(role_sym)}});
+                         {{keys_.user, Value(user)},
+                          {keys_.session, Value(session)},
+                          {keys_.role, Value(role)}});
 }
 
-int AuthorizationEngine::DeactivateAllInstances(const RoleName& role) {
+int AuthorizationEngine::DeactivateAllInstances(Symbol role) {
+  const RbacDatabase& db = rbac_.db();
   int count = 0;
-  for (const SessionId& session : rbac_.db().SessionIds()) {
-    auto info = rbac_.db().GetSession(session);
-    if (!info.ok()) continue;
-    if ((*info)->active_roles.count(role) > 0) {
-      const UserName user = (*info)->user;
-      if (ForceDeactivate(user, session, role).ok()) ++count;
+  for (Symbol session : symbols_.ByName(db.SessionsWithRole(role))) {
+    // An earlier drop's cascade may have dropped this instance already;
+    // ForceDeactivate then fails and raises nothing.
+    const RbacDatabase::SessionState* state = db.GetSessionState(session);
+    if (state != nullptr && ForceDeactivate(state->user, session, role).ok()) {
+      ++count;
     }
   }
   return count;
 }
 
-int AuthorizationEngine::CountUserActiveRoles(const UserName& user) const {
+int AuthorizationEngine::CountUserActiveRoles(Symbol user) const {
   int count = 0;
-  for (const SessionId& session : rbac_.db().UserSessions(user)) {
-    auto info = rbac_.db().GetSession(session);
-    if (info.ok()) count += static_cast<int>((*info)->active_roles.size());
+  for (Symbol session : rbac_.db().UserSessions(user)) {
+    const RbacDatabase::SessionState* state =
+        rbac_.db().GetSessionState(session);
+    if (state != nullptr) count += static_cast<int>(state->active_roles.size());
   }
   return count;
 }

@@ -221,13 +221,16 @@ class AuthorizationEngine {
 
   /// Drops `role` from `session` outside a user request (duration expiry,
   /// shift end, cascade), raising the post-state event.
-  Status ForceDeactivate(const UserName& user, const SessionId& session,
-                         const RoleName& role);
-  /// Force-deactivates every active instance of `role`; returns count.
-  int DeactivateAllInstances(const RoleName& role);
+  Status ForceDeactivate(Symbol user, Symbol session, Symbol role);
+  /// Force-deactivates every active instance of `role`, session by session
+  /// in name order; returns count.
+  int DeactivateAllInstances(Symbol role);
 
   /// Active role instances of `user` across all their sessions.
-  int CountUserActiveRoles(const UserName& user) const;
+  int CountUserActiveRoles(Symbol user) const;
+  int CountUserActiveRoles(const UserName& user) const {
+    return CountUserActiveRoles(symbols_.Find(user));
+  }
 
   /// True iff a time-SoD of `kind` containing `role` is in effect now.
   bool TsodGuardedNow(const RoleName& role, TimeSodKind kind) const;

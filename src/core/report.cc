@@ -66,8 +66,8 @@ std::string GenerateAdminReport(const AuthorizationEngine& engine,
     for (const SessionId& session : engine.rbac().db().SessionIds()) {
       auto info = engine.rbac().db().GetSession(session);
       if (!info.ok()) continue;
-      os << session << " (" << (*info)->user << "):";
-      for (const RoleName& role : (*info)->active_roles) os << ' ' << role;
+      os << session << " (" << info->user << "):";
+      for (const RoleName& role : info->active_roles) os << ' ' << role;
       os << "\n";
     }
     os << "\n";

@@ -255,8 +255,8 @@ Status RuleGenerator::GenerateGlobalRules(const Policy& policy) {
               })
         .Then("createSession(user, sessionId)",
               [eng, k](RuleContext& c) {
-                (void)eng->rbac().db().CreateSession(
-                    c.ParamString(k.user), c.ParamString(k.session));
+                (void)eng->rbac().db().CreateSession(c.ParamSym(k.user),
+                                                     c.ParamSym(k.session));
                 AllowDecision(c, "ADM.createSession");
               })
         .Else("raise error \"Cannot Create Session\"", [](RuleContext& c) {
@@ -276,12 +276,13 @@ Status RuleGenerator::GenerateGlobalRules(const Policy& policy) {
               })
         .Then("deactivate roles; deleteSession(sessionId)",
               [eng, k](RuleContext& c) {
-                const SessionId session = c.ParamString(k.session);
-                auto info = eng->rbac().db().GetSession(session);
-                if (info.ok()) {
-                  const UserName user = (*info)->user;
-                  const std::set<RoleName> active = (*info)->active_roles;
-                  for (const RoleName& role : active) {
+                const Symbol session = c.ParamSym(k.session);
+                if (const RbacDatabase::SessionState* state =
+                        eng->rbac().db().GetSessionState(session)) {
+                  const Symbol user = state->user;
+                  // Each drop raises an event: in role-name order.
+                  for (Symbol role :
+                       eng->symbols().ByName(state->active_roles)) {
                     (void)eng->ForceDeactivate(user, session, role);
                   }
                 }
@@ -319,8 +320,8 @@ Status RuleGenerator::GenerateGlobalRules(const Policy& policy) {
               })
         .Then("assignUser(user, role)",
               [eng, k](RuleContext& c) {
-                (void)eng->rbac().db().Assign(c.ParamString(k.user),
-                                              c.ParamString(k.role));
+                (void)eng->rbac().db().Assign(c.ParamSym(k.user),
+                                              c.ParamSym(k.role));
                 AllowDecision(c, "ADM.assign");
               })
         .Else("raise error \"Cannot Assign\"", [](RuleContext& c) {
@@ -345,16 +346,18 @@ Status RuleGenerator::GenerateGlobalRules(const Policy& policy) {
               })
         .Then("deassignUser(user, role); drop unauthorized active roles",
               [eng, k](RuleContext& c) {
-                const UserName user = c.ParamString(k.user);
-                const RoleName role = c.ParamString(k.role);
-                (void)eng->rbac().db().Deassign(user, role);
-                // Active instances that lost their authorization fall away.
-                for (const SessionId& session :
-                     eng->rbac().db().UserSessions(user)) {
-                  auto info = eng->rbac().db().GetSession(session);
-                  if (!info.ok()) continue;
-                  const std::set<RoleName> active = (*info)->active_roles;
-                  for (const RoleName& r : active) {
+                const Symbol user = c.ParamSym(k.user);
+                RbacDatabase& db = eng->rbac().db();
+                const SymbolTable& symbols = eng->symbols();
+                (void)db.Deassign(user, c.ParamSym(k.role));
+                // Active instances that lost their authorization fall away;
+                // the drops raise events, so sessions and roles go in name
+                // order.
+                for (Symbol session : symbols.ByName(db.UserSessions(user))) {
+                  const RbacDatabase::SessionState* state =
+                      db.GetSessionState(session);
+                  if (state == nullptr) continue;
+                  for (Symbol r : symbols.ByName(state->active_roles)) {
                     if (!eng->rbac().IsAuthorized(user, r)) {
                       (void)eng->ForceDeactivate(user, session, r);
                     }
@@ -390,9 +393,9 @@ Status RuleGenerator::GenerateGlobalRules(const Policy& policy) {
               })
         .Then("dropSessionRole(sessionId, role)",
               [eng, k](RuleContext& c) {
-                (void)eng->ForceDeactivate(c.ParamString(k.user),
-                                           c.ParamString(k.session),
-                                           c.ParamString(k.role));
+                (void)eng->ForceDeactivate(c.ParamSym(k.user),
+                                           c.ParamSym(k.session),
+                                           c.ParamSym(k.role));
                 AllowDecision(c, "GLOB.drop");
               })
         .Else("raise error \"Cannot Deactivate\"", [](RuleContext& c) {
@@ -470,17 +473,16 @@ Status RuleGenerator::GenerateGlobalRules(const Policy& policy) {
               })
         .Then("enableRole(role)",
               [eng, k](RuleContext& c) {
-                eng->role_state().Enable(c.ParamString(k.role), eng->Now());
+                eng->role_state().Enable(c.ParamSym(k.role), eng->Now());
                 AllowDecision(c, "GLOB.enable");
                 (void)eng->detector().Raise(
                     eng->events().role_enabled,
                     {{k.role, Value(c.ParamSym(k.role))}});
               })
         .Else("deny or defer to CFD rule", [eng, k](RuleContext& c) {
-          const RoleName role = c.ParamString(k.role);
-          if (!eng->rbac().db().HasRole(role)) {
+          if (!eng->rbac().db().HasRole(c.ParamSym(k.role))) {
             DenyDecision(c, "GLOB.enable", "No Such Role");
-          } else if (eng->IsCfdTrigger(role)) {
+          } else if (eng->IsCfdTrigger(c.ParamString(k.role))) {
             // The CFD rule on the filtered event adjudicates this request.
           } else {
             DenyDecision(c, "GLOB.enable",
@@ -506,7 +508,7 @@ Status RuleGenerator::GenerateGlobalRules(const Policy& policy) {
               })
         .Then("disableRole(role)",
               [eng, k](RuleContext& c) {
-                const RoleName role = c.ParamString(k.role);
+                const Symbol role = c.ParamSym(k.role);
                 eng->role_state().Disable(role, eng->Now());
                 eng->DeactivateAllInstances(role);
                 AllowDecision(c, "GLOB.disable");
@@ -515,8 +517,7 @@ Status RuleGenerator::GenerateGlobalRules(const Policy& policy) {
                     {{k.role, Value(c.ParamSym(k.role))}});
               })
         .Else("deny or defer to TSOD rule", [eng, k](RuleContext& c) {
-          const RoleName role = c.ParamString(k.role);
-          if (!eng->rbac().db().HasRole(role)) {
+          if (!eng->rbac().db().HasRole(c.ParamSym(k.role))) {
             DenyDecision(c, "GLOB.disable", "No Such Role");
           }
           // Guarded roles are adjudicated by the TSOD APERIODIC rule.
@@ -635,8 +636,8 @@ Status RuleGenerator::GenerateRoleRules(const Policy& policy,
     }
     rule.Then("addSessionRole" + role + "(sessionId)",
               [eng, k, role, role_sym](RuleContext& c) {
-                (void)eng->rbac().db().AddSessionRole(
-                    c.ParamString(k.session), role);
+                (void)eng->rbac().db().AddSessionRole(c.ParamSym(k.session),
+                                                      role_sym);
                 AllowDecision(c, "AAR." + role);
                 (void)eng->detector().Raise(
                     eng->events().session_role_added,
@@ -666,9 +667,9 @@ Status RuleGenerator::GenerateRoleRules(const Policy& policy,
                 return !eng->ContextSatisfied(required);
               })
         .Then("deactivate all instances of " + role,
-              [eng, role](RuleContext& c) {
+              [eng, role_sym](RuleContext& c) {
                 (void)c;
-                eng->DeactivateAllInstances(role);
+                eng->DeactivateAllInstances(role_sym);
               });
     SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
   }
@@ -687,9 +688,9 @@ Status RuleGenerator::GenerateRoleRules(const Policy& policy,
         .Then("confirm activation", [](RuleContext&) {})
         .Else("undo activation; raise error \"Maximum Number of Roles "
               "Reached\"",
-              [eng, k, role](RuleContext& c) {
-                (void)eng->ForceDeactivate(c.ParamString(k.user),
-                                           c.ParamString(k.session), role);
+              [eng, k, role, role_sym](RuleContext& c) {
+                (void)eng->ForceDeactivate(c.ParamSym(k.user),
+                                           c.ParamSym(k.session), role_sym);
                 DenyDecision(c, "CC." + role,
                              "Maximum Number of Roles Reached");
               });
@@ -714,9 +715,9 @@ Status RuleGenerator::GenerateRoleRules(const Policy& policy,
                     c.ParamSym(k.session), role_sym);
               })
         .Then("deactivateRole" + role + "(sessionId)",
-              [eng, k, role](RuleContext& c) {
-                (void)eng->ForceDeactivate(c.ParamString(k.user),
-                                           c.ParamString(k.session), role);
+              [eng, k, role_sym](RuleContext& c) {
+                (void)eng->ForceDeactivate(c.ParamSym(k.user),
+                                           c.ParamSym(k.session), role_sym);
               });
     SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
   }
@@ -737,9 +738,9 @@ Status RuleGenerator::GenerateRoleRules(const Policy& policy,
                  Rule::Options{0, true, RuleClass::kActivityControl,
                                RuleGranularity::kLocalized});
     on_rule.Then("enableRole" + role,
-                 [eng, k, role, role_sym](RuleContext& c) {
+                 [eng, k, role_sym](RuleContext& c) {
                    (void)c;
-                   eng->role_state().Enable(role, eng->Now());
+                   eng->role_state().Enable(role_sym, eng->Now());
                    (void)eng->detector().Raise(eng->events().role_enabled,
                                                {{k.role, Value(role_sym)}});
                  });
@@ -749,10 +750,10 @@ Status RuleGenerator::GenerateRoleRules(const Policy& policy,
                   Rule::Options{0, true, RuleClass::kActivityControl,
                                 RuleGranularity::kLocalized});
     off_rule.Then("disableRole" + role + "; deactivate instances",
-                  [eng, k, role, role_sym](RuleContext& c) {
+                  [eng, k, role_sym](RuleContext& c) {
                     (void)c;
-                    eng->role_state().Disable(role, eng->Now());
-                    eng->DeactivateAllInstances(role);
+                    eng->role_state().Disable(role_sym, eng->Now());
+                    eng->DeactivateAllInstances(role_sym);
                     (void)eng->detector().Raise(eng->events().role_disabled,
                                                 {{k.role, Value(role_sym)}});
                   });
@@ -777,24 +778,24 @@ Status RuleGenerator::GenerateUserRules(const Policy& policy,
   // --- UAC.<user>: scenario 1, specialized active-role cap ---------------
   if (spec.max_active_roles > 0) {
     const int cap = spec.max_active_roles;
+    const Symbol user_sym = eng->symbols().Intern(user);
     SENTINEL_ASSIGN_OR_RETURN(
-        added_ev,
-        EnsureFilter("ev.added.u." + user, ev.session_role_added,
-                     {{k.user, Value(eng->symbols().Intern(user))}}));
+        added_ev, EnsureFilter("ev.added.u." + user, ev.session_role_added,
+                               {{k.user, Value(user_sym)}}));
     Rule rule("UAC." + user, added_ev,
               Rule::Options{0, true, RuleClass::kActivityControl,
                             RuleGranularity::kSpecialized});
     rule.When("active roles of " + user + " <= " + std::to_string(cap),
-              [eng, user, cap](RuleContext& c) {
+              [eng, user_sym, cap](RuleContext& c) {
                 (void)c;
-                return eng->CountUserActiveRoles(user) <= cap;
+                return eng->CountUserActiveRoles(user_sym) <= cap;
               })
         .Then("confirm activation", [](RuleContext&) {})
         .Else("undo activation; raise error \"Maximum Number of Roles "
               "Reached\"",
-              [eng, k, user](RuleContext& c) {
-                (void)eng->ForceDeactivate(user, c.ParamString(k.session),
-                                           c.ParamString(k.role));
+              [eng, k, user, user_sym](RuleContext& c) {
+                (void)eng->ForceDeactivate(user_sym, c.ParamSym(k.session),
+                                           c.ParamSym(k.role));
                 DenyDecision(c, "UAC." + user,
                              "Maximum Number of Roles Reached");
               });
@@ -818,7 +819,6 @@ Status RuleGenerator::GenerateUserRules(const Policy& policy,
     TrackTemporal(tag, *plus_ev);
     eng->RegisterDurationEvent(role_sym, *plus_ev);
 
-    const RoleName role_copy = role;
     Rule rule("DUR." + user + "." + role, *plus_ev,
               Rule::Options{0, true, RuleClass::kActivityControl,
                             RuleGranularity::kSpecialized});
@@ -828,9 +828,9 @@ Status RuleGenerator::GenerateUserRules(const Policy& policy,
                     c.ParamSym(k.session), role_sym);
               })
         .Then("deactivateRole" + role + "(sessionId)",
-              [eng, k, user, role_copy](RuleContext& c) {
-                (void)eng->ForceDeactivate(user, c.ParamString(k.session),
-                                           role_copy);
+              [eng, k, user_sym, role_sym](RuleContext& c) {
+                (void)eng->ForceDeactivate(user_sym, c.ParamSym(k.session),
+                                           role_sym);
               });
     SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
   }
@@ -904,7 +904,7 @@ Status RuleGenerator::GenerateTimeSodRules(const Policy& policy,
             })
       .Then("disable requested role",
             [eng, k, rule_name = "TSOD." + tsod.name](RuleContext& c) {
-              const RoleName role = c.ParamString(k.role);
+              const Symbol role = c.ParamSym(k.role);
               eng->role_state().Disable(role, eng->Now());
               eng->DeactivateAllInstances(role);
               AllowDecision(c, rule_name);
@@ -965,19 +965,18 @@ Status RuleGenerator::GenerateCfdRules(const Policy& policy,
                 return eng->EnableTsodOk(trigger);
               })
         .When("companion " + companion + " enabled or enablable",
-              [eng, companion](RuleContext& c) {
+              [eng, companion, companion_sym](RuleContext& c) {
                 (void)c;
-                return eng->role_state().IsEnabled(companion) ||
+                return eng->role_state().IsEnabled(companion_sym) ||
                        eng->EnableTsodOk(companion);
               })
         .Then("enableRole" + trigger + "(); enableRole" + companion + "()",
-              [eng, k, trigger, companion, trigger_sym,
-               companion_sym](RuleContext& c) {
-                eng->role_state().Enable(trigger, eng->Now());
+              [eng, k, trigger, trigger_sym, companion_sym](RuleContext& c) {
+                eng->role_state().Enable(trigger_sym, eng->Now());
                 (void)eng->detector().Raise(eng->events().role_enabled,
                                             {{k.role, Value(trigger_sym)}});
-                if (!eng->role_state().IsEnabled(companion)) {
-                  eng->role_state().Enable(companion, eng->Now());
+                if (!eng->role_state().IsEnabled(companion_sym)) {
+                  eng->role_state().Enable(companion_sym, eng->Now());
                   (void)eng->detector().Raise(eng->events().role_enabled,
                                               {{k.role, Value(companion_sym)}});
                 }
@@ -999,20 +998,20 @@ Status RuleGenerator::GenerateCfdRules(const Policy& policy,
               Rule::Options{0, true, RuleClass::kActivityControl,
                             RuleGranularity::kLocalized});
     rule.When("companion " + companion + " is now disabled",
-              [eng, companion](RuleContext& c) {
+              [eng, companion_sym](RuleContext& c) {
                 (void)c;
-                return !eng->role_state().IsEnabled(companion);
+                return !eng->role_state().IsEnabled(companion_sym);
               })
         .When("trigger " + trigger + " still enabled",
-              [eng, trigger](RuleContext& c) {
+              [eng, trigger_sym](RuleContext& c) {
                 (void)c;
-                return eng->role_state().IsEnabled(trigger);
+                return eng->role_state().IsEnabled(trigger_sym);
               })
         .Then("disableRole" + trigger + "()",
-              [eng, k, trigger, trigger_sym](RuleContext& c) {
+              [eng, k, trigger_sym](RuleContext& c) {
                 (void)c;
-                eng->role_state().Disable(trigger, eng->Now());
-                eng->DeactivateAllInstances(trigger);
+                eng->role_state().Disable(trigger_sym, eng->Now());
+                eng->DeactivateAllInstances(trigger_sym);
                 (void)eng->detector().Raise(eng->events().role_disabled,
                                             {{k.role, Value(trigger_sym)}});
               });
@@ -1130,10 +1129,9 @@ Status RuleGenerator::GenerateTransactionRules(
                        0;
               })
         .Then("activate" + dependent,
-              [eng, k, dependent, dependent_sym,
-               tx_name = tx.name](RuleContext& c) {
-                (void)eng->rbac().db().AddSessionRole(
-                    c.ParamString(k.session), dependent);
+              [eng, k, dependent_sym, tx_name = tx.name](RuleContext& c) {
+                (void)eng->rbac().db().AddSessionRole(c.ParamSym(k.session),
+                                                      dependent_sym);
                 AllowDecision(c, "ASEC." + tx_name + ".activate");
                 (void)eng->detector().Raise(
                     eng->events().session_role_added,
@@ -1158,11 +1156,11 @@ Status RuleGenerator::GenerateTransactionRules(
               Rule::Options{0, true, RuleClass::kActiveSecurity,
                             RuleGranularity::kLocalized});
     rule.Then("deactivate dependents or re-open window",
-              [eng, controller_sym, dependent, boot](RuleContext& c) {
+              [eng, controller_sym, dependent_sym, boot](RuleContext& c) {
                 (void)c;
                 if (eng->rbac().db().ActiveSessionCount(controller_sym) ==
                     0) {
-                  eng->DeactivateAllInstances(dependent);
+                  eng->DeactivateAllInstances(dependent_sym);
                 } else {
                   (void)eng->detector().Raise(boot, {});
                 }
@@ -1171,7 +1169,7 @@ Status RuleGenerator::GenerateTransactionRules(
   }
 
   // Honour controllers already active at generation time.
-  if (eng->rbac().db().ActiveSessionCount(controller) > 0) {
+  if (eng->rbac().db().ActiveSessionCount(controller_sym) > 0) {
     (void)eng->detector().Raise(*boot_ev, {});
   }
   return Status::OK();
@@ -1248,11 +1246,11 @@ Status RuleGenerator::GenerateThresholdRules(
         // The paper's "deactivate a set of roles" alert action.
         for (const RoleName& role : disable_roles) {
           if (eng->role_state().IsEnabled(role)) {
-            eng->role_state().Disable(role, now);
-            eng->DeactivateAllInstances(role);
-            (void)eng->detector().Raise(
-                eng->events().role_disabled,
-                {{k.role, Value(eng->symbols().Intern(role))}});
+            const Symbol role_sym = eng->symbols().Intern(role);
+            eng->role_state().Disable(role_sym, now);
+            eng->DeactivateAllInstances(role_sym);
+            (void)eng->detector().Raise(eng->events().role_disabled,
+                                        {{k.role, Value(role_sym)}});
           }
         }
         (void)eng->detector().Raise(eng->events().security_alert,

@@ -11,38 +11,38 @@ RoleStateTable::RoleStateTable(SymbolTable* symbols) {
   }
 }
 
-void RoleStateTable::Enable(const RoleName& role, Time when) {
-  disabled_.erase(role);
-  disabled_sym_.erase(symbols_->Intern(role).id());
-  last_transition_[role] = when;
+void RoleStateTable::Enable(Symbol role, Time when) {
   ++roles_generation_;
+  if (!role.valid()) return;  // A name the full table could not intern.
+  disabled_.erase(role.id());
+  last_transition_[role.id()] = when;
 }
 
-void RoleStateTable::Disable(const RoleName& role, Time when) {
-  disabled_.insert(role);
-  disabled_sym_.insert(symbols_->Intern(role).id());
-  last_transition_[role] = when;
+void RoleStateTable::Disable(Symbol role, Time when) {
   ++roles_generation_;
-}
-
-bool RoleStateTable::IsEnabled(const RoleName& role) const {
-  return disabled_.count(role) == 0;
+  if (!role.valid()) return;
+  disabled_.insert(role.id());
+  last_transition_[role.id()] = when;
 }
 
 std::optional<Time> RoleStateTable::LastTransition(
     const RoleName& role) const {
-  auto it = last_transition_.find(role);
+  auto it = last_transition_.find(symbols_->Find(role).id());
   if (it == last_transition_.end()) return std::nullopt;
   return it->second;
 }
 
 void RoleStateTable::EraseRole(const RoleName& role) {
-  disabled_.erase(role);
-  disabled_sym_.erase(symbols_->Intern(role).id());
-  last_transition_.erase(role);
+  const Symbol role_sym = symbols_->Find(role);
+  disabled_.erase(role_sym.id());
+  last_transition_.erase(role_sym.id());
   ++roles_generation_;
 }
 
-std::set<RoleName> RoleStateTable::DisabledRoles() const { return disabled_; }
+std::set<RoleName> RoleStateTable::DisabledRoles() const {
+  std::set<RoleName> out;
+  for (uint32_t role : disabled_) out.insert(symbols_->NameOf(Symbol(role)));
+  return out;
+}
 
 }  // namespace sentinel

@@ -1,11 +1,11 @@
 #ifndef SENTINELPP_GTRBAC_ROLE_STATE_H_
 #define SENTINELPP_GTRBAC_ROLE_STATE_H_
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/interner.h"
@@ -22,9 +22,10 @@ namespace sentinel {
 /// time-based SoD act on this table; activation rules consult it. Roles
 /// without an entry are enabled by default.
 ///
-/// The disabled set is mirrored by symbol id so the per-activation
-/// IsEnabled check on the rule path costs one integer-set probe (and
-/// nothing at all while no role is disabled, the common case).
+/// State is keyed by symbol, so the per-activation IsEnabled check on the
+/// rule path costs one integer-set probe (and nothing at all while no role
+/// is disabled, the common case). Name reads resolve with Find and never
+/// intern: a name never registered reads as enabled, with no transition.
 class RoleStateTable {
  public:
   /// `symbols` is shared with the owning engine; when null the table owns
@@ -32,13 +33,21 @@ class RoleStateTable {
   explicit RoleStateTable(SymbolTable* symbols = nullptr);
 
   /// Enables the role; records the transition time.
-  void Enable(const RoleName& role, Time when);
+  void Enable(const RoleName& role, Time when) {
+    Enable(symbols_->Intern(role), when);
+  }
+  void Enable(Symbol role, Time when);
   /// Disables the role; records the transition time.
-  void Disable(const RoleName& role, Time when);
+  void Disable(const RoleName& role, Time when) {
+    Disable(symbols_->Intern(role), when);
+  }
+  void Disable(Symbol role, Time when);
 
-  bool IsEnabled(const RoleName& role) const;
+  bool IsEnabled(const RoleName& role) const {
+    return IsEnabled(symbols_->Find(role));
+  }
   bool IsEnabled(Symbol role) const {
-    return disabled_sym_.empty() || disabled_sym_.count(role.id()) == 0;
+    return disabled_.empty() || disabled_.count(role.id()) == 0;
   }
 
   /// Time of the last enable/disable transition, or nullopt if none.
@@ -47,10 +56,8 @@ class RoleStateTable {
   /// Drops the role's entry (on role deletion).
   void EraseRole(const RoleName& role);
 
-  /// Roles currently explicitly disabled.
+  /// Roles currently explicitly disabled, sorted by name.
   std::set<RoleName> DisabledRoles() const;
-
-  int disabled_count() const { return static_cast<int>(disabled_.size()); }
 
   /// Transition counter: bumped by every Enable / Disable / EraseRole —
   /// the GTRBAC firing sites. A word of the decision cache's validity
@@ -59,12 +66,10 @@ class RoleStateTable {
   uint32_t roles_generation() const { return roles_generation_; }
 
  private:
-  std::set<RoleName> disabled_;
-  std::map<RoleName, Time> last_transition_;
-
   std::unique_ptr<SymbolTable> owned_symbols_;
   SymbolTable* symbols_;
-  std::unordered_set<uint32_t> disabled_sym_;
+  std::unordered_set<uint32_t> disabled_;  // Symbol ids.
+  std::unordered_map<uint32_t, Time> last_transition_;
   uint32_t roles_generation_ = 0;
 };
 

@@ -5,6 +5,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <pthread.h>
 #include <string.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
@@ -143,6 +144,7 @@ int64_t WireServer::NowMs() const {
 // ------------------------------------------------------------ Reactor loop
 
 void WireServer::ReactorLoop() {
+  pthread_setname_np(pthread_self(), "net-reactor");
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   int64_t drain_deadline_ms = 0;

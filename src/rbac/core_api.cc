@@ -29,16 +29,7 @@ Status RbacSystem::DeassignUser(const UserName& user, const RoleName& role) {
   // The standard drops an active role from the user's sessions when the
   // assignment that authorized it disappears — including juniors that
   // were only reachable through the removed assignment.
-  for (const SessionId& session : db_.UserSessions(user)) {
-    auto info = db_.GetSession(session);
-    if (!info.ok()) continue;
-    const std::set<RoleName> active = (*info)->active_roles;
-    for (const RoleName& r : active) {
-      if (!IsAuthorized(user, r)) {
-        (void)db_.DropSessionRole(session, r);
-      }
-    }
-  }
+  DropUnauthorizedRoles(db_.UserSessions(symbols().Find(user)));
   return Status::OK();
 }
 
@@ -66,19 +57,20 @@ Status RbacSystem::DeleteInheritance(const RoleName& senior,
   SENTINEL_RETURN_IF_ERROR(hierarchy_.DeleteInheritance(senior, junior));
   // Dropping inheritance can only shrink authorized sets; active roles
   // that lost their authorization are dropped from sessions.
-  for (const UserName& user : db_.users()) {
-    for (const SessionId& session : db_.UserSessions(user)) {
-      auto session_info = db_.GetSession(session);
-      if (!session_info.ok()) continue;
-      const std::set<RoleName> active = (*session_info)->active_roles;
-      for (const RoleName& role : active) {
-        if (!IsAuthorized(user, role)) {
-          (void)db_.DropSessionRole(session, role);
-        }
+  DropUnauthorizedRoles(db_.Sessions());
+  return Status::OK();
+}
+
+void RbacSystem::DropUnauthorizedRoles(const std::vector<Symbol>& sessions) {
+  for (Symbol session : sessions) {
+    const RbacDatabase::SessionState* state = db_.GetSessionState(session);
+    const std::vector<Symbol> active = state->active_roles;
+    for (Symbol role : active) {
+      if (!IsAuthorized(state->user, role)) {
+        (void)db_.DropSessionRole(session, role);
       }
     }
   }
-  return Status::OK();
 }
 
 Status RbacSystem::CreateSsdSet(const std::string& name,
@@ -128,14 +120,12 @@ Status RbacSystem::CreateDsdSet(const std::string& name,
     if (!db_.HasRole(role)) return Status::NotFound("no such role: " + role);
   }
   SENTINEL_RETURN_IF_ERROR(dsd_.CreateSet(name, std::move(roles), n));
-  for (const SessionId& session : db_.SessionIds()) {
-    auto info = db_.GetSession(session);
-    if (info.ok() && !dsd_.Satisfies((*info)->active_roles)) {
-      (void)dsd_.DeleteSet(name);
-      return Status::ConstraintViolation(
-          "DSD set " + name + " rejected: session " + session +
-          " already violates it");
-    }
+  const std::string session = FindDsdViolation();
+  if (!session.empty()) {
+    (void)dsd_.DeleteSet(name);
+    return Status::ConstraintViolation("DSD set " + name +
+                                       " rejected: session " + session +
+                                       " already violates it");
   }
   return Status::OK();
 }
@@ -160,14 +150,12 @@ Status RbacSystem::AddDsdRoleMember(const std::string& name,
                                     const RoleName& role) {
   if (!db_.HasRole(role)) return Status::NotFound("no such role: " + role);
   SENTINEL_RETURN_IF_ERROR(dsd_.AddRoleMember(name, role));
-  for (const SessionId& session : db_.SessionIds()) {
-    auto info = db_.GetSession(session);
-    if (info.ok() && !dsd_.Satisfies((*info)->active_roles)) {
-      (void)dsd_.DeleteRoleMember(name, role);
-      return Status::ConstraintViolation(
-          "adding " + role + " to DSD set " + name + " rejected: session " +
-          session + " would violate it");
-    }
+  const std::string session = FindDsdViolation();
+  if (!session.empty()) {
+    (void)dsd_.DeleteRoleMember(name, role);
+    return Status::ConstraintViolation(
+        "adding " + role + " to DSD set " + name + " rejected: session " +
+        session + " would violate it");
   }
   return Status::OK();
 }
@@ -176,14 +164,12 @@ Status RbacSystem::SetDsdCardinality(const std::string& name, int n) {
   SENTINEL_ASSIGN_OR_RETURN(set, dsd_.GetSet(name));
   const int old_n = set->n;
   SENTINEL_RETURN_IF_ERROR(dsd_.SetCardinality(name, n));
-  for (const SessionId& session : db_.SessionIds()) {
-    auto info = db_.GetSession(session);
-    if (info.ok() && !dsd_.Satisfies((*info)->active_roles)) {
-      (void)dsd_.SetCardinality(name, old_n);
-      return Status::ConstraintViolation(
-          "DSD cardinality change on " + name + " rejected: session " +
-          session + " would violate it");
-    }
+  const std::string session = FindDsdViolation();
+  if (!session.empty()) {
+    (void)dsd_.SetCardinality(name, old_n);
+    return Status::ConstraintViolation("DSD cardinality change on " + name +
+                                       " rejected: session " + session +
+                                       " would violate it");
   }
   return Status::OK();
 }
@@ -193,7 +179,7 @@ Status RbacSystem::AddActiveRole(const UserName& user,
                                  const RoleName& role) {
   if (!db_.HasUser(user)) return Status::NotFound("no such user: " + user);
   SENTINEL_ASSIGN_OR_RETURN(info, db_.GetSession(session));
-  if (info->user != user) {
+  if (info.user != user) {
     return Status::FailedPrecondition("session " + session +
                                       " is not owned by " + user);
   }
@@ -217,7 +203,7 @@ Status RbacSystem::DropActiveRole(const UserName& user,
                                   const SessionId& session,
                                   const RoleName& role) {
   SENTINEL_ASSIGN_OR_RETURN(info, db_.GetSession(session));
-  if (info->user != user) {
+  if (info.user != user) {
     return Status::FailedPrecondition("session " + session +
                                       " is not owned by " + user);
   }
@@ -227,15 +213,11 @@ Status RbacSystem::DropActiveRole(const UserName& user,
 Result<bool> RbacSystem::CheckAccess(const SessionId& session,
                                      const OperationName& op,
                                      const ObjectName& obj) const {
-  SENTINEL_ASSIGN_OR_RETURN(info, db_.GetSession(session));
-  const Permission perm{op, obj};
-  for (const RoleName& role : info->active_roles) {
-    // An active role conveys its own permissions and its juniors'.
-    for (const RoleName& source : hierarchy_.JuniorsOf(role)) {
-      if (db_.IsGranted(perm, source)) return true;
-    }
+  const Symbol session_sym = symbols().Find(session);
+  if (!db_.HasSession(session_sym)) {
+    return Status::NotFound("no such session: " + session);
   }
-  return false;
+  return CheckAccess(session_sym, symbols().Find(op), symbols().Find(obj));
 }
 
 Result<bool> RbacSystem::CheckAccess(Symbol session, Symbol op,
@@ -251,8 +233,9 @@ Result<bool> RbacSystem::CheckAccess(Symbol session, Symbol op,
     }
     return false;
   }
+  // An active role conveys its own permissions and its juniors'.
   for (Symbol role : state->active_roles) {
-    for (Symbol source : JuniorsClosure(role)) {
+    for (Symbol source : Closure(role, /*juniors=*/true)) {
       if (db_.IsGranted(op, obj, source)) return true;
     }
   }
@@ -300,7 +283,7 @@ std::set<Permission> RbacSystem::UserPermissions(const UserName& user) const {
 std::set<RoleName> RbacSystem::SessionRoles(const SessionId& session) const {
   auto info = db_.GetSession(session);
   if (!info.ok()) return {};
-  return (*info)->active_roles;
+  return info->active_roles;
 }
 
 std::set<Permission> RbacSystem::SessionPermissions(
@@ -308,7 +291,7 @@ std::set<Permission> RbacSystem::SessionPermissions(
   std::set<Permission> out;
   auto info = db_.GetSession(session);
   if (!info.ok()) return out;
-  for (const RoleName& role : (*info)->active_roles) {
+  for (const RoleName& role : info->active_roles) {
     const std::set<Permission> perms = RolePermissions(role, true);
     out.insert(perms.begin(), perms.end());
   }
@@ -333,40 +316,44 @@ std::set<OperationName> RbacSystem::UserOperationsOnObject(
   return out;
 }
 
-bool RbacSystem::IsAuthorized(const UserName& user,
-                              const RoleName& role) const {
-  if (db_.IsAssigned(user, role)) return true;
-  if (hierarchy_.empty()) return false;
-  for (const RoleName& senior : hierarchy_.SeniorsOf(role)) {
-    if (db_.IsAssigned(user, senior)) return true;
-  }
-  return false;
-}
-
 bool RbacSystem::IsAuthorized(Symbol user, Symbol role) const {
   if (db_.IsAssigned(user, role)) return true;
   if (hierarchy_.empty()) return false;
-  for (Symbol senior : SeniorsClosure(role)) {
+  for (Symbol senior : Closure(role, /*juniors=*/false)) {
     if (db_.IsAssigned(user, senior)) return true;
   }
   return false;
-}
-
-bool RbacSystem::DsdSatisfiedWith(const SessionId& session,
-                                  const RoleName& role) const {
-  auto info = db_.GetSession(session);
-  if (!info.ok()) return false;
-  std::set<RoleName> hypothetical = (*info)->active_roles;
-  hypothetical.insert(role);
-  return dsd_.Satisfies(hypothetical);
 }
 
 bool RbacSystem::DsdSatisfiedWith(Symbol session, Symbol role) const {
   const RbacDatabase::SessionState* state = db_.GetSessionState(session);
   if (state == nullptr) return false;
-  if (dsd_.size() == 0) return true;
-  return DsdSatisfiedWith(db_.symbols().NameOf(session),
-                          db_.symbols().NameOf(role));
+  return dsd_.size() == 0 || DsdHolds(*state, role);
+}
+
+bool RbacSystem::DsdHolds(const RbacDatabase::SessionState& state,
+                          Symbol extra) const {
+  // Fewer than n members of each set may be active, `extra` included.
+  for (const SodSet* set : dsd_.AllSets()) {
+    int active = 0;
+    for (const RoleName& member : set->roles) {
+      const Symbol role = symbols().Find(member);
+      if ((extra.valid() && role == extra) || state.IsActive(role)) ++active;
+    }
+    if (active >= set->n) return false;
+  }
+  return true;
+}
+
+std::string RbacSystem::FindDsdViolation() const {
+  std::vector<Symbol> offenders;
+  for (Symbol session : db_.Sessions()) {
+    if (!DsdHolds(*db_.GetSessionState(session), Symbol())) {
+      offenders.push_back(session);
+    }
+  }
+  if (offenders.empty()) return "";
+  return symbols().NameOf(symbols().ByName(std::move(offenders)).front());
 }
 
 bool RbacSystem::SsdSatisfiedWith(const UserName& user,
@@ -377,44 +364,36 @@ bool RbacSystem::SsdSatisfiedWith(const UserName& user,
   return ssd_.Satisfies(hypothetical);
 }
 
-const std::vector<Symbol>& RbacSystem::JuniorsClosure(Symbol role) const {
+const std::vector<Symbol>& RbacSystem::Closure(Symbol role,
+                                               bool juniors) const {
   if (cache_epoch_ != hierarchy_.epoch()) {
     juniors_cache_.clear();
     seniors_cache_.clear();
     cache_epoch_ = hierarchy_.epoch();
   }
-  auto it = juniors_cache_.find(role.id());
-  if (it != juniors_cache_.end()) return it->second;
+  auto& cache = juniors ? juniors_cache_ : seniors_cache_;
+  auto it = cache.find(role.id());
+  if (it != cache.end()) return it->second;
   const SymbolTable& syms = db_.symbols();
+  const RoleName& name = syms.NameOf(role);
   std::vector<Symbol> closure;
-  for (const RoleName& junior : hierarchy_.JuniorsOf(syms.NameOf(role))) {
+  for (const RoleName& reached : juniors ? hierarchy_.JuniorsOf(name)
+                                         : hierarchy_.SeniorsOf(name)) {
     // Registered roles are interned at AddRole; Find never misses here.
-    closure.push_back(syms.Find(junior));
+    closure.push_back(syms.Find(reached));
   }
-  return juniors_cache_.emplace(role.id(), std::move(closure)).first->second;
-}
-
-const std::vector<Symbol>& RbacSystem::SeniorsClosure(Symbol role) const {
-  if (cache_epoch_ != hierarchy_.epoch()) {
-    juniors_cache_.clear();
-    seniors_cache_.clear();
-    cache_epoch_ = hierarchy_.epoch();
-  }
-  auto it = seniors_cache_.find(role.id());
-  if (it != seniors_cache_.end()) return it->second;
-  const SymbolTable& syms = db_.symbols();
-  std::vector<Symbol> closure;
-  for (const RoleName& senior : hierarchy_.SeniorsOf(syms.NameOf(role))) {
-    closure.push_back(syms.Find(senior));
-  }
-  return seniors_cache_.emplace(role.id(), std::move(closure)).first->second;
+  return cache.emplace(role.id(), std::move(closure)).first->second;
 }
 
 std::string RbacSystem::FindSsdViolation() const {
-  for (const UserName& user : db_.users()) {
-    const std::string set_name = ssd_.FirstViolated(AuthorizedRoles(user));
+  if (ssd_.size() == 0) return "";
+  // A user without an assignment has no authorized role to violate a set
+  // with, so only assigned users are visited, in name order.
+  for (Symbol user : symbols().ByName(db_.UsersWithAssignments())) {
+    const UserName& name = symbols().NameOf(user);
+    const std::string set_name = ssd_.FirstViolated(AuthorizedRoles(name));
     if (!set_name.empty()) {
-      return "user " + user + " would violate SSD set " + set_name;
+      return "user " + name + " would violate SSD set " + set_name;
     }
   }
   return "";

@@ -129,10 +129,10 @@ class RbacSystem {
 
   // ------------------------------------------------------ Review functions
 
-  const std::set<UserName>& AssignedUsers(const RoleName& role) const {
+  std::set<UserName> AssignedUsers(const RoleName& role) const {
     return db_.AssignedUsers(role);
   }
-  const std::set<RoleName>& AssignedRoles(const UserName& user) const {
+  std::set<RoleName> AssignedRoles(const UserName& user) const {
     return db_.AssignedRoles(user);
   }
   /// Users assigned to `role` or to any of its seniors.
@@ -157,14 +157,19 @@ class RbacSystem {
   /// True iff the user is assigned to `role` or to one of its seniors —
   /// the paper's checkAuthorizationR1 (reduces to checkAssignedR1 when the
   /// role takes part in no hierarchy).
-  bool IsAuthorized(const UserName& user, const RoleName& role) const;
+  bool IsAuthorized(const UserName& user, const RoleName& role) const {
+    return IsAuthorized(symbols().Find(user), symbols().Find(role));
+  }
   bool IsAuthorized(Symbol user, Symbol role) const;
 
   /// True iff activating `role` in `session` keeps every DSD relation
   /// satisfied — the paper's checkDynamicSoDSet.
-  bool DsdSatisfiedWith(const SessionId& session, const RoleName& role) const;
+  bool DsdSatisfiedWith(const SessionId& session,
+                        const RoleName& role) const {
+    return DsdSatisfiedWith(symbols().Find(session), symbols().Find(role));
+  }
   /// With no DSD relations defined (the common case) this is a single
-  /// session lookup; otherwise it falls back to the string evaluation.
+  /// session lookup.
   bool DsdSatisfiedWith(Symbol session, Symbol role) const;
 
   /// True iff assigning `role` to `user` keeps every SSD relation
@@ -202,13 +207,20 @@ class RbacSystem {
  private:
   /// Every user's authorized role set satisfies every SSD relation; used
   /// to validate hierarchy and SSD administration. Returns the offending
-  /// (user, set) description, or empty when fine.
+  /// (user, set) description for the first offender by name, or empty
+  /// when fine.
   std::string FindSsdViolation() const;
+  /// The DSD counterpart: the first session by name that violates a set.
+  std::string FindDsdViolation() const;
+  /// True iff the session's active roles plus `extra` satisfy every DSD set.
+  bool DsdHolds(const RbacDatabase::SessionState& state, Symbol extra) const;
+  /// Drops active roles the sessions' users are no longer authorized for.
+  void DropUnauthorizedRoles(const std::vector<Symbol>& sessions);
 
-  /// Hierarchy closures as symbol vectors, memoized until the hierarchy's
-  /// epoch moves (administration is rare; decisions are hot).
-  const std::vector<Symbol>& JuniorsClosure(Symbol role) const;
-  const std::vector<Symbol>& SeniorsClosure(Symbol role) const;
+  /// The role's juniors (or seniors) closure as symbols, itself included,
+  /// memoized until the hierarchy's epoch moves (administration is rare;
+  /// decisions are hot).
+  const std::vector<Symbol>& Closure(Symbol role, bool juniors) const;
 
   RbacDatabase db_;
   RoleHierarchy hierarchy_;

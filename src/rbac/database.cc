@@ -6,36 +6,20 @@ namespace sentinel {
 
 namespace {
 
-const std::set<RoleName>& EmptyRoleSet() {
-  static const std::set<RoleName>* kEmpty = new std::set<RoleName>();
-  return *kEmpty;
-}
-
-const std::set<UserName>& EmptyUserSet() {
-  static const std::set<UserName>* kEmpty = new std::set<UserName>();
-  return *kEmpty;
-}
-
-const std::set<Permission>& EmptyPermissionSet() {
-  static const std::set<Permission>* kEmpty = new std::set<Permission>();
-  return *kEmpty;
-}
-
-const std::set<SessionId>& EmptySessionSet() {
-  static const std::set<SessionId>* kEmpty = new std::set<SessionId>();
-  return *kEmpty;
-}
-
 // Sorted-vector set operations for the small per-user / per-session role
-// lists in the symbol mirrors.
-void SortedInsert(std::vector<Symbol>& v, Symbol s) {
+// lists. Each reports whether it changed the list.
+bool SortedInsert(std::vector<Symbol>& v, Symbol s) {
   auto it = std::lower_bound(v.begin(), v.end(), s);
-  if (it == v.end() || *it != s) v.insert(it, s);
+  if (it != v.end() && *it == s) return false;
+  v.insert(it, s);
+  return true;
 }
 
-void SortedErase(std::vector<Symbol>& v, Symbol s) {
+bool SortedErase(std::vector<Symbol>& v, Symbol s) {
   auto it = std::lower_bound(v.begin(), v.end(), s);
-  if (it != v.end() && *it == s) v.erase(it);
+  if (it == v.end() || *it != s) return false;
+  v.erase(it);
+  return true;
 }
 
 }  // namespace
@@ -49,352 +33,311 @@ RbacDatabase::RbacDatabase(SymbolTable* symbols) {
   }
 }
 
-Symbol RbacDatabase::InternName(const std::string& name) {
-  Symbol s = symbols_->Intern(name);
-  if (s.id() >= kind_bits_.size()) kind_bits_.resize(s.id() + 1, 0);
+Result<Symbol> RbacDatabase::InternName(const std::string& name) {
+  const Symbol s = symbols_->Intern(name);
+  if (!s.valid()) {
+    return Status::ResourceExhausted("symbol table full, cannot register: " +
+                                     name);
+  }
+  if (s.id() >= kind_bits_.size()) kind_bits_.resize(size_t{s.id()} + 1, 0);
   return s;
 }
 
-void RbacDatabase::SetKind(Symbol s, uint8_t bit) {
-  if (s.id() >= kind_bits_.size()) kind_bits_.resize(s.id() + 1, 0);
+Status RbacDatabase::AddElement(const std::string& name, uint8_t bit,
+                                const char* kind) {
+  if (name.empty()) {
+    return Status::InvalidArgument(std::string("empty ") + kind + " name");
+  }
+  if (HasKind(Find(name), bit)) {
+    return Status::AlreadyExists(std::string(kind) + " exists: " + name);
+  }
+  SENTINEL_ASSIGN_OR_RETURN(s, InternName(name));
   kind_bits_[s.id()] |= bit;
-}
-
-void RbacDatabase::ClearKind(Symbol s, uint8_t bit) {
-  if (s.valid() && s.id() < kind_bits_.size()) {
-    kind_bits_[s.id()] &= static_cast<uint8_t>(~bit);
-  }
-}
-
-Status RbacDatabase::AddUser(const UserName& user) {
-  if (user.empty()) return Status::InvalidArgument("empty user name");
-  if (!users_.insert(user).second) {
-    return Status::AlreadyExists("user exists: " + user);
-  }
-  SetKind(InternName(user), kUserBit);
   return Status::OK();
 }
 
-Status RbacDatabase::DeleteUser(const UserName& user) {
-  if (users_.erase(user) == 0) {
-    return Status::NotFound("no such user: " + user);
+std::set<std::string> RbacDatabase::NamesOfKind(uint8_t bit) const {
+  std::set<std::string> out;
+  for (uint32_t id = 0; id < kind_bits_.size(); ++id) {
+    if ((kind_bits_[id] & bit) != 0) out.insert(symbols_->NameOf(Symbol(id)));
   }
-  const Symbol user_sym = symbols_->Find(user);
+  return out;
+}
+
+Status RbacDatabase::AddUser(const UserName& user) {
+  return AddElement(user, kUserBit, "user");
+}
+
+Status RbacDatabase::DeleteUser(const UserName& user) {
+  const Symbol user_sym = Find(user);
+  if (!HasUser(user_sym)) return Status::NotFound("no such user: " + user);
   ClearKind(user_sym, kUserBit);
   ++removals_;
   // Drop assignments.
-  auto ua = ua_.find(user);
+  auto ua = ua_.find(user_sym.id());
   if (ua != ua_.end()) {
-    for (const RoleName& role : ua->second) ua_inverse_[role].erase(user);
+    for (Symbol role : ua->second) {
+      auto holders = ua_inverse_.find(role.id());
+      holders->second.erase(user_sym.id());
+      if (holders->second.empty()) ua_inverse_.erase(holders);
+    }
     ua_.erase(ua);
   }
-  ua_sym_.erase(user_sym.id());
   // NIST DeleteUser: the user's sessions are deleted as well.
-  auto us = user_sessions_.find(user);
-  if (us != user_sessions_.end()) {
-    const std::set<SessionId> doomed = us->second;
-    for (const SessionId& session : doomed) {
-      (void)DeleteSession(session);
-    }
-  }
+  for (Symbol session : UserSessions(user_sym)) (void)DeleteSession(session);
   return Status::OK();
 }
 
 Status RbacDatabase::AddRole(const RoleName& role) {
-  if (role.empty()) return Status::InvalidArgument("empty role name");
-  if (!roles_.insert(role).second) {
-    return Status::AlreadyExists("role exists: " + role);
-  }
-  SetKind(InternName(role), kRoleBit);
-  return Status::OK();
+  return AddElement(role, kRoleBit, "role");
 }
 
 Status RbacDatabase::DeleteRole(const RoleName& role) {
-  if (roles_.erase(role) == 0) {
-    return Status::NotFound("no such role: " + role);
-  }
-  const Symbol role_sym = symbols_->Find(role);
+  const Symbol role_sym = Find(role);
+  if (!HasRole(role_sym)) return Status::NotFound("no such role: " + role);
   ClearKind(role_sym, kRoleBit);
   ++removals_;
-  auto inv = ua_inverse_.find(role);
-  if (inv != ua_inverse_.end()) {
-    for (const UserName& user : inv->second) {
-      ua_[user].erase(role);
-      auto uas = ua_sym_.find(symbols_->Find(user).id());
-      if (uas != ua_sym_.end()) SortedErase(uas->second, role_sym);
+  auto holders = ua_inverse_.find(role_sym.id());
+  if (holders != ua_inverse_.end()) {
+    for (uint32_t user : holders->second) {
+      auto ua = ua_.find(user);
+      SortedErase(ua->second, role_sym);
+      if (ua->second.empty()) ua_.erase(ua);
     }
-    ua_inverse_.erase(inv);
+    ua_inverse_.erase(holders);
   }
-  pa_.erase(role);
-  pa_sym_.erase(role_sym.id());
-  for (auto& [id, session] : sessions_) {
-    session.active_roles.erase(role);
-  }
-  for (auto& [id, state] : sessions_sym_) {
-    if (state.IsActive(role_sym)) {
-      SortedErase(state.active_roles, role_sym);
+  pa_.erase(role_sym.id());
+  for (auto& [id, state] : sessions_) {
+    if (SortedErase(state.active_roles, role_sym)) {
       BumpSessionGeneration(Symbol(id));
     }
   }
-  active_counts_.erase(role);
-  active_counts_sym_.erase(role_sym.id());
+  active_counts_.erase(role_sym.id());
   return Status::OK();
 }
 
-Status RbacDatabase::AddOperation(const OperationName& op) {
-  if (op.empty()) return Status::InvalidArgument("empty operation name");
-  if (!operations_.insert(op).second) {
-    return Status::AlreadyExists("operation exists: " + op);
+Status RbacDatabase::Assign(Symbol user, Symbol role,
+                            const std::string& user_name,
+                            const std::string& role_name) {
+  if (!HasUser(user)) return Status::NotFound("no such user: " + user_name);
+  if (!HasRole(role)) return Status::NotFound("no such role: " + role_name);
+  if (!SortedInsert(ua_[user.id()], role)) {
+    return Status::AlreadyExists(user_name + " already assigned to " +
+                                 role_name);
   }
-  SetKind(InternName(op), kOperationBit);
+  ua_inverse_[role.id()].insert(user.id());
   return Status::OK();
 }
 
-Status RbacDatabase::AddObject(const ObjectName& obj) {
-  if (obj.empty()) return Status::InvalidArgument("empty object name");
-  if (!objects_.insert(obj).second) {
-    return Status::AlreadyExists("object exists: " + obj);
+Status RbacDatabase::Deassign(Symbol user, Symbol role,
+                              const std::string& user_name,
+                              const std::string& role_name) {
+  auto ua = ua_.find(user.id());
+  if (ua == ua_.end() || !SortedErase(ua->second, role)) {
+    return Status::NotFound(user_name + " is not assigned to " + role_name);
   }
-  SetKind(InternName(obj), kObjectBit);
-  return Status::OK();
-}
-
-Status RbacDatabase::Assign(const UserName& user, const RoleName& role) {
-  if (!HasUser(user)) return Status::NotFound("no such user: " + user);
-  if (!HasRole(role)) return Status::NotFound("no such role: " + role);
-  if (!ua_[user].insert(role).second) {
-    return Status::AlreadyExists(user + " already assigned to " + role);
-  }
-  ua_inverse_[role].insert(user);
-  SortedInsert(ua_sym_[symbols_->Find(user).id()], symbols_->Find(role));
-  return Status::OK();
-}
-
-Status RbacDatabase::Deassign(const UserName& user, const RoleName& role) {
-  auto it = ua_.find(user);
-  if (it == ua_.end() || it->second.erase(role) == 0) {
-    return Status::NotFound(user + " is not assigned to " + role);
-  }
-  ua_inverse_[role].erase(user);
-  auto uas = ua_sym_.find(symbols_->Find(user).id());
-  if (uas != ua_sym_.end()) SortedErase(uas->second, symbols_->Find(role));
+  if (ua->second.empty()) ua_.erase(ua);
+  auto holders = ua_inverse_.find(role.id());
+  holders->second.erase(user.id());
+  if (holders->second.empty()) ua_inverse_.erase(holders);
   ++removals_;
   return Status::OK();
 }
 
-bool RbacDatabase::IsAssigned(const UserName& user,
-                              const RoleName& role) const {
-  auto it = ua_.find(user);
-  return it != ua_.end() && it->second.count(role) > 0;
-}
-
 bool RbacDatabase::IsAssigned(Symbol user, Symbol role) const {
-  auto it = ua_sym_.find(user.id());
-  return it != ua_sym_.end() &&
+  auto it = ua_.find(user.id());
+  return it != ua_.end() &&
          std::binary_search(it->second.begin(), it->second.end(), role);
 }
 
-const std::set<RoleName>& RbacDatabase::AssignedRoles(
-    const UserName& user) const {
-  auto it = ua_.find(user);
-  return it == ua_.end() ? EmptyRoleSet() : it->second;
+std::set<RoleName> RbacDatabase::AssignedRoles(const UserName& user) const {
+  std::set<RoleName> out;
+  auto it = ua_.find(Find(user).id());
+  if (it == ua_.end()) return out;
+  for (Symbol role : it->second) out.insert(symbols_->NameOf(role));
+  return out;
 }
 
-const std::set<UserName>& RbacDatabase::AssignedUsers(
-    const RoleName& role) const {
-  auto it = ua_inverse_.find(role);
-  return it == ua_inverse_.end() ? EmptyUserSet() : it->second;
+std::set<UserName> RbacDatabase::AssignedUsers(const RoleName& role) const {
+  std::set<UserName> out;
+  auto it = ua_inverse_.find(Find(role).id());
+  if (it == ua_inverse_.end()) return out;
+  for (uint32_t user : it->second) out.insert(symbols_->NameOf(Symbol(user)));
+  return out;
 }
 
 Status RbacDatabase::Grant(const Permission& perm, const RoleName& role) {
-  if (!HasRole(role)) return Status::NotFound("no such role: " + role);
-  // Operations and objects are registered implicitly on first grant.
-  if (operations_.insert(perm.operation).second) {
-    SetKind(InternName(perm.operation), kOperationBit);
-  }
-  if (objects_.insert(perm.object).second) {
-    SetKind(InternName(perm.object), kObjectBit);
-  }
-  if (!pa_[role].insert(perm).second) {
+  const Symbol role_sym = Find(role);
+  if (!HasRole(role_sym)) return Status::NotFound("no such role: " + role);
+  SENTINEL_ASSIGN_OR_RETURN(op, InternName(perm.operation));
+  SENTINEL_ASSIGN_OR_RETURN(obj, InternName(perm.object));
+  kind_bits_[op.id()] |= kOperationBit;
+  kind_bits_[obj.id()] |= kObjectBit;
+  if (!pa_[role_sym.id()].insert(PackPermission(op, obj)).second) {
     return Status::AlreadyExists(perm.ToString() + " already granted to " +
                                  role);
   }
-  pa_sym_[symbols_->Find(role).id()].insert(PackPermission(
-      symbols_->Find(perm.operation), symbols_->Find(perm.object)));
   return Status::OK();
 }
 
 Status RbacDatabase::Revoke(const Permission& perm, const RoleName& role) {
-  auto it = pa_.find(role);
-  if (it == pa_.end() || it->second.erase(perm) == 0) {
+  auto it = pa_.find(Find(role).id());
+  if (it == pa_.end() ||
+      it->second.erase(PackPermission(Find(perm.operation),
+                                      Find(perm.object))) == 0) {
     return Status::NotFound(perm.ToString() + " not granted to " + role);
   }
-  auto pas = pa_sym_.find(symbols_->Find(role).id());
-  if (pas != pa_sym_.end()) {
-    pas->second.erase(PackPermission(symbols_->Find(perm.operation),
-                                     symbols_->Find(perm.object)));
-    if (pas->second.empty()) pa_sym_.erase(pas);
-  }
+  if (it->second.empty()) pa_.erase(it);
   ++removals_;
   return Status::OK();
 }
 
-bool RbacDatabase::IsGranted(const Permission& perm,
-                             const RoleName& role) const {
-  auto it = pa_.find(role);
-  return it != pa_.end() && it->second.count(perm) > 0;
-}
-
 bool RbacDatabase::IsGranted(Symbol op, Symbol obj, Symbol role) const {
-  auto it = pa_sym_.find(role.id());
-  return it != pa_sym_.end() &&
-         it->second.count(PackPermission(op, obj)) > 0;
+  auto it = pa_.find(role.id());
+  return it != pa_.end() && it->second.count(PackPermission(op, obj)) > 0;
 }
 
-const std::set<Permission>& RbacDatabase::RolePermissions(
+std::set<Permission> RbacDatabase::RolePermissions(
     const RoleName& role) const {
-  auto it = pa_.find(role);
-  return it == pa_.end() ? EmptyPermissionSet() : it->second;
+  std::set<Permission> out;
+  auto it = pa_.find(Find(role).id());
+  if (it == pa_.end()) return out;
+  for (uint64_t packed : it->second) {
+    out.insert(Permission{
+        symbols_->NameOf(Symbol(static_cast<uint32_t>(packed >> 32))),
+        symbols_->NameOf(Symbol(static_cast<uint32_t>(packed)))});
+  }
+  return out;
 }
 
 Status RbacDatabase::CreateSession(const UserName& user,
                                    const SessionId& session) {
   if (!HasUser(user)) return Status::NotFound("no such user: " + user);
   if (session.empty()) return Status::InvalidArgument("empty session id");
-  if (sessions_.count(session) > 0) {
+  if (HasSession(session)) {
     return Status::AlreadyExists("session exists: " + session);
   }
-  sessions_.emplace(session, Session{session, user, {}});
-  user_sessions_[user].insert(session);
-  const Symbol session_sym = InternName(session);
-  sessions_sym_.emplace(session_sym.id(),
-                        SessionState{symbols_->Find(user), {}});
-  BumpSessionGeneration(session_sym);
+  SENTINEL_ASSIGN_OR_RETURN(session_sym, InternName(session));
+  return CreateSession(Find(user), session_sym);
+}
+
+Status RbacDatabase::CreateSession(Symbol user, Symbol session) {
+  if (!HasUser(user)) return Status::NotFound("no such user");
+  if (!session.valid()) return Status::InvalidArgument("invalid session id");
+  if (!sessions_.emplace(session.id(), SessionState{user, {}}).second) {
+    return Status::AlreadyExists("session exists");
+  }
+  user_sessions_[user.id()].push_back(session);
+  BumpSessionGeneration(session);
   return Status::OK();
 }
 
-Status RbacDatabase::DeleteSession(const SessionId& session) {
-  auto it = sessions_.find(session);
+Status RbacDatabase::DeleteSession(Symbol session,
+                                   const std::string& session_name) {
+  auto it = sessions_.find(session.id());
   if (it == sessions_.end()) {
-    return Status::NotFound("no such session: " + session);
+    return Status::NotFound("no such session: " + session_name);
   }
-  for (const RoleName& role : it->second.active_roles) {
-    auto ac = active_counts_.find(role);
-    if (ac != active_counts_.end() && --ac->second <= 0) {
-      active_counts_.erase(ac);
-    }
-    auto acs = active_counts_sym_.find(symbols_->Find(role).id());
-    if (acs != active_counts_sym_.end() && --acs->second <= 0) {
-      active_counts_sym_.erase(acs);
-    }
-  }
-  user_sessions_[it->second.user].erase(session);
-  const Symbol session_sym = symbols_->Find(session);
-  sessions_sym_.erase(session_sym.id());
+  for (Symbol role : it->second.active_roles) ReleaseActive(role);
+  auto owned = user_sessions_.find(it->second.user.id());
+  std::erase(owned->second, session);
+  if (owned->second.empty()) user_sessions_.erase(owned);
   sessions_.erase(it);
-  BumpSessionGeneration(session_sym);
+  BumpSessionGeneration(session);
   return Status::OK();
 }
 
-Result<const Session*> RbacDatabase::GetSession(
-    const SessionId& session) const {
-  auto it = sessions_.find(session);
-  if (it == sessions_.end()) {
-    return Status::NotFound("no such session: " + session);
+Result<Session> RbacDatabase::GetSession(const SessionId& session) const {
+  const SessionState* state = GetSessionState(Find(session));
+  if (state == nullptr) return Status::NotFound("no such session: " + session);
+  Session out{session, symbols_->NameOf(state->user), {}};
+  for (Symbol role : state->active_roles) {
+    out.active_roles.insert(symbols_->NameOf(role));
   }
-  return &it->second;
+  return out;
 }
 
 const RbacDatabase::SessionState* RbacDatabase::GetSessionState(
     Symbol session) const {
-  auto it = sessions_sym_.find(session.id());
-  return it == sessions_sym_.end() ? nullptr : &it->second;
+  auto it = sessions_.find(session.id());
+  return it == sessions_.end() ? nullptr : &it->second;
 }
 
-const std::set<SessionId>& RbacDatabase::UserSessions(
-    const UserName& user) const {
-  auto it = user_sessions_.find(user);
-  return it == user_sessions_.end() ? EmptySessionSet() : it->second;
+std::set<SessionId> RbacDatabase::UserSessions(const UserName& user) const {
+  std::set<SessionId> out;
+  for (Symbol session : UserSessions(Find(user))) {
+    out.insert(symbols_->NameOf(session));
+  }
+  return out;
 }
 
-Status RbacDatabase::AddSessionRole(const SessionId& session,
-                                    const RoleName& role) {
-  auto it = sessions_.find(session);
+std::vector<Symbol> RbacDatabase::UserSessions(Symbol user) const {
+  auto it = user_sessions_.find(user.id());
+  return it == user_sessions_.end() ? std::vector<Symbol>() : it->second;
+}
+
+std::vector<Symbol> RbacDatabase::SessionsWithRole(Symbol role) const {
+  std::vector<Symbol> out;
+  for (const auto& [id, state] : sessions_) {
+    if (state.IsActive(role)) out.push_back(Symbol(id));
+  }
+  return out;
+}
+
+Status RbacDatabase::AddSessionRole(Symbol session, Symbol role,
+                                    const std::string& session_name,
+                                    const std::string& role_name) {
+  auto it = sessions_.find(session.id());
   if (it == sessions_.end()) {
-    return Status::NotFound("no such session: " + session);
+    return Status::NotFound("no such session: " + session_name);
   }
-  if (!HasRole(role)) return Status::NotFound("no such role: " + role);
-  if (!it->second.active_roles.insert(role).second) {
-    return Status::AlreadyExists(role + " already active in " + session);
+  if (!HasRole(role)) return Status::NotFound("no such role: " + role_name);
+  if (!SortedInsert(it->second.active_roles, role)) {
+    return Status::AlreadyExists(role_name + " already active in " +
+                                 session_name);
   }
-  ++active_counts_[role];
-  const Symbol role_sym = symbols_->Find(role);
-  const Symbol session_sym = symbols_->Find(session);
-  auto ss = sessions_sym_.find(session_sym.id());
-  if (ss != sessions_sym_.end()) SortedInsert(ss->second.active_roles, role_sym);
-  ++active_counts_sym_[role_sym.id()];
-  BumpSessionGeneration(session_sym);
+  ++active_counts_[role.id()];
+  BumpSessionGeneration(session);
   return Status::OK();
 }
 
-Status RbacDatabase::DropSessionRole(const SessionId& session,
-                                     const RoleName& role) {
-  auto it = sessions_.find(session);
+Status RbacDatabase::DropSessionRole(Symbol session, Symbol role,
+                                     const std::string& session_name,
+                                     const std::string& role_name) {
+  auto it = sessions_.find(session.id());
   if (it == sessions_.end()) {
-    return Status::NotFound("no such session: " + session);
+    return Status::NotFound("no such session: " + session_name);
   }
-  if (it->second.active_roles.erase(role) == 0) {
-    return Status::NotFound(role + " not active in " + session);
+  if (!SortedErase(it->second.active_roles, role)) {
+    return Status::NotFound(role_name + " not active in " + session_name);
   }
-  auto ac = active_counts_.find(role);
-  if (ac != active_counts_.end() && --ac->second <= 0) {
-    active_counts_.erase(ac);
-  }
-  const Symbol role_sym = symbols_->Find(role);
-  const Symbol session_sym = symbols_->Find(session);
-  auto ss = sessions_sym_.find(session_sym.id());
-  if (ss != sessions_sym_.end()) SortedErase(ss->second.active_roles, role_sym);
-  auto acs = active_counts_sym_.find(role_sym.id());
-  if (acs != active_counts_sym_.end() && --acs->second <= 0) {
-    active_counts_sym_.erase(acs);
-  }
-  BumpSessionGeneration(session_sym);
+  ReleaseActive(role);
+  BumpSessionGeneration(session);
   return Status::OK();
-}
-
-Status RbacDatabase::AddSessionRole(Symbol session, Symbol role) {
-  return AddSessionRole(symbols_->NameOf(session), symbols_->NameOf(role));
-}
-
-Status RbacDatabase::DropSessionRole(Symbol session, Symbol role) {
-  return DropSessionRole(symbols_->NameOf(session), symbols_->NameOf(role));
-}
-
-bool RbacDatabase::IsSessionRoleActive(const SessionId& session,
-                                       const RoleName& role) const {
-  auto it = sessions_.find(session);
-  return it != sessions_.end() && it->second.active_roles.count(role) > 0;
 }
 
 bool RbacDatabase::IsSessionRoleActive(Symbol session, Symbol role) const {
-  auto it = sessions_sym_.find(session.id());
-  return it != sessions_sym_.end() && it->second.IsActive(role);
+  auto it = sessions_.find(session.id());
+  return it != sessions_.end() && it->second.IsActive(role);
 }
 
-int RbacDatabase::ActiveSessionCount(const RoleName& role) const {
-  auto it = active_counts_.find(role);
-  return it == active_counts_.end() ? 0 : it->second;
+void RbacDatabase::ReleaseActive(Symbol role) {
+  auto ac = active_counts_.find(role.id());
+  if (ac != active_counts_.end() && --ac->second <= 0) active_counts_.erase(ac);
 }
 
 int RbacDatabase::ActiveSessionCount(Symbol role) const {
-  auto it = active_counts_sym_.find(role.id());
-  return it == active_counts_sym_.end() ? 0 : it->second;
+  auto it = active_counts_.find(role.id());
+  return it == active_counts_.end() ? 0 : it->second;
 }
 
 std::vector<SessionId> RbacDatabase::SessionIds() const {
   std::vector<SessionId> out;
   out.reserve(sessions_.size());
-  for (const auto& [id, session] : sessions_) out.push_back(id);
+  for (const auto& [id, state] : sessions_) {
+    out.push_back(symbols_->NameOf(Symbol(id)));
+  }
+  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -5,7 +5,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -24,12 +23,13 @@ namespace sentinel {
 /// SESSIONS. Maintains referential integrity only; policy constraints
 /// (hierarchy semantics, SoD, temporal) live in the layers above.
 ///
-/// Names are interned at registration: every mutator keeps symbol-keyed
-/// mirrors of the hot relations in step with the string containers, so the
-/// per-request predicates (HasRole, IsAssigned, IsGranted, session lookups)
-/// have Symbol overloads that never hash or compare a string. The string
-/// API remains the public boundary and the source for ordered
-/// introspection.
+/// Every relation is kept once, keyed by interned symbol: names are
+/// interned when an element is registered (Add*, Grant, CreateSession),
+/// and each predicate and mutator is written on Symbol. The name-taking
+/// methods are thin wrappers that Find the name (reads never intern) and
+/// call the symbol method. A symbol mutator's optional `*_name` arguments
+/// only label its error message; the name wrappers pass their arguments.
+/// Methods that return names build them on each call, sorted by name.
 class RbacDatabase {
  public:
   /// `symbols` is shared with the owning engine so rule-captured symbols
@@ -47,46 +47,57 @@ class RbacDatabase {
   Status AddUser(const UserName& user);
   /// Also removes the user's assignments and sessions.
   Status DeleteUser(const UserName& user);
-  bool HasUser(const UserName& user) const { return users_.count(user) > 0; }
+  bool HasUser(const UserName& user) const { return HasUser(Find(user)); }
   bool HasUser(Symbol user) const { return HasKind(user, kUserBit); }
 
   Status AddRole(const RoleName& role);
   /// Also removes the role's assignments, grants and active instances.
   Status DeleteRole(const RoleName& role);
-  bool HasRole(const RoleName& role) const { return roles_.count(role) > 0; }
+  bool HasRole(const RoleName& role) const { return HasRole(Find(role)); }
   bool HasRole(Symbol role) const { return HasKind(role, kRoleBit); }
 
-  Status AddOperation(const OperationName& op);
+  /// Operations and objects are registered by their first Grant.
   bool HasOperation(const OperationName& op) const {
-    return operations_.count(op) > 0;
+    return HasOperation(Find(op));
   }
   bool HasOperation(Symbol op) const { return HasKind(op, kOperationBit); }
-  Status AddObject(const ObjectName& obj);
-  bool HasObject(const ObjectName& obj) const {
-    return objects_.count(obj) > 0;
-  }
+  bool HasObject(const ObjectName& obj) const { return HasObject(Find(obj)); }
   bool HasObject(Symbol obj) const { return HasKind(obj, kObjectBit); }
 
   // ------------------------------------------------------------------ UA
 
-  Status Assign(const UserName& user, const RoleName& role);
-  Status Deassign(const UserName& user, const RoleName& role);
-  bool IsAssigned(const UserName& user, const RoleName& role) const;
+  Status Assign(const UserName& user, const RoleName& role) {
+    return Assign(Find(user), Find(role), user, role);
+  }
+  Status Assign(Symbol user, Symbol role, const std::string& user_name = {},
+                const std::string& role_name = {});
+  Status Deassign(const UserName& user, const RoleName& role) {
+    return Deassign(Find(user), Find(role), user, role);
+  }
+  Status Deassign(Symbol user, Symbol role, const std::string& user_name = {},
+                  const std::string& role_name = {});
+  bool IsAssigned(const UserName& user, const RoleName& role) const {
+    return IsAssigned(Find(user), Find(role));
+  }
   bool IsAssigned(Symbol user, Symbol role) const;
-  const std::set<RoleName>& AssignedRoles(const UserName& user) const;
-  const std::set<UserName>& AssignedUsers(const RoleName& role) const;
+  std::set<RoleName> AssignedRoles(const UserName& user) const;
+  std::set<UserName> AssignedUsers(const RoleName& role) const;
+  /// Users holding at least one assignment, in no particular order.
+  std::vector<Symbol> UsersWithAssignments() const { return KeysOf(ua_); }
 
   // ------------------------------------------------------------------ PA
 
   Status Grant(const Permission& perm, const RoleName& role);
   Status Revoke(const Permission& perm, const RoleName& role);
-  bool IsGranted(const Permission& perm, const RoleName& role) const;
+  bool IsGranted(const Permission& perm, const RoleName& role) const {
+    return IsGranted(Find(perm.operation), Find(perm.object), Find(role));
+  }
   bool IsGranted(Symbol op, Symbol obj, Symbol role) const;
-  const std::set<Permission>& RolePermissions(const RoleName& role) const;
+  std::set<Permission> RolePermissions(const RoleName& role) const;
 
   // ------------------------------------------------------------ Sessions
 
-  /// Symbol mirror of one session: owner plus sorted active-role symbols.
+  /// One session: owner plus sorted active-role symbols.
   struct SessionState {
     Symbol user;
     std::vector<Symbol> active_roles;  // Sorted by symbol id.
@@ -97,20 +108,32 @@ class RbacDatabase {
     }
   };
 
+  /// Interns the session id.
   Status CreateSession(const UserName& user, const SessionId& session);
-  Status DeleteSession(const SessionId& session);
+  /// Callers reject the empty id by spelling; an invalid symbol is refused.
+  Status CreateSession(Symbol user, Symbol session);
+  Status DeleteSession(const SessionId& session) {
+    return DeleteSession(Find(session), session);
+  }
+  Status DeleteSession(Symbol session, const std::string& session_name = {});
   bool HasSession(const SessionId& session) const {
-    return sessions_.count(session) > 0;
+    return HasSession(Find(session));
   }
   bool HasSession(Symbol session) const {
-    return sessions_sym_.count(session.id()) > 0;
+    return sessions_.count(session.id()) > 0;
   }
-  /// Owner and active-role set; error when unknown.
-  Result<const Session*> GetSession(const SessionId& session) const;
-  /// Symbol mirror lookup; nullptr when unknown. The pointer is valid until
-  /// the next session mutation.
+  /// Owner and active roles by name; error when unknown.
+  Result<Session> GetSession(const SessionId& session) const;
+  /// nullptr when unknown. The pointer is valid until the session is
+  /// deleted; its active roles change with every activation and drop.
   const SessionState* GetSessionState(Symbol session) const;
-  const std::set<SessionId>& UserSessions(const UserName& user) const;
+  std::set<SessionId> UserSessions(const UserName& user) const;
+  /// The user's sessions, in no particular order.
+  std::vector<Symbol> UserSessions(Symbol user) const;
+  /// Every live session, in no particular order.
+  std::vector<Symbol> Sessions() const { return KeysOf(sessions_); }
+  /// Sessions in which `role` is active, in no particular order.
+  std::vector<Symbol> SessionsWithRole(Symbol role) const;
 
   /// Monotonic mutation counter for the session bound to this symbol:
   /// bumped by create/delete and by every active-role change (including
@@ -131,25 +154,37 @@ class RbacDatabase {
   /// Adds/removes an active role in a session. Validity (assignment,
   /// authorization, DSD) is checked by the enforcement layer, not here —
   /// only existence of the session and role.
-  Status AddSessionRole(const SessionId& session, const RoleName& role);
-  Status DropSessionRole(const SessionId& session, const RoleName& role);
-  Status AddSessionRole(Symbol session, Symbol role);
-  Status DropSessionRole(Symbol session, Symbol role);
+  Status AddSessionRole(const SessionId& session, const RoleName& role) {
+    return AddSessionRole(Find(session), Find(role), session, role);
+  }
+  Status AddSessionRole(Symbol session, Symbol role,
+                        const std::string& session_name = {},
+                        const std::string& role_name = {});
+  Status DropSessionRole(const SessionId& session, const RoleName& role) {
+    return DropSessionRole(Find(session), Find(role), session, role);
+  }
+  Status DropSessionRole(Symbol session, Symbol role,
+                         const std::string& session_name = {},
+                         const std::string& role_name = {});
   bool IsSessionRoleActive(const SessionId& session,
-                           const RoleName& role) const;
+                           const RoleName& role) const {
+    return IsSessionRoleActive(Find(session), Find(role));
+  }
   bool IsSessionRoleActive(Symbol session, Symbol role) const;
 
   /// Number of sessions in which `role` is currently active (counts each
   /// session once) — the quantity cardinality constraints bound.
-  int ActiveSessionCount(const RoleName& role) const;
+  int ActiveSessionCount(const RoleName& role) const {
+    return ActiveSessionCount(Find(role));
+  }
   int ActiveSessionCount(Symbol role) const;
 
   // ------------------------------------------------------ Introspection
 
-  const std::set<UserName>& users() const { return users_; }
-  const std::set<RoleName>& roles() const { return roles_; }
-  const std::set<OperationName>& operations() const { return operations_; }
-  const std::set<ObjectName>& objects() const { return objects_; }
+  /// Each walks the registered symbols; for admin paths and tests.
+  std::set<UserName> users() const { return NamesOfKind(kUserBit); }
+  std::set<RoleName> roles() const { return NamesOfKind(kRoleBit); }
+  /// Sorted.
   std::vector<SessionId> SessionIds() const;
   size_t session_count() const { return sessions_.size(); }
 
@@ -161,6 +196,14 @@ class RbacDatabase {
   uint64_t removals() const { return removals_; }
 
  private:
+  Symbol Find(const std::string& name) const { return symbols_->Find(name); }
+  template <typename Map>
+  static std::vector<Symbol> KeysOf(const Map& map) {
+    std::vector<Symbol> keys;
+    for (const auto& entry : map) keys.push_back(Symbol(entry.first));
+    return keys;
+  }
+
   // What element kinds a symbol is registered as (a name may be reused
   // across kinds, e.g. an object named like a role).
   static constexpr uint8_t kUserBit = 1;
@@ -172,9 +215,17 @@ class RbacDatabase {
     return s.valid() && s.id() < kind_bits_.size() &&
            (kind_bits_[s.id()] & bit) != 0;
   }
-  Symbol InternName(const std::string& name);
-  void SetKind(Symbol s, uint8_t bit);
-  void ClearKind(Symbol s, uint8_t bit);
+  /// Interns `name` and sizes kind_bits_ for it; ResourceExhausted once
+  /// the symbol table is full, so no unregistrable name is ever stored.
+  Result<Symbol> InternName(const std::string& name);
+  /// The shared body of AddUser and AddRole.
+  Status AddElement(const std::string& name, uint8_t bit, const char* kind);
+  /// One session fewer holds `role` active.
+  void ReleaseActive(Symbol role);
+  void ClearKind(Symbol s, uint8_t bit) {
+    if (HasKind(s, bit)) kind_bits_[s.id()] &= static_cast<uint8_t>(~bit);
+  }
+  std::set<std::string> NamesOfKind(uint8_t bit) const;
   static constexpr size_t kSessionStripes = 4096;  // A power of two.
   static size_t StripeOf(Symbol session) {
     return session.id() & (kSessionStripes - 1);
@@ -189,27 +240,19 @@ class RbacDatabase {
     return (static_cast<uint64_t>(op.id()) << 32) | obj.id();
   }
 
-  std::set<UserName> users_;
-  std::set<RoleName> roles_;
-  std::set<OperationName> operations_;
-  std::set<ObjectName> objects_;
-
-  std::map<UserName, std::set<RoleName>> ua_;
-  std::map<RoleName, std::set<UserName>> ua_inverse_;
-  std::map<RoleName, std::set<Permission>> pa_;
-  std::map<SessionId, Session> sessions_;
-  std::map<UserName, std::set<SessionId>> user_sessions_;
-  std::map<RoleName, int> active_counts_;
-
-  // Symbol mirrors of the relations above, maintained by the same mutators.
-  // All keys are dense symbol ids; values holding role lists are sorted.
   std::unique_ptr<SymbolTable> owned_symbols_;
   SymbolTable* symbols_;
-  std::vector<uint8_t> kind_bits_;  // Indexed by symbol id.
-  std::unordered_map<uint32_t, std::vector<Symbol>> ua_sym_;
-  std::unordered_map<uint32_t, std::unordered_set<uint64_t>> pa_sym_;
-  std::unordered_map<uint32_t, SessionState> sessions_sym_;
-  std::unordered_map<uint32_t, int> active_counts_sym_;
+  // Keys are dense symbol ids; role lists are sorted by symbol id.
+  std::vector<uint8_t> kind_bits_;  // USERS, ROLES, OPS, OBS by symbol id.
+  std::unordered_map<uint32_t, std::vector<Symbol>> ua_;  // user -> roles.
+  /// role -> users: a set, since one role may hold every user.
+  std::unordered_map<uint32_t, std::unordered_set<uint32_t>> ua_inverse_;
+  /// role -> packed (operation, object) pairs.
+  std::unordered_map<uint32_t, std::unordered_set<uint64_t>> pa_;
+  std::unordered_map<uint32_t, SessionState> sessions_;
+  /// user -> sessions, in creation order.
+  std::unordered_map<uint32_t, std::vector<Symbol>> user_sessions_;
+  std::unordered_map<uint32_t, int> active_counts_;  // role -> sessions.
   /// Session generations by stripe; see SessionGeneration.
   std::array<std::atomic<uint32_t>, kSessionStripes> session_gen_{};
   uint64_t removals_ = 0;  // Successful base-relation removals.

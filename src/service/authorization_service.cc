@@ -1,5 +1,7 @@
 #include "service/authorization_service.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <limits>
 #include <sstream>
@@ -317,6 +319,9 @@ AuthorizationService::AuthorizationService(const ServiceConfig& config)
 AuthorizationService::~AuthorizationService() { Shutdown(); }
 
 void AuthorizationService::ShardLoop(Shard* shard) {
+  const std::string name = "shard-" + std::to_string(shard->index);
+  // Linux allows 15 characters: enough for any index below 10^9.
+  pthread_setname_np(pthread_self(), name.c_str());
   tls_serving_shard = shard;
   std::deque<Task> batch;
   while (shard->mailbox.Park()) {

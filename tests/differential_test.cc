@@ -48,8 +48,8 @@ std::string StateFingerprint(const RbacSystem& rbac,
   for (const SessionId& session : rbac.db().SessionIds()) {
     auto info = rbac.db().GetSession(session);
     if (!info.ok()) continue;
-    out += session + "/" + (*info)->user + ":";
-    for (const RoleName& role : (*info)->active_roles) out += role + ",";
+    out += session + "/" + info->user + ":";
+    for (const RoleName& role : info->active_roles) out += role + ",";
     out += ";";
   }
   out += "|UA:";

@@ -545,5 +545,66 @@ TEST_F(EngineTest, RulePoolClassification) {
   }
 }
 
+// The RBAC state is ordered by symbol id internally; every loop that raises
+// drop events still visits sessions and roles in name order. Interning
+// "Zeta" before the policy loads, and creating s-z before s-a, puts each
+// symbol order against its name order.
+TEST_F(EngineTest, SessionRoleDropsRaiseInNameOrder) {
+  engine_.symbols().Intern("Zeta");
+  Policy policy("name-order");
+  RoleSpec alpha;
+  alpha.name = "Alpha";
+  RoleSpec zeta;
+  zeta.name = "Zeta";
+  zeta.juniors = {"Alpha"};
+  UserSpec user;
+  user.name = "u";
+  user.assignments = {"Zeta"};
+  ASSERT_TRUE(policy.AddRole(alpha).ok());
+  ASSERT_TRUE(policy.AddRole(zeta).ok());
+  ASSERT_TRUE(policy.AddUser(user).ok());
+  Load(policy);
+  ASSERT_LT(engine_.symbols().Find("Zeta").id(),
+            engine_.symbols().Find("Alpha").id());
+
+  std::vector<std::string> drops;  // "session/role", in raise order.
+  engine_.detector().Subscribe(
+      engine_.events().session_role_dropped, [&](const Occurrence& occ) {
+        const SymbolTable& symbols = engine_.symbols();
+        drops.push_back(
+            symbols.NameOf(occ.params.Get(engine_.keys().session).AsSymbol()) +
+            "/" +
+            symbols.NameOf(occ.params.Get(engine_.keys().role).AsSymbol()));
+      });
+  const auto activate = [&](const std::string& session) {
+    for (const char* role : {"Zeta", "Alpha"}) {
+      if (!engine_.rbac().db().IsSessionRoleActive(session, role)) {
+        ASSERT_TRUE(engine_.AddActiveRole("u", session, role).allowed);
+      }
+    }
+  };
+  for (const char* session : {"s-z", "s-a"}) {
+    ASSERT_TRUE(engine_.CreateSession("u", session).allowed);
+    activate(session);
+  }
+
+  ASSERT_TRUE(engine_.DeleteSession("s-z").allowed);
+  EXPECT_EQ(drops, (std::vector<std::string>{"s-z/Alpha", "s-z/Zeta"}));
+  ASSERT_TRUE(engine_.CreateSession("u", "s-z").allowed);
+  activate("s-z");
+
+  drops.clear();
+  ASSERT_TRUE(engine_.DisableRole("Zeta").allowed);  // All instances drop.
+  EXPECT_EQ(drops, (std::vector<std::string>{"s-a/Zeta", "s-z/Zeta"}));
+  ASSERT_TRUE(engine_.EnableRole("Zeta").allowed);
+  activate("s-z");
+  activate("s-a");
+
+  drops.clear();
+  ASSERT_TRUE(engine_.DeassignUser("u", "Zeta").allowed);
+  EXPECT_EQ(drops, (std::vector<std::string>{"s-a/Alpha", "s-a/Zeta",
+                                             "s-z/Alpha", "s-z/Zeta"}));
+}
+
 }  // namespace
 }  // namespace sentinel

@@ -25,9 +25,9 @@ void CheckInvariants(const AuthorizationEngine& engine, size_t step) {
   for (const SessionId& session : rbac.db().SessionIds()) {
     auto info = rbac.db().GetSession(session);
     ASSERT_TRUE(info.ok());
-    for (const RoleName& role : (*info)->active_roles) {
-      ASSERT_TRUE(rbac.IsAuthorized((*info)->user, role))
-          << "step " << step << ": " << (*info)->user
+    for (const RoleName& role : info->active_roles) {
+      ASSERT_TRUE(rbac.IsAuthorized(info->user, role))
+          << "step " << step << ": " << info->user
           << " active in unauthorized role " << role;
       ASSERT_TRUE(engine.role_state().IsEnabled(role))
           << "step " << step << ": disabled role " << role << " active";
@@ -39,7 +39,7 @@ void CheckInvariants(const AuthorizationEngine& engine, size_t step) {
       }
     }
     // I2 — every session's active set satisfies every DSD relation.
-    ASSERT_TRUE(rbac.dsd().Satisfies((*info)->active_roles))
+    ASSERT_TRUE(rbac.dsd().Satisfies(info->active_roles))
         << "step " << step << ": DSD violated in session " << session;
   }
 

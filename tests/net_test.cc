@@ -10,7 +10,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -109,6 +113,38 @@ class NetTest : public ::testing::Test {
   std::unique_ptr<AuthorizationService> service_;
   std::unique_ptr<WireServer> server_;
 };
+
+// The library names the threads it starts, so per-thread CPU reads
+// straight off /proc/<pid>/task/*/comm (or top -H) on a running server.
+TEST_F(NetTest, NamesTheThreadsItStarts) {
+  const std::string audit_path =
+      testing::TempDir() + "sentinelpp_net_thread_names.jsonl";
+  ServiceConfig config;
+  config.num_shards = 2;
+  config.start_time = MakeTime(2026, 7, 6, 12, 0, 0);
+  config.audit_path = audit_path;
+  StartService(config);
+  StartServer();
+  const std::set<std::string> expected = {"shard-0", "shard-1",
+                                          "audit-writer", "net-reactor"};
+  std::set<std::string> found;
+  // Each thread names itself once it runs: poll until all four have.
+  EXPECT_TRUE(WaitFor([&] {
+    found.clear();
+    for (const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      std::ifstream comm(task.path() / "comm");
+      std::string name;
+      if (std::getline(comm, name) && expected.count(name) > 0) {
+        found.insert(name);
+      }
+    }
+    return found == expected;
+  })) << "found " << found.size() << " of the 4 thread names";
+  server_.reset();
+  service_.reset();
+  std::remove(audit_path.c_str());
+}
 
 TEST_F(NetTest, StartsOnEphemeralPortAndStops) {
   StartDefault();

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "gtrbac/role_state.h"
+
 namespace sentinel {
 namespace {
 
@@ -56,7 +61,7 @@ TEST_F(RbacDatabaseTest, SessionsLifecycle) {
   EXPECT_TRUE(db_.CreateSession("ghost", "s2").IsNotFound());
   auto info = db_.GetSession("s1");
   ASSERT_TRUE(info.ok());
-  EXPECT_EQ((*info)->user, "bob");
+  EXPECT_EQ(info->user, "bob");
   EXPECT_EQ(db_.UserSessions("bob").count("s1"), 1u);
   ASSERT_TRUE(db_.DeleteSession("s1").ok());
   EXPECT_FALSE(db_.HasSession("s1"));
@@ -116,6 +121,47 @@ TEST_F(RbacDatabaseTest, SessionIdsSorted) {
   ASSERT_EQ(ids.size(), 2u);
   EXPECT_EQ(ids[0], "s1");
   EXPECT_EQ(ids[1], "s2");
+
+  // Every name-returning read is in name order, also for names interned
+  // against it ("al" after "bob", "R0" after "R1").
+  ASSERT_TRUE(db_.AddUser("al").ok());
+  ASSERT_TRUE(db_.AddRole("R0").ok());
+  ASSERT_TRUE(db_.Assign("bob", "R1").ok());
+  ASSERT_TRUE(db_.Assign("bob", "R0").ok());
+  ASSERT_TRUE(db_.Assign("al", "R1").ok());
+  ASSERT_TRUE(db_.AddSessionRole("s2", "R1").ok());
+  ASSERT_TRUE(db_.AddSessionRole("s2", "R0").ok());
+  const auto in_order = [](const auto& names) {
+    return std::vector<std::string>(names.begin(), names.end());
+  };
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(in_order(db_.users()), (Names{"al", "bob"}));
+  EXPECT_EQ(in_order(db_.AssignedRoles("bob")), (Names{"R0", "R1"}));
+  EXPECT_EQ(in_order(db_.AssignedUsers("R1")), (Names{"al", "bob"}));
+  EXPECT_EQ(in_order(db_.UserSessions("bob")), (Names{"s1", "s2"}));
+  auto info = db_.GetSession("s2");
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(in_order(info->active_roles), (Names{"R0", "R1"}));
+}
+
+TEST_F(RbacDatabaseTest, ReadsOfUnknownNamesNeverIntern) {
+  ASSERT_TRUE(db_.CreateSession("bob", "s1").ok());
+  RoleStateTable state(&db_.symbols());
+  const size_t before = db_.symbols().size();
+  EXPECT_FALSE(db_.HasUser("ghost-user"));
+  EXPECT_FALSE(db_.HasRole("ghost-role"));
+  EXPECT_FALSE(db_.IsAssigned("ghost-user", "ghost-role"));
+  EXPECT_FALSE(db_.IsSessionRoleActive("ghost-session", "ghost-role"));
+  EXPECT_TRUE(db_.AssignedRoles("ghost-user").empty());
+  EXPECT_TRUE(state.IsEnabled("ghost-role"));
+  // Errors still name what was asked for.
+  EXPECT_EQ(db_.GetSession("ghost-session").status().message(),
+            "no such session: ghost-session");
+  EXPECT_EQ(db_.Assign("ghost-user", "R1").message(),
+            "no such user: ghost-user");
+  EXPECT_EQ(db_.DropSessionRole("s1", "ghost-role").message(),
+            "ghost-role not active in s1");
+  EXPECT_EQ(db_.symbols().size(), before);
 }
 
 }  // namespace
