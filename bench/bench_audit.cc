@@ -117,19 +117,19 @@ void BM_Exporter_Offer(benchmark::State& state) {
   options.path = path;
   audit::AuditExporter exporter(options);
 
-  audit::AuditRecord record;
-  record.seq = 1;
-  record.kind = "rbac.checkAccess";
-  record.user = "u0042";
-  record.session = "s-bench";
-  record.op = "read";
-  record.object = "obj13";
-  record.allowed = true;
-  record.rule = "CA.global";
+  // The fixed-field record a shard's tap queues: names stay symbols.
+  SymbolTable symbols;
+  const DecisionRecord record{.seq = 1,
+                              .event = symbols.Intern("rbac.checkAccess"),
+                              .user = symbols.Intern("u0042"),
+                              .session = symbols.Intern("s-bench"),
+                              .op = symbols.Intern("read"),
+                              .object = symbols.Intern("obj13"),
+                              .allowed = true,
+                              .rule = symbols.Intern("CA.global")};
 
   for (auto _ : state) {
-    audit::AuditRecord copy = record;
-    exporter.Offer(std::move(copy));
+    exporter.Offer(audit::QueuedRecord{record, &symbols});
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   exporter.Close();

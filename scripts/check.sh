@@ -8,7 +8,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS=$(nproc 2>/dev/null || echo 4)
 
-echo "== Symbol invariant: event parameters and RBAC state are symbols =="
+echo "== Symbol invariant: event parameters, RBAC state and decision records are symbols =="
 # Names enter the engine as strings only at its public API. The event and
 # rule layers keep no string-keyed std::map, and no file under src/ brings
 # back the string-keyed ParamMap (whole word: FlatParamMap does not match).
@@ -28,6 +28,18 @@ NAME_KEY='(std::string|UserName|RoleName|SessionId|OperationName|ObjectName|Perm
 if grep -nE "std::(set|map|multiset|multimap|unordered_(set|map|multiset|multimap))<${NAME_KEY}[ ,>][^(]*;" \
     src/rbac/database.h src/gtrbac/role_state.h; then
   echo "symbol-invariant: name-keyed container member in the RBAC state" >&2
+  exit 1
+fi
+# A decision ring slot is fixed-field: DecisionRecord declares no
+# std::string or Decision data member (same member rule), so recording a
+# decision copies no text and only the audit writer resolves names.
+RECORD=$(sed -n '/^struct DecisionRecord {/,/^};/p' src/core/decision_log.h)
+if [[ -z "$RECORD" ]]; then
+  echo "symbol-invariant: struct DecisionRecord not found in src/core/decision_log.h" >&2
+  exit 1
+fi
+if grep -nE '^[[:space:]]*(std::string|Decision)[[:space:]][^(]*;' <<<"$RECORD"; then
+  echo "symbol-invariant: text member in DecisionRecord" >&2
   exit 1
 fi
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -29,17 +28,23 @@ namespace audit {
 /// and never waited for: audit pressure degrades the audit stream, not the
 /// authorization path.
 ///
+/// Records queue fixed-field (QueuedRecord: symbols, not text), so an Offer
+/// copies no names; the writer resolves and serializes a whole batch into
+/// one buffer and hands it to the OS with one write(2).
+///
 /// Wakeups are coalesced: producers signal the writer only on the
 /// empty->non-empty transition, and the writer lingers ~1ms before swapping
-/// so one wakeup (and one fwrite/fflush) covers every record of the window.
+/// so one wakeup (and one write) covers every record of the window.
 /// Records are therefore durable within ~1ms of Offer in steady state;
 /// Flush() and Close() cut the linger short and are exact.
 ///
 /// Output is one JSON object per line (see record.h for the schema), rotated
 /// by size: when the current file exceeds rotate_bytes after a batch, it is
 /// renamed to `<path>.<n>` (n increasing, oldest = 1) and a fresh `<path>`
-/// is opened — `<path>` is always the live tail. Close() (and the
-/// destructor) flushes everything already offered before returning.
+/// is opened — `<path>` is always the live tail. Numbering continues after
+/// the highest `<path>.<n>` on disk when the writer starts, so a restart
+/// never renames over an earlier run's files. Close() (and the destructor)
+/// flushes everything already offered before returning.
 class AuditExporter {
  public:
   struct Options {
@@ -62,6 +67,9 @@ class AuditExporter {
 
   /// Hands one record to the writer. Thread-safe, never blocks on I/O;
   /// drops (and counts) when the buffer is full or the exporter is closed.
+  /// The record's symbol table must outlive Close().
+  void Offer(QueuedRecord record);
+  /// Offers a record that carries its own words.
   void Offer(AuditRecord record);
 
   /// Accounts `n` records lost upstream (evicted from a shard's DecisionLog
@@ -69,8 +77,8 @@ class AuditExporter {
   /// one number answers "is the stream complete?".
   void AddUpstreamLoss(uint64_t n);
 
-  /// Blocks until every record offered before this call is written and
-  /// fflush'ed. Producers may keep offering concurrently.
+  /// Blocks until every record offered before this call is written.
+  /// Producers may keep offering concurrently.
   void Flush();
 
   /// Flush, stop the writer thread, close the file. Idempotent. Offers
@@ -85,6 +93,7 @@ class AuditExporter {
     uint64_t records = 0;  // Lines durably handed to the OS.
     uint64_t drops = 0;    // Offered-but-lost + upstream ring losses.
     uint64_t bytes = 0;    // Serialized bytes written.
+    uint64_t batches = 0;  // Batches written, one write each.
   };
   Counters counters() const;
 
@@ -95,21 +104,23 @@ class AuditExporter {
 
  private:
   void WriterLoop();
-  /// Opens `path` for append; returns the current size. Sets failed_.
+  /// Opens `path` for append and resumes its size. Sets failed_.
   void OpenOutput();
   void RotateIfNeeded();
+  /// Writes scratch_ whole; false (and failed_) when the OS refuses it.
+  bool WriteScratch();
 
   const Options options_;
 
   /// Backlog size at which the writer stops lingering and producers wake it
   /// eagerly; below it, one wakeup per ~1ms linger window drains everything
-  /// accumulated, so wakeups, fwrite, and fflush amortize across the batch.
+  /// accumulated, so wakeups and the write amortize across the batch.
   static constexpr size_t kCoalesceBatch = 256;
 
   std::mutex mu_;
   std::condition_variable wake_writer_;   // Signaled on first Offer/Flush/Close.
   std::condition_variable flush_done_;    // Signaled after each batch.
-  std::vector<AuditRecord> pending_;      // Guarded by mu_.
+  std::vector<QueuedRecord> pending_;     // Guarded by mu_.
   uint64_t enqueued_ = 0;                 // Records ever accepted. (mu_)
   uint64_t consumed_ = 0;                 // Records written or failed. (mu_)
   bool closing_ = false;                  // (mu_)
@@ -117,15 +128,18 @@ class AuditExporter {
   std::function<void()> stall_hook_;      // (mu_ to set; writer reads copy)
 
   // Writer-thread state (no lock needed).
-  std::FILE* out_ = nullptr;
+  int fd_ = -1;
   uint64_t current_file_bytes_ = 0;
-  int rotation_count_ = 0;
-  std::string scratch_;  // Reused serialization buffer.
+  /// Highest `<path>.<n>` so far; starts at the highest one on disk.
+  uint64_t rotation_count_ = 0;
+  std::vector<QueuedRecord> batch_;  // Swapped with pending_.
+  std::string scratch_;              // Reused serialization buffer.
 
   // Counters: relaxed atomics — monotone, read by any thread.
   std::atomic<uint64_t> records_{0};
   std::atomic<uint64_t> drops_{0};
   std::atomic<uint64_t> bytes_{0};
+  std::atomic<uint64_t> batches_{0};
   std::atomic<bool> failed_{false};
 
   std::thread writer_;

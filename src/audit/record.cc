@@ -1,118 +1,183 @@
 #include "audit/record.h"
 
 #include <cctype>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 
 namespace sentinel {
 namespace audit {
 
-AuditRecord FromDecisionRecord(const DecisionRecord& record, int shard,
-                               uint64_t epoch) {
-  AuditRecord out;
-  out.seq = record.seq;
-  out.shard = shard;
-  out.epoch = epoch;
-  out.wall_us = record.wall_us;
-  out.sim_us = record.when;
-  out.kind = record.operation;
-  out.user = record.user;
-  out.session = record.session;
-  out.role = record.role;
-  out.op = record.op;
-  out.object = record.object;
-  out.purpose = record.purpose;
-  out.allowed = record.decision.allowed;
-  out.outcome = 0;
-  out.rule = record.decision.rule;
-  out.reason = record.decision.reason;
-  out.failed_condition = record.decision.failed_condition;
-  out.latency_us = record.latency_us;
+namespace {
+
+/// Copies every field of `r`, each text converted to `To`.
+template <typename To, typename From>
+BasicAuditRecord<To> Convert(const BasicAuditRecord<From>& r) {
+  BasicAuditRecord<To> out;
+  out.v = r.v;
+  out.seq = r.seq;
+  out.shard = r.shard;
+  out.epoch = r.epoch;
+  out.wall_us = r.wall_us;
+  out.sim_us = r.sim_us;
+  out.kind = To(r.kind);
+  out.user = To(r.user);
+  out.session = To(r.session);
+  out.role = To(r.role);
+  out.op = To(r.op);
+  out.object = To(r.object);
+  out.purpose = To(r.purpose);
+  out.allowed = r.allowed;
+  out.outcome = r.outcome;
+  out.rule = To(r.rule);
+  out.reason = To(r.reason);
+  out.failed_condition = To(r.failed_condition);
+  out.latency_us = r.latency_us;
   return out;
 }
 
-void AppendJsonString(std::string_view s, std::string* out) {
-  out->push_back('"');
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(static_cast<char>(c));
-        }
+}  // namespace
+
+std::string_view KindName(ServiceKind kind) {
+  static constexpr std::string_view kNames[] = {
+      "", "service.fastpath", "service.overload", "service.swap"};
+  return kNames[static_cast<size_t>(kind)];
+}
+
+RecordView View(const AuditRecord& record) {
+  return Convert<std::string_view>(record);
+}
+
+RecordView View(const QueuedRecord& record) {
+  if (record.text != nullptr) return View(*record.text);
+  const DecisionRecord& d = record.decision;
+  const SymbolTable* symbols = record.symbols;
+  const auto name = [symbols](Symbol s) -> std::string_view {
+    return symbols == nullptr ? std::string_view() : symbols->NameOf(s);
+  };
+  RecordView view;
+  view.seq = d.seq;
+  view.shard = record.shard;
+  view.epoch = record.epoch;
+  view.wall_us = d.wall_us;
+  view.sim_us = d.when;
+  view.kind = record.kind == ServiceKind::kNone ? name(d.event)
+                                                : KindName(record.kind);
+  view.user = name(d.user);
+  view.session = name(d.session);
+  view.role = name(d.role);
+  view.op = name(d.op);
+  view.object = name(d.object);
+  view.purpose = name(d.purpose);
+  view.allowed = d.allowed;
+  view.rule = name(d.rule);
+  view.reason = name(d.reason);
+  view.failed_condition = name(d.failed_condition);
+  view.latency_us = d.latency_us;
+  return view;
+}
+
+AuditRecord FromDecisionRecord(const DecisionRecord& record,
+                               const SymbolTable& symbols, int shard,
+                               uint64_t epoch) {
+  return Convert<std::string>(
+      View(QueuedRecord{record, &symbols, epoch, shard}));
+}
+
+namespace {
+
+bool NeedsEscape(unsigned char c) { return c < 0x20 || c == '"' || c == '\\'; }
+
+void AppendEscape(unsigned char c, std::string* out) {
+  switch (c) {
+    case '"':
+      out->append("\\\"");
+      break;
+    case '\\':
+      out->append("\\\\");
+      break;
+    case '\n':
+      out->append("\\n");
+      break;
+    case '\r':
+      out->append("\\r");
+      break;
+    case '\t':
+      out->append("\\t");
+      break;
+    default: {
+      static constexpr char kHex[] = "0123456789abcdef";
+      out->append("\\u00");
+      out->push_back(kHex[c >> 4]);
+      out->push_back(kHex[c & 0xf]);
     }
   }
+}
+
+}  // namespace
+
+void AppendJsonString(std::string_view s, std::string* out) {
+  out->push_back('"');
+  // Plain bytes go out in whole runs; only a byte that needs an escape
+  // takes the per-byte path.
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (!NeedsEscape(c)) continue;
+    out->append(s.data() + run, i - run);
+    AppendEscape(c, out);
+    run = i + 1;
+  }
+  out->append(s.data() + run, s.size() - run);
   out->push_back('"');
 }
 
 namespace {
 
-void AppendKey(std::string_view key, std::string* out) {
-  if (out->back() != '{') out->push_back(',');
-  AppendJsonString(key, out);
-  out->push_back(':');
+// Each `key` below is the literal text before a value: separator, quoted
+// name and colon, so a fixed key costs one append.
+
+template <typename Int>
+void AppendNumber(std::string_view key, Int value, std::string* out) {
+  out->append(key);
+  char digits[24];
+  const char* end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+  out->append(digits, static_cast<size_t>(end - digits));
 }
 
-void AppendInt(std::string_view key, int64_t value, std::string* out) {
-  AppendKey(key, out);
-  out->append(std::to_string(value));
-}
-
-void AppendUint(std::string_view key, uint64_t value, std::string* out) {
-  AppendKey(key, out);
-  out->append(std::to_string(value));
-}
-
-void AppendStringIf(std::string_view key, const std::string& value,
+void AppendStringIf(std::string_view key, std::string_view value,
                     std::string* out) {
   if (value.empty()) return;
-  AppendKey(key, out);
+  out->append(key);
   AppendJsonString(value, out);
 }
 
 }  // namespace
 
-void AppendJsonLine(const AuditRecord& record, std::string* out) {
-  out->push_back('{');
-  AppendInt("v", record.v, out);
-  AppendUint("seq", record.seq, out);
-  AppendInt("shard", record.shard, out);
-  AppendUint("epoch", record.epoch, out);
-  AppendInt("wall_us", record.wall_us, out);
-  AppendInt("sim_us", record.sim_us, out);
-  AppendKey("kind", out);
+void AppendJsonLine(const RecordView& record, std::string* out) {
+  AppendNumber("{\"v\":", record.v, out);
+  AppendNumber(",\"seq\":", record.seq, out);
+  AppendNumber(",\"shard\":", record.shard, out);
+  AppendNumber(",\"epoch\":", record.epoch, out);
+  AppendNumber(",\"wall_us\":", record.wall_us, out);
+  AppendNumber(",\"sim_us\":", record.sim_us, out);
+  out->append(",\"kind\":");
   AppendJsonString(record.kind, out);
-  AppendStringIf("user", record.user, out);
-  AppendStringIf("session", record.session, out);
-  AppendStringIf("role", record.role, out);
-  AppendStringIf("op", record.op, out);
-  AppendStringIf("obj", record.object, out);
-  AppendStringIf("purpose", record.purpose, out);
-  AppendKey("allowed", out);
-  out->append(record.allowed ? "true" : "false");
-  if (record.outcome != 0) AppendInt("outcome", record.outcome, out);
-  AppendStringIf("rule", record.rule, out);
-  AppendStringIf("reason", record.reason, out);
-  AppendStringIf("failed_condition", record.failed_condition, out);
-  if (record.latency_us != 0) AppendInt("latency_us", record.latency_us, out);
+  AppendStringIf(",\"user\":", record.user, out);
+  AppendStringIf(",\"session\":", record.session, out);
+  AppendStringIf(",\"role\":", record.role, out);
+  AppendStringIf(",\"op\":", record.op, out);
+  AppendStringIf(",\"obj\":", record.object, out);
+  AppendStringIf(",\"purpose\":", record.purpose, out);
+  out->append(record.allowed ? ",\"allowed\":true" : ",\"allowed\":false");
+  if (record.outcome != 0) {
+    AppendNumber(",\"outcome\":", record.outcome, out);
+  }
+  AppendStringIf(",\"rule\":", record.rule, out);
+  AppendStringIf(",\"reason\":", record.reason, out);
+  AppendStringIf(",\"failed_condition\":", record.failed_condition, out);
+  if (record.latency_us != 0) {
+    AppendNumber(",\"latency_us\":", record.latency_us, out);
+  }
   out->append("}\n");
 }
 

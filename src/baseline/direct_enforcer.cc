@@ -142,16 +142,16 @@ Status DirectEnforcer::Reconcile(const Policy& from, const Policy& to) {
   for (const auto& [name, spec] : to.roles()) {
     if (spec.enabling_window.has_value()) {
       if (spec.enabling_window->Contains(now)) {
-        state_.Enable(name, now);
+        state_.Enable(name);
       } else {
-        state_.Disable(name, now);
+        state_.Disable(name);
         DeactivateAllInstances(name);
       }
     } else {
       auto it = from.roles().find(name);
       const bool had_window =
           it != from.roles().end() && it->second.enabling_window.has_value();
-      if (had_window) state_.Enable(name, now);
+      if (had_window) state_.Enable(name);
     }
   }
   return Status::OK();
@@ -377,9 +377,9 @@ Decision DirectEnforcer::EnableRole(const RoleName& role) {
     const bool companion_ok = state_.IsEnabled(pair->companion) ||
                               EnableTsodOk(pair->companion);
     if (EnableTsodOk(role) && companion_ok) {
-      state_.Enable(role, Now());
+      state_.Enable(role);
       if (!state_.IsEnabled(pair->companion)) {
-        state_.Enable(pair->companion, Now());
+        state_.Enable(pair->companion);
       }
       d.Allow("CFD." + role + ".enable");
     } else {
@@ -388,7 +388,7 @@ Decision DirectEnforcer::EnableRole(const RoleName& role) {
     return Finish(d);
   }
   if (EnableTsodOk(role)) {
-    state_.Enable(role, Now());
+    state_.Enable(role);
     d.Allow("GLOB.enable");
   } else {
     d.Deny("GLOB.enable", "Denied by Enabling-Time SoD");
@@ -420,7 +420,7 @@ Decision DirectEnforcer::DisableRole(const RoleName& role) {
 }
 
 void DirectEnforcer::DisableRoleInternal(const RoleName& role) {
-  state_.Disable(role, Now());
+  state_.Disable(role);
   DeactivateAllInstances(role);
 }
 
@@ -449,9 +449,9 @@ void DirectEnforcer::AdvanceTo(Time t) {
       if (spec_it != policy_.roles().end() &&
           spec_it->second.enabling_window.has_value()) {
         if (boundary.is_start) {
-          state_.Enable(boundary.role, boundary.when);
+          state_.Enable(boundary.role);
         } else {
-          state_.Disable(boundary.role, boundary.when);
+          state_.Disable(boundary.role);
           DeactivateAllInstances(boundary.role);
         }
         // Schedule the next same-kind boundary.

@@ -8,9 +8,9 @@ void TrbacBaseline::AddEnablingTrigger(const RoleName& role,
   triggers_.push_back(Trigger{role, period});
   const Time now = clock_->Now();
   if (period.Contains(now)) {
-    state_.Enable(role, now);
+    state_.Enable(role);
   } else {
-    state_.Disable(role, now);
+    state_.Disable(role);
   }
   if (auto start = period.NextWindowStart(now)) {
     queue_.push(Firing{*start, next_seq_++, index, true});
@@ -27,9 +27,9 @@ void TrbacBaseline::AdvanceTo(Time t) {
     clock_->SetTime(firing.when);
     const Trigger& trigger = triggers_[firing.trigger_index];
     if (firing.is_start) {
-      state_.Enable(trigger.role, firing.when);
+      state_.Enable(trigger.role);
     } else {
-      state_.Disable(trigger.role, firing.when);
+      state_.Disable(trigger.role);
     }
     ++firings_;
     const auto next = firing.is_start

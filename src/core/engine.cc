@@ -64,10 +64,16 @@ AuthorizationEngine::AuthorizationEngine(SimulatedClock* clock)
   });
   generator_ = std::make_unique<RuleGenerator>(this);
 
+  // Each core event's name is interned beside its definition: a decision
+  // record names its request event by symbol.
   auto define = [this](const char* name) {
     auto result = detector_.DefinePrimitive(name);
     // Core event names are unique literals; failure is impossible.
-    return result.ok() ? *result : kInvalidEventId;
+    if (!result.ok()) return kInvalidEventId;
+    const size_t index = static_cast<size_t>(*result);
+    if (event_names_.size() <= index) event_names_.resize(index + 1);
+    event_names_[index] = symbols_.Intern(name);
+    return *result;
   };
   events_.create_session = define("rbac.createSession");
   events_.delete_session = define("rbac.deleteSession");
@@ -85,6 +91,8 @@ AuthorizationEngine::AuthorizationEngine(SimulatedClock* clock)
   events_.access_denied = define("rbac.accessDenied");
   events_.security_alert = define("rbac.securityAlert");
   events_.context_changed = define("rbac.contextChanged");
+  ca_rule_name_ = symbols_.Intern(kCaRuleName);
+  deny_reason_ = symbols_.Intern(kDenyReason);
 }
 
 AuthorizationEngine::~AuthorizationEngine() = default;
@@ -339,14 +347,14 @@ Status AuthorizationEngine::ApplyBaseDelta(const BaseStateDelta& delta,
   for (const RoleName& name : delta.window_roles) {
     const auto& window = to.roles().at(name).enabling_window;
     if (window->Contains(now)) {
-      role_state_.Enable(name, now);
+      role_state_.Enable(name);
     } else {
-      role_state_.Disable(name, now);
+      role_state_.Disable(name);
       DeactivateAllInstances(symbols_.Find(name));
     }
   }
   for (const RoleName& name : delta.window_removed) {
-    role_state_.Enable(name, now);  // Window removed.
+    role_state_.Enable(name);  // Window removed.
   }
   // The reconcile itself deassigns/revokes/deletes through the counted
   // mutators, so the mark is captured after the fact: the next commit may
@@ -363,9 +371,8 @@ Decision AuthorizationEngine::Dispatch(EventId event, FlatParamMap params) {
   if (timed) latency_tick_ = latency_sample_every_;
   const int64_t start_ns = timed ? telemetry::NowNanos() : 0;
   const bool traced = tracer_.Begin(Now(), detector_.name(event));
-  // Attribution symbols must be read before the params move below; symbols
-  // stay resolvable for the table's lifetime, so NameOf waits until the
-  // record is actually built (only when the trail is on).
+  // Attribution symbols must be read before the params move below; the
+  // record keeps them as they are, and only the audit writer resolves them.
   const bool logged = decision_log_.capacity() > 0;
   Symbol a_user, a_session, a_role, a_op, a_obj, a_purpose;
   if (logged) {
@@ -398,16 +405,21 @@ Decision AuthorizationEngine::Dispatch(EventId event, FlatParamMap params) {
   }
   if (traced) tracer_.End(decision.allowed, decision.rule, elapsed_ns);
   if (logged) {
-    DecisionRecord record{Now(), detector_.name(event), decision};
-    record.wall_us = WallTimeMicros();
-    record.user = symbols_.NameOf(a_user);
-    record.session = symbols_.NameOf(a_session);
-    record.role = symbols_.NameOf(a_role);
-    record.op = symbols_.NameOf(a_op);
-    record.object = symbols_.NameOf(a_obj);
-    record.purpose = symbols_.NameOf(a_purpose);
-    record.latency_us = elapsed_ns / 1000;
-    decision_log_.Push(std::move(record));
+    decision_log_.Push({.when = Now(),
+                        .wall_us = WallTimeMicros(),
+                        .latency_us = elapsed_ns / 1000,
+                        .event = event_names_[event],
+                        .user = a_user,
+                        .session = a_session,
+                        .role = a_role,
+                        .op = a_op,
+                        .object = a_obj,
+                        .purpose = a_purpose,
+                        .allowed = decision.allowed,
+                        .rule = RecordText(decision.rule),
+                        .reason = RecordText(decision.reason),
+                        .failed_condition =
+                            RecordText(decision.failed_condition)});
   }
   // Whatever this dispatch's cascade mutated is reflected in the published
   // words by the time the caller (and, through the service, the client) learns
@@ -418,6 +430,13 @@ Decision AuthorizationEngine::Dispatch(EventId event, FlatParamMap params) {
 
 void AuthorizationEngine::set_decision_log_capacity(size_t capacity) {
   decision_log_.set_capacity(capacity);
+}
+
+Symbol AuthorizationEngine::RecordText(const std::string& text) {
+  // Rule names, literal reasons and condition labels are a closed set, so
+  // after the first decision each is already in the table and this is a
+  // lookup.
+  return text.empty() ? Symbol() : symbols_.Intern(text);
 }
 
 Decision AuthorizationEngine::CreateSession(const UserName& user,
@@ -526,15 +545,25 @@ Decision AuthorizationEngine::ReplayCachedVerdict(DecisionCache::Verdict
     tracer_.EndCached(decision.allowed, decision.rule);
   }
   if (decision_log_.capacity() > 0) {
-    DecisionRecord record{Now(), detector_.name(events_.check_access),
-                          decision};
+    DecisionRecord record = CachedVerdictRecord(verdict);
+    record.when = Now();
     record.wall_us = WallTimeMicros();
-    record.session = symbols_.NameOf(session);
-    record.op = symbols_.NameOf(op);
-    record.object = symbols_.NameOf(obj);
-    decision_log_.Push(std::move(record));
+    record.event = event_names_[events_.check_access];
+    record.session = session;
+    record.op = op;
+    record.object = obj;
+    decision_log_.Push(record);
   }
   return decision;
+}
+
+DecisionRecord AuthorizationEngine::CachedVerdictRecord(
+    DecisionCache::Verdict verdict) const {
+  DecisionRecord record;
+  record.allowed = verdict.allowed;
+  if (verdict.allowed || verdict.by_rule) record.rule = ca_rule_name_;
+  if (!verdict.allowed) record.reason = deny_reason_;
+  return record;
 }
 
 Decision AuthorizationEngine::CheckAccess(const SessionId& session,
@@ -634,23 +663,22 @@ void AuthorizationEngine::SetContext(const std::string& key,
   // Context moves can flip CTX-rule verdict paths that never touch a
   // session or role generation; a full epoch bump is the safe blanket.
   BumpDecisionCacheEpoch();
-  (void)detector_.Raise(
-      events_.context_changed,
-      {{keys_.context_key, Value(symbols_.Intern(key))},
-       {keys_.context_value, Value(symbols_.Intern(value))}});
+  const Symbol key_sym = symbols_.Intern(key);
+  const Symbol value_sym = symbols_.Intern(value);
+  (void)detector_.Raise(events_.context_changed,
+                        {{keys_.context_key, Value(key_sym)},
+                         {keys_.context_value, Value(value_sym)}});
   // Context moves never produce a Decision, but the audit trail (and the
   // replay tool reconstructing this engine's inputs from it) must see them:
   // record a synthetic always-allowed entry, key/value riding in the
   // op/object slots.
   if (decision_log_.capacity() > 0) {
-    DecisionRecord record;
-    record.when = Now();
-    record.operation = detector_.name(events_.context_changed);
-    record.decision.Allow("");
-    record.wall_us = WallTimeMicros();
-    record.op = key;
-    record.object = value;
-    decision_log_.Push(std::move(record));
+    decision_log_.Push({.when = Now(),
+                        .wall_us = WallTimeMicros(),
+                        .event = event_names_[events_.context_changed],
+                        .op = key_sym,
+                        .object = value_sym,
+                        .allowed = true});
   }
   // The contextChanged cascade may itself mutate state after the epoch
   // bump above already published; re-publish at the tail.

@@ -219,6 +219,12 @@ class AuthorizationEngine {
   const SymbolTable& symbols() const { return symbols_; }
   const ParamKeys& keys() const { return keys_; }
 
+  /// The verdict fields of the record of a cached verdict — `allowed`, and
+  /// the rule and reason a Decision rebuilt from it names — for a replay
+  /// here or a zero-hop hit. Safe from any thread: it reads only symbols
+  /// interned at construction.
+  DecisionRecord CachedVerdictRecord(DecisionCache::Verdict verdict) const;
+
   /// Drops `role` from `session` outside a user request (duration expiry,
   /// shift end, cascade), raising the post-state event.
   Status ForceDeactivate(Symbol user, Symbol session, Symbol role);
@@ -351,6 +357,7 @@ class AuthorizationEngine {
   /// Bounded audit trail of the most recent decisions (administrators'
   /// report material; audit rules summarize it). Oldest first; a fixed-size
   /// ring buffer, so sustained traffic never grows it past its capacity.
+  /// Records name things by symbol: resolve them through symbols().
   const DecisionLog& decision_log() const { return decision_log_; }
   /// Number of audit records shed once the ring filled up.
   uint64_t decision_log_overflow() const { return decision_log_.overflow(); }
@@ -395,6 +402,9 @@ class AuthorizationEngine {
   /// Re-derives cache_positive_ok_ / cache_negative_ok_ from the current
   /// rule pool and event graph (called when pool generation or epoch moved).
   void RefreshCacheGates();
+  /// The symbol a decision record stores for a verdict text (rule name,
+  /// reason, condition label); the invalid symbol for empty text.
+  Symbol RecordText(const std::string& text);
   /// True iff `decision` is one the cache can reconstruct exactly.
   static bool CacheableVerdict(const Decision& decision);
   /// Rebuilds a Decision from a cache hit and applies the bookkeeping the
@@ -408,6 +418,11 @@ class AuthorizationEngine {
   /// first so it outlives every component that holds a pointer to it.
   SymbolTable symbols_;
   ParamKeys keys_;
+  /// kCaRuleName and kDenyReason, interned at construction.
+  Symbol ca_rule_name_;
+  Symbol deny_reason_;
+  /// The core events' names as symbols, indexed by EventId.
+  std::vector<Symbol> event_names_;
   /// Declared before the detector and rule manager, which register their
   /// instruments on it at construction.
   telemetry::Registry metrics_;

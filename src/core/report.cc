@@ -140,15 +140,16 @@ std::string GenerateAdminReport(const AuthorizationEngine& engine,
     os << "-- recent denials --\n";
     int listed = 0;
     const DecisionLog& log = engine.decision_log();
+    const SymbolTable& symbols = engine.symbols();
     // Newest first: the log indexes oldest-first.
     for (size_t i = log.size(); i > 0 && listed < options.recent_denials;
          --i) {
       const DecisionRecord& record = log[i - 1];
-      if (record.decision.allowed) continue;
-      os << FormatTime(record.when) << ' ' << record.operation << " -> "
-         << (record.decision.rule.empty() ? "(default)"
-                                          : record.decision.rule)
-         << ": " << record.decision.reason << "\n";
+      if (record.allowed) continue;
+      os << FormatTime(record.when) << ' ' << symbols.NameOf(record.event)
+         << " -> "
+         << (record.rule.valid() ? symbols.NameOf(record.rule) : "(default)")
+         << ": " << symbols.NameOf(record.reason) << "\n";
       ++listed;
     }
     if (listed == 0) os << "(none in the audit trail)\n";

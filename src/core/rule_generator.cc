@@ -473,7 +473,7 @@ Status RuleGenerator::GenerateGlobalRules(const Policy& policy) {
               })
         .Then("enableRole(role)",
               [eng, k](RuleContext& c) {
-                eng->role_state().Enable(c.ParamSym(k.role), eng->Now());
+                eng->role_state().Enable(c.ParamSym(k.role));
                 AllowDecision(c, "GLOB.enable");
                 (void)eng->detector().Raise(
                     eng->events().role_enabled,
@@ -509,7 +509,7 @@ Status RuleGenerator::GenerateGlobalRules(const Policy& policy) {
         .Then("disableRole(role)",
               [eng, k](RuleContext& c) {
                 const Symbol role = c.ParamSym(k.role);
-                eng->role_state().Disable(role, eng->Now());
+                eng->role_state().Disable(role);
                 eng->DeactivateAllInstances(role);
                 AllowDecision(c, "GLOB.disable");
                 (void)eng->detector().Raise(
@@ -740,7 +740,7 @@ Status RuleGenerator::GenerateRoleRules(const Policy& policy,
     on_rule.Then("enableRole" + role,
                  [eng, k, role_sym](RuleContext& c) {
                    (void)c;
-                   eng->role_state().Enable(role_sym, eng->Now());
+                   eng->role_state().Enable(role_sym);
                    (void)eng->detector().Raise(eng->events().role_enabled,
                                                {{k.role, Value(role_sym)}});
                  });
@@ -752,7 +752,7 @@ Status RuleGenerator::GenerateRoleRules(const Policy& policy,
     off_rule.Then("disableRole" + role + "; deactivate instances",
                   [eng, k, role_sym](RuleContext& c) {
                     (void)c;
-                    eng->role_state().Disable(role_sym, eng->Now());
+                    eng->role_state().Disable(role_sym);
                     eng->DeactivateAllInstances(role_sym);
                     (void)eng->detector().Raise(eng->events().role_disabled,
                                                 {{k.role, Value(role_sym)}});
@@ -905,7 +905,7 @@ Status RuleGenerator::GenerateTimeSodRules(const Policy& policy,
       .Then("disable requested role",
             [eng, k, rule_name = "TSOD." + tsod.name](RuleContext& c) {
               const Symbol role = c.ParamSym(k.role);
-              eng->role_state().Disable(role, eng->Now());
+              eng->role_state().Disable(role);
               eng->DeactivateAllInstances(role);
               AllowDecision(c, rule_name);
               (void)eng->detector().Raise(
@@ -972,11 +972,11 @@ Status RuleGenerator::GenerateCfdRules(const Policy& policy,
               })
         .Then("enableRole" + trigger + "(); enableRole" + companion + "()",
               [eng, k, trigger, trigger_sym, companion_sym](RuleContext& c) {
-                eng->role_state().Enable(trigger_sym, eng->Now());
+                eng->role_state().Enable(trigger_sym);
                 (void)eng->detector().Raise(eng->events().role_enabled,
                                             {{k.role, Value(trigger_sym)}});
                 if (!eng->role_state().IsEnabled(companion_sym)) {
-                  eng->role_state().Enable(companion_sym, eng->Now());
+                  eng->role_state().Enable(companion_sym);
                   (void)eng->detector().Raise(eng->events().role_enabled,
                                               {{k.role, Value(companion_sym)}});
                 }
@@ -1010,7 +1010,7 @@ Status RuleGenerator::GenerateCfdRules(const Policy& policy,
         .Then("disableRole" + trigger + "()",
               [eng, k, trigger_sym](RuleContext& c) {
                 (void)c;
-                eng->role_state().Disable(trigger_sym, eng->Now());
+                eng->role_state().Disable(trigger_sym);
                 eng->DeactivateAllInstances(trigger_sym);
                 (void)eng->detector().Raise(eng->events().role_disabled,
                                             {{k.role, Value(trigger_sym)}});
@@ -1247,7 +1247,7 @@ Status RuleGenerator::GenerateThresholdRules(
         for (const RoleName& role : disable_roles) {
           if (eng->role_state().IsEnabled(role)) {
             const Symbol role_sym = eng->symbols().Intern(role);
-            eng->role_state().Disable(role_sym, now);
+            eng->role_state().Disable(role_sym);
             eng->DeactivateAllInstances(role_sym);
             (void)eng->detector().Raise(eng->events().role_disabled,
                                         {{k.role, Value(role_sym)}});

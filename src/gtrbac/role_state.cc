@@ -11,31 +11,20 @@ RoleStateTable::RoleStateTable(SymbolTable* symbols) {
   }
 }
 
-void RoleStateTable::Enable(Symbol role, Time when) {
+void RoleStateTable::Enable(Symbol role) {
   ++roles_generation_;
   if (!role.valid()) return;  // A name the full table could not intern.
   disabled_.erase(role.id());
-  last_transition_[role.id()] = when;
 }
 
-void RoleStateTable::Disable(Symbol role, Time when) {
+void RoleStateTable::Disable(Symbol role) {
   ++roles_generation_;
   if (!role.valid()) return;
   disabled_.insert(role.id());
-  last_transition_[role.id()] = when;
-}
-
-std::optional<Time> RoleStateTable::LastTransition(
-    const RoleName& role) const {
-  auto it = last_transition_.find(symbols_->Find(role).id());
-  if (it == last_transition_.end()) return std::nullopt;
-  return it->second;
 }
 
 void RoleStateTable::EraseRole(const RoleName& role) {
-  const Symbol role_sym = symbols_->Find(role);
-  disabled_.erase(role_sym.id());
-  last_transition_.erase(role_sym.id());
+  disabled_.erase(symbols_->Find(role).id());
   ++roles_generation_;
 }
 

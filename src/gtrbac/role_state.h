@@ -2,15 +2,12 @@
 #define SENTINELPP_GTRBAC_ROLE_STATE_H_
 
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/interner.h"
 #include "common/status.h"
-#include "common/value.h"
 #include "rbac/types.h"
 
 namespace sentinel {
@@ -25,23 +22,19 @@ namespace sentinel {
 /// State is keyed by symbol, so the per-activation IsEnabled check on the
 /// rule path costs one integer-set probe (and nothing at all while no role
 /// is disabled, the common case). Name reads resolve with Find and never
-/// intern: a name never registered reads as enabled, with no transition.
+/// intern: a name never registered reads as enabled.
 class RoleStateTable {
  public:
   /// `symbols` is shared with the owning engine; when null the table owns
   /// a private one.
   explicit RoleStateTable(SymbolTable* symbols = nullptr);
 
-  /// Enables the role; records the transition time.
-  void Enable(const RoleName& role, Time when) {
-    Enable(symbols_->Intern(role), when);
-  }
-  void Enable(Symbol role, Time when);
-  /// Disables the role; records the transition time.
-  void Disable(const RoleName& role, Time when) {
-    Disable(symbols_->Intern(role), when);
-  }
-  void Disable(Symbol role, Time when);
+  /// Enables the role and counts the transition (roles_generation).
+  void Enable(const RoleName& role) { Enable(symbols_->Intern(role)); }
+  void Enable(Symbol role);
+  /// Disables the role and counts the transition (roles_generation).
+  void Disable(const RoleName& role) { Disable(symbols_->Intern(role)); }
+  void Disable(Symbol role);
 
   bool IsEnabled(const RoleName& role) const {
     return IsEnabled(symbols_->Find(role));
@@ -49,9 +42,6 @@ class RoleStateTable {
   bool IsEnabled(Symbol role) const {
     return disabled_.empty() || disabled_.count(role.id()) == 0;
   }
-
-  /// Time of the last enable/disable transition, or nullopt if none.
-  std::optional<Time> LastTransition(const RoleName& role) const;
 
   /// Drops the role's entry (on role deletion).
   void EraseRole(const RoleName& role);
@@ -69,7 +59,6 @@ class RoleStateTable {
   std::unique_ptr<SymbolTable> owned_symbols_;
   SymbolTable* symbols_;
   std::unordered_set<uint32_t> disabled_;  // Symbol ids.
-  std::unordered_map<uint32_t, Time> last_transition_;
   uint32_t roles_generation_ = 0;
 };
 

@@ -423,19 +423,20 @@ void AuthorizationService::DrainShardAudit(Shard& shard) {
   AuthorizationEngine& engine = *shard.engine;
   if (!engine.HasUndrainedDecisions()) return;
   const uint64_t epoch = shard.applied_epoch.load(std::memory_order_relaxed);
+  const SymbolTable* symbols = &engine.symbols();
+  const int index = static_cast<int>(shard.index);
   const uint64_t missed = engine.DrainDecisionLog(
-      [this, &shard, epoch](const DecisionRecord& record) {
-        audit_->Offer(audit::FromDecisionRecord(
-            record, static_cast<int>(shard.index), epoch));
+      [this, symbols, index, epoch](const DecisionRecord& record) {
+        audit_->Offer(audit::QueuedRecord{record, symbols, epoch, index});
       });
   if (missed > 0) audit_->AddUpstreamLoss(missed);
 }
 
-void AuthorizationService::OfferServiceRecord(const char* kind,
+void AuthorizationService::OfferServiceRecord(audit::ServiceKind kind,
                                               const AccessRequest* request,
                                               const AccessDecision& decision) {
   audit::AuditRecord record;
-  record.kind = kind;
+  record.kind = audit::KindName(kind);
   record.shard = static_cast<int>(decision.shard);
   record.epoch = decision.epoch;
   record.wall_us = WallTimeMicros();
@@ -473,6 +474,10 @@ void AuthorizationService::Shutdown() {
   // begin. A final drain collects whatever the last envelopes pushed, then
   // Close flushes the stream to disk before Shutdown returns — the
   // "explicit flush/close on shutdown" half of the exporter contract.
+  // Close must also come before any engine dies: queued records name
+  // their shard's symbol table, and the writer resolves those names while
+  // it serializes, so a table freed first would leave it reading freed
+  // names. The destructor calls Shutdown before the shards are destroyed.
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> owner(shard->owner);
     if (audit_ != nullptr) DrainShardAudit(*shard);
@@ -540,7 +545,7 @@ void AuthorizationService::Refuse(OverloadKind kind, Shard& shard,
   decision.epoch = admin_epoch();
   decision.latency = (NowNanos() - submit_ns) / 1000;
   if (audit_ != nullptr) {
-    OfferServiceRecord("service.overload", &request, decision);
+    OfferServiceRecord(audit::ServiceKind::kOverload, &request, decision);
   }
   *out = std::move(decision);
 }
@@ -729,7 +734,7 @@ Result<RegenReport> AuthorizationService::ApplyPolicyUpdate(
     AccessDecision marker;
     marker.allowed = true;
     marker.epoch = admin_epoch();
-    OfferServiceRecord("service.swap", nullptr, marker);
+    OfferServiceRecord(audit::ServiceKind::kSwap, nullptr, marker);
   }
   return reports[0];
 }
@@ -801,6 +806,29 @@ bool AuthorizationService::TryFastPath(const AccessRequest& request,
     out->latency = latency_us;
     fastpath_latency_hist_->RecordShared(latency_us);
   }
+  // Fast-path hits bypass the engine and its DecisionLog entirely; the
+  // service-level record keeps them in the durable stream. It names what
+  // this probe resolved, so building it copies no text. Policy load
+  // interns every user; a user the shard does not know keeps its words.
+  if (audit_ != nullptr) {
+    const Symbol user = symbols.Find(request.user);
+    if (!user.valid() && !request.user.empty()) {
+      OfferServiceRecord(audit::ServiceKind::kFastPath, &request, *out);
+      return true;
+    }
+    audit::QueuedRecord record{engine.CachedVerdictRecord(verdict), &symbols,
+                               epoch, static_cast<int>(home.index),
+                               audit::ServiceKind::kFastPath};
+    DecisionRecord& d = record.decision;
+    d.when = Now();
+    d.wall_us = WallTimeMicros();
+    d.latency_us = out->latency;
+    d.user = user;
+    d.session = session;
+    d.op = op;
+    d.object = obj;
+    audit_->Offer(std::move(record));
+  }
   return true;
 }
 
@@ -847,11 +875,6 @@ void AuthorizationService::Dispatch(std::span<const AccessRequest> requests,
       if (!TryFastPath(requests[i], &out[i])) continue;
       items[i].key = kAnswered;
       --pending;
-      // Fast-path hits bypass the engine and its DecisionLog entirely; the
-      // service-level record keeps them in the durable stream.
-      if (audit_ != nullptr) {
-        OfferServiceRecord("service.fastpath", &requests[i], out[i]);
-      }
     }
     if (pending == 0) return;
   }
@@ -1226,6 +1249,11 @@ TelemetrySnapshot AuthorizationService::Snapshot() {
     snap.metrics.counters.push_back(telemetry::CounterSnapshot{
         "audit_export_bytes_total", "serialized audit bytes written",
         counters.bytes});
+    snap.metrics.counters.push_back(telemetry::CounterSnapshot{
+        "audit_export_batches_total",
+        "audit batches written, one write each (records per batch shows "
+        "the writer's coalescing)",
+        counters.batches});
   }
   // The policer is not a registry either; splice its counters and a
   // point-in-time occupancy scan the same way (policer_refused_total lives

@@ -680,10 +680,12 @@ class AuthorizationService {
   /// lock only. One comparison when nothing is new.
   void DrainShardAudit(Shard& shard);
 
-  /// Exports a service-level audit marker (seq 0): a verdict that never
-  /// reached an engine — fast-path hit or overload. Any-thread safe;
-  /// `request` may be null when no attribution exists at the call site.
-  void OfferServiceRecord(const char* kind, const AccessRequest* request,
+  /// Exports a service-level audit record (seq 0) that keeps its words:
+  /// a refusal, the swap marker, or a fast-path hit naming a user its
+  /// shard never interned. Any-thread safe; `request` may be null when no
+  /// attribution exists at the call site.
+  void OfferServiceRecord(audit::ServiceKind kind,
+                          const AccessRequest* request,
                           const AccessDecision& decision);
 
   /// Resolves the shard handling `request` (user key, else session

@@ -139,6 +139,105 @@ TEST(AuditRecordTest, OmitsEmptyAttributionAndZeroLatency) {
   EXPECT_NE(line.find("\"role\":\"Doctor\""), std::string::npos);
 }
 
+// The exact bytes of a line: key order, number format and escapes. The
+// round-trip tests above would pass a writer that changed any of them.
+TEST(AuditRecordTest, WritesPinnedBytesForEveryField) {
+  AuditRecord record;
+  record.seq = 4294967297;
+  record.shard = 3;
+  record.epoch = 7;
+  record.wall_us = 1786240945885250;
+  record.sim_us = 1783328400000000;
+  record.kind = "rbac.checkAccess";
+  record.user = "al\"ice";
+  record.session = "s\\1";
+  record.role = "Doc\x01tor";
+  record.op = "re\tad";
+  record.object = "chart-\xc3\xa9\xe4\xb8\x96";  // chart-é世
+  record.purpose = "treat\nment";
+  record.allowed = false;
+  record.outcome = 1;
+  record.rule = "CA.global";
+  record.reason = "Permission Denied";
+  record.failed_condition = "ANY role IN getSessionRoles";
+  record.latency_us = 12;
+  std::string line;
+  AppendJsonLine(record, &line);
+  EXPECT_EQ(line,
+            "{\"v\":1,\"seq\":4294967297,\"shard\":3,\"epoch\":7,"
+            "\"wall_us\":1786240945885250,\"sim_us\":1783328400000000,"
+            "\"kind\":\"rbac.checkAccess\",\"user\":\"al\\\"ice\","
+            "\"session\":\"s\\\\1\",\"role\":\"Doc\\u0001tor\","
+            "\"op\":\"re\\tad\",\"obj\":\"chart-\xc3\xa9\xe4\xb8\x96\","
+            "\"purpose\":\"treat\\nment\",\"allowed\":false,\"outcome\":1,"
+            "\"rule\":\"CA.global\",\"reason\":\"Permission Denied\","
+            "\"failed_condition\":\"ANY role IN getSessionRoles\","
+            "\"latency_us\":12}\n");
+}
+
+TEST(AuditRecordTest, WritesPinnedBytesWithEveryOptionalFieldEmpty) {
+  std::string line;
+  AppendJsonLine(AuditRecord(), &line);
+  EXPECT_EQ(line,
+            "{\"v\":1,\"seq\":0,\"shard\":0,\"epoch\":0,\"wall_us\":0,"
+            "\"sim_us\":0,\"kind\":\"\",\"allowed\":false}\n");
+}
+
+// A queued record names things by symbol; the writer resolves them into
+// the same bytes the text record writes.
+TEST(AuditRecordTest, QueuedRecordWritesTheBytesOfItsText) {
+  AuditRecord text = FullRecord();
+  text.outcome = 0;  // Queued records are decided; refusals keep text.
+  SymbolTable symbols;
+  QueuedRecord queued;
+  queued.symbols = &symbols;
+  queued.epoch = text.epoch;
+  queued.shard = text.shard;
+  DecisionRecord& d = queued.decision;
+  d.seq = text.seq;
+  d.when = text.sim_us;
+  d.wall_us = text.wall_us;
+  d.latency_us = text.latency_us;
+  d.event = symbols.Intern(text.kind);
+  d.user = symbols.Intern(text.user);
+  d.session = symbols.Intern(text.session);
+  d.role = symbols.Intern(text.role);
+  d.op = symbols.Intern(text.op);
+  d.object = symbols.Intern(text.object);
+  d.purpose = symbols.Intern(text.purpose);
+  d.allowed = text.allowed;
+  d.rule = symbols.Intern(text.rule);
+  d.reason = symbols.Intern(text.reason);
+  d.failed_condition = symbols.Intern(text.failed_condition);
+  std::string want;
+  AppendJsonLine(text, &want);
+  std::string line;
+  AppendJsonLine(View(queued), &line);
+  EXPECT_EQ(line, want);
+  EXPECT_EQ(FromDecisionRecord(d, symbols, text.shard, text.epoch).kind,
+            text.kind);
+
+  // A service kind names the record in place of the event; invalid
+  // symbols and a null table read as absent fields.
+  queued.kind = ServiceKind::kFastPath;
+  queued.decision.role = Symbol();
+  queued.decision.failed_condition = Symbol();
+  AuditRecord expected = text;
+  expected.kind = "service.fastpath";
+  expected.role.clear();
+  expected.failed_condition.clear();
+  want.clear();
+  AppendJsonLine(expected, &want);
+  line.clear();
+  AppendJsonLine(View(queued), &line);
+  EXPECT_EQ(line, want);
+  queued.symbols = nullptr;
+  line.clear();
+  AppendJsonLine(View(queued), &line);
+  EXPECT_EQ(line.find("\"user\""), std::string::npos);
+  EXPECT_NE(line.find("\"kind\":\"service.fastpath\""), std::string::npos);
+}
+
 TEST(AuditRecordTest, DecodesUnicodeEscapesIncludingSurrogates) {
   AuditRecord parsed;
   std::string error;
@@ -244,6 +343,65 @@ TEST(AuditExporterTest, RotatesBySizeKeepingEveryRecord) {
   EXPECT_GE(rotated_files, 2u) << "rotation never triggered";
   // Oldest-first across rotated files then the live tail, no gaps.
   for (size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i + 1);
+}
+
+/// Every line of `<path>.1`, `<path>.2`, ... up to the first missing file,
+/// then of the live `<path>`: the stream oldest first.
+std::vector<std::string> ReadRotatedLines(const std::string& path) {
+  std::vector<std::string> lines;
+  for (int n = 1;; ++n) {
+    const std::string file = path + "." + std::to_string(n);
+    if (!std::ifstream(file)) break;
+    for (std::string& line : ReadLines(file)) lines.push_back(std::move(line));
+  }
+  for (std::string& line : ReadLines(path)) lines.push_back(std::move(line));
+  return lines;
+}
+
+TEST(AuditExporterTest, RestartContinuesRotationNumbering) {
+  const std::string path = TempPath("export_restart.jsonl");
+  for (int i = 0; i <= 64; ++i) {
+    std::remove((i == 0 ? path : path + "." + std::to_string(i)).c_str());
+  }
+  AuditExporter::Options options;
+  options.path = path;
+  options.rotate_bytes = 600;
+  uint64_t seq = 0;
+  // Two runs in turn on one path: the second resumes the live file and
+  // must number its rotations after the first run's.
+  for (int run = 0; run < 2; ++run) {
+    AuditExporter exporter(options);
+    for (int i = 0; i < 12; ++i) {
+      AuditRecord record = FullRecord();
+      record.seq = ++seq;
+      exporter.Offer(std::move(record));
+      exporter.Flush();
+    }
+    exporter.Close();
+    EXPECT_FALSE(exporter.failed());
+  }
+  const std::vector<std::string> lines = ReadRotatedLines(path);
+  ASSERT_EQ(lines.size(), 24u);
+  for (size_t i = 0; i < lines.size(); ++i) {
+    AuditRecord parsed;
+    ASSERT_TRUE(ParseJsonLine(lines[i], &parsed)) << lines[i];
+    EXPECT_EQ(parsed.seq, i + 1);
+  }
+}
+
+TEST(AuditExporterTest, CountsOneBatchPerWrite) {
+  const std::string path = TempPath("export_batches.jsonl");
+  std::remove(path.c_str());
+  AuditExporter::Options options;
+  options.path = path;
+  AuditExporter exporter(options);
+  for (int i = 0; i < 40; ++i) {
+    exporter.Offer(FullRecord());
+    exporter.Flush();  // Each record is its own batch.
+  }
+  exporter.Close();
+  EXPECT_EQ(exporter.counters().records, 40u);
+  EXPECT_EQ(exporter.counters().batches, 40u);
 }
 
 /// Blocks the writer thread inside its pre-write hook until released, so a
@@ -417,13 +575,18 @@ TEST(ServiceAuditTest, MetricsSurfaceAuditCounters) {
   ASSERT_TRUE(service.CreateSession("alice", "s1").ok());
   service.audit_exporter()->Flush();
 
+  // One record, flushed: one batch.
+  EXPECT_EQ(service.audit_exporter()->counters().batches, 1u);
+
   const std::string text = service.RenderMetrics();
   EXPECT_NE(text.find("decision_log_overflow_total"), std::string::npos);
   EXPECT_NE(text.find("audit_export_records_total"), std::string::npos);
   EXPECT_NE(text.find("audit_export_drops_total"), std::string::npos);
   EXPECT_NE(text.find("audit_export_bytes_total"), std::string::npos);
+  EXPECT_NE(text.find("audit_export_batches_total 1\n"), std::string::npos);
   const std::string json = service.RenderMetricsJson();
   EXPECT_NE(json.find("audit_export_records_total"), std::string::npos);
+  EXPECT_NE(json.find("audit_export_batches_total"), std::string::npos);
   service.Shutdown();
 }
 

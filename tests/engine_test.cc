@@ -509,13 +509,14 @@ TEST_F(EngineTest, DecisionLogRecordsRecentDecisions) {
   (void)engine_.AddActiveRole("alice", "s1", "PM");
   (void)engine_.AddActiveRole("carol", "s1", "PM");  // Denied.
   const auto& log = engine_.decision_log();
+  const SymbolTable& symbols = engine_.symbols();
   ASSERT_EQ(log.size(), 3u);
-  EXPECT_EQ(log[0].operation, "rbac.createSession");
-  EXPECT_TRUE(log[0].decision.allowed);
-  EXPECT_EQ(log[1].operation, "rbac.addActiveRole");
-  EXPECT_TRUE(log[1].decision.allowed);
-  EXPECT_FALSE(log[2].decision.allowed);
-  EXPECT_EQ(log[2].decision.reason, "Access Denied Cannot Activate");
+  EXPECT_EQ(symbols.NameOf(log[0].event), "rbac.createSession");
+  EXPECT_TRUE(log[0].allowed);
+  EXPECT_EQ(symbols.NameOf(log[1].event), "rbac.addActiveRole");
+  EXPECT_TRUE(log[1].allowed);
+  EXPECT_FALSE(log[2].allowed);
+  EXPECT_EQ(symbols.NameOf(log[2].reason), "Access Denied Cannot Activate");
 }
 
 TEST_F(EngineTest, DecisionLogCapacityBounds) {

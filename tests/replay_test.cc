@@ -221,8 +221,8 @@ std::vector<AuditRecord> CaptureFlipSequence(const Policy& policy) {
   (void)engine.AddActiveRole("alice", "s1", "B");
   (void)engine.CheckAccess("s1", "write", "doc", "");
   std::vector<AuditRecord> records;
-  engine.DrainDecisionLog([&records](const DecisionRecord& record) {
-    records.push_back(FromDecisionRecord(record, 0, 1));
+  engine.DrainDecisionLog([&records, &engine](const DecisionRecord& record) {
+    records.push_back(FromDecisionRecord(record, engine.symbols(), 0, 1));
   });
   EXPECT_EQ(records.size(), 4u);
   return records;
@@ -428,8 +428,8 @@ TEST(ReplayTest, TimeWarpReproducesDurationExpiry) {
   engine.AdvanceTo(engine.Now() + 20 * kMinute);  // Past the bound.
   EXPECT_FALSE(engine.CheckAccess("s1", "read", "doc", "").allowed);
   std::vector<AuditRecord> records;
-  engine.DrainDecisionLog([&records](const DecisionRecord& record) {
-    records.push_back(FromDecisionRecord(record, 0, 1));
+  engine.DrainDecisionLog([&records, &engine](const DecisionRecord& record) {
+    records.push_back(FromDecisionRecord(record, engine.symbols(), 0, 1));
   });
 
   // Replaying against the same policy reproduces the expiry-driven denial

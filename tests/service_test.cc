@@ -983,11 +983,7 @@ TEST(ServiceInlineTest, CallersRacingShutdownGetAVerdictOrShutdown) {
 
 TEST(ServiceTest, DecisionLogRingBufferCapsAndCountsOverflow) {
   DecisionLog log(4);
-  for (int i = 0; i < 10; ++i) {
-    Decision decision;
-    decision.Allow("rule" + std::to_string(i));
-    log.Push(DecisionRecord{i, "op", decision});
-  }
+  for (int i = 0; i < 10; ++i) log.Push(DecisionRecord{.when = i});
   EXPECT_EQ(log.size(), 4u);
   EXPECT_EQ(log.overflow(), 6u);
   EXPECT_EQ(log[0].when, 6);  // Oldest retained.
@@ -997,13 +993,18 @@ TEST(ServiceTest, DecisionLogRingBufferCapsAndCountsOverflow) {
   EXPECT_EQ(log.size(), 2u);
   EXPECT_EQ(log.overflow(), 8u);
   EXPECT_EQ(log[0].when, 8);
+  // Growing keeps the retained records, oldest first, and wraps anew.
+  log.set_capacity(3);
+  for (int i = 10; i < 12; ++i) log.Push(DecisionRecord{.when = i});
+  EXPECT_EQ(log.size(), 3u);
+  EXPECT_EQ(log.overflow(), 9u);
+  EXPECT_EQ(log[0].when, 9);
+  EXPECT_EQ(log.back().when, 11);
   // Capacity 0 disables recording; pushes count as overflow.
   log.set_capacity(0);
-  Decision d;
-  d.Allow("x");
-  log.Push(DecisionRecord{99, "op", d});
+  log.Push(DecisionRecord{.when = 99});
   EXPECT_TRUE(log.empty());
-  EXPECT_EQ(log.overflow(), 11u);
+  EXPECT_EQ(log.overflow(), 13u);
 }
 
 TEST(ServiceTest, StatsAggregateAcrossShards) {
