@@ -2,12 +2,14 @@
 // which requires thousands of rules" (§1/§7). Measures full policy-load
 // time and reports generated rule/event counts as the role count grows,
 // for plain and constraint-rich policies, and what one engine costs at
-// perfbench's service scale (BM_Load_ServiceScale).
+// perfbench's service scale (BM_Load_ServiceScale) and what one policy swap
+// costs it (BM_Commit_ServiceScale).
 
 #include <benchmark/benchmark.h>
 #include <malloc.h>
 
 #include <chrono>
+#include <memory>
 
 #include "bench/bench_util.h"
 #include "workload/scenario_gen.h"
@@ -79,12 +81,8 @@ BENCHMARK(BM_Generate_BaselineLoad)->Arg(100)->Arg(500)->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 
 // Service scale: perfbench's scenario shape (4 divisions, depth 5,
-// branching 3, 2,048 objects, 20,000 users) loaded into one engine, then
-// one of two shards' sessions set up — a session and the assigned
-// activations for every even-numbered user. Counters: load_s and setup_s,
-// and the heap the engine holds after set-up (heap_mib: the change in
-// mallinfo2's in-use arena bytes; mmap_mib: in mmapped chunks).
-void BM_Load_ServiceScale(benchmark::State& state) {
+// branching 3, 2,048 objects, 20,000 users).
+ScenarioParams ServiceScaleParams() {
   ScenarioParams params;
   params.seed = 5101;
   params.divisions = 4;
@@ -93,11 +91,23 @@ void BM_Load_ServiceScale(benchmark::State& state) {
   params.num_objects = 2048;
   params.num_users = 20000;
   params.num_requests = 0;
+  return params;
+}
+
+using Clock = std::chrono::steady_clock;
+
+double Seconds(Clock::duration d) {
+  return std::chrono::duration<double>(d).count();
+}
+
+// The service-scale scenario loaded into one engine, then one of two
+// shards' sessions set up — a session and the assigned activations for
+// every even-numbered user. Counters: load_s and setup_s, and the heap the
+// engine holds after set-up (heap_mib: the change in mallinfo2's in-use
+// arena bytes; mmap_mib: in mmapped chunks).
+void BM_Load_ServiceScale(benchmark::State& state) {
+  const ScenarioParams params = ServiceScaleParams();
   const Scenario scenario = GenerateScenario(params);
-  using Clock = std::chrono::steady_clock;
-  const auto seconds = [](Clock::duration d) {
-    return std::chrono::duration<double>(d).count();
-  };
   double load_s = 0, setup_s = 0, heap_mib = 0, mmap_mib = 0;
   for (auto _ : state) {
     const struct mallinfo2 before = mallinfo2();
@@ -118,8 +128,8 @@ void BM_Load_ServiceScale(benchmark::State& state) {
     }
     const Clock::time_point t2 = Clock::now();
     const struct mallinfo2 after = mallinfo2();
-    load_s += seconds(t1 - t0);
-    setup_s += seconds(t2 - t1);
+    load_s += Seconds(t1 - t0);
+    setup_s += Seconds(t2 - t1);
     heap_mib += (static_cast<double>(after.uordblks) -
                  static_cast<double>(before.uordblks)) / (1 << 20);
     mmap_mib += (static_cast<double>(after.hblkhd) -
@@ -132,6 +142,45 @@ void BM_Load_ServiceScale(benchmark::State& state) {
   state.counters["mmap_mib"] = benchmark::Counter(mmap_mib, per_run);
 }
 BENCHMARK(BM_Load_ServiceScale)->Iterations(3)->Unit(benchmark::kMillisecond);
+
+// One policy swap on the service-scale engine: each iteration toggles one
+// role's permission (WithToggledPermission, the swap perfbench's churn
+// runs), prepares the plan and commits it — one shard's share of a swap.
+// Counters: prepare_us and commit_us per swap.
+void BM_Commit_ServiceScale(benchmark::State& state) {
+  const Scenario scenario = GenerateScenario(ServiceScaleParams());
+  SimulatedClock clock(benchutil::Noon());
+  AuthorizationEngine engine(&clock);
+  if (!engine.LoadPolicy(scenario.policy).ok()) {
+    state.SkipWithError("policy load failed");
+    return;
+  }
+  double prepare_s = 0, commit_s = 0;
+  uint64_t salt = 0;
+  for (auto _ : state) {
+    const std::shared_ptr<const Policy> base = engine.policy_generation();
+    auto next = WithToggledPermission(*base, salt++);
+    if (!next.ok()) {
+      state.SkipWithError("no role to toggle");
+      return;
+    }
+    const Clock::time_point t0 = Clock::now();
+    auto plan =
+        AuthorizationEngine::PreparePolicyUpdate(base, std::move(*next));
+    const Clock::time_point t1 = Clock::now();
+    if (!plan.ok() || !engine.CommitPolicyUpdate(*plan).ok()) {
+      state.SkipWithError("policy swap failed");
+      return;
+    }
+    const Clock::time_point t2 = Clock::now();
+    prepare_s += Seconds(t1 - t0);
+    commit_s += Seconds(t2 - t1);
+  }
+  const auto per_swap = benchmark::Counter::kAvgIterations;
+  state.counters["prepare_us"] = benchmark::Counter(prepare_s * 1e6, per_swap);
+  state.counters["commit_us"] = benchmark::Counter(commit_s * 1e6, per_swap);
+}
+BENCHMARK(BM_Commit_ServiceScale)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace sentinel

@@ -18,10 +18,13 @@
 // policy as .acp text (the replay candidate); --mutated-policy-out writes
 // the same policy with one added DSD edge ("DSD_SHADOW") for verdict-flip
 // experiments. The final stats line is machine-greppable and ends in `ok`.
+// --audit refuses a path that already exists: the exporter would resume
+// it, and one capture would then hold two runs' record streams.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -77,6 +80,13 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "unknown flag: %s\n", arg);
     return 2;
+  }
+  std::error_code exists_error;
+  if (!audit_path.empty() &&
+      std::filesystem::exists(audit_path, exists_error)) {
+    std::fprintf(stderr, "refusing --audit=%s: the file exists\n",
+                 audit_path.c_str());
+    return 1;
   }
 
   sentinel::ScenarioParams params = scale == "enterprise"

@@ -330,6 +330,15 @@ REPLAY_TMP=$(mktemp -d)
   --audit="$REPLAY_TMP/capture.jsonl" \
   --policy-out="$REPLAY_TMP/policy.acp" \
   --mutated-policy-out="$REPLAY_TMP/mutated.acp" --expect-no-drops
+# A second soak into the same capture must refuse and leave it untouched;
+# resuming it would interleave two runs' seq streams in one file.
+cp "$REPLAY_TMP/capture.jsonl" "$REPLAY_TMP/capture.before"
+if ./build-asan/examples/sentinelpp-soak --scale=smoke \
+    --audit="$REPLAY_TMP/capture.jsonl" >/dev/null 2>&1; then
+  echo "sentinelpp-soak wrote into an existing capture" >&2
+  exit 1
+fi
+cmp "$REPLAY_TMP/capture.jsonl" "$REPLAY_TMP/capture.before"
 ./build-asan/examples/sentinelpp-replay \
   --capture="$REPLAY_TMP/capture.jsonl" --policy="$REPLAY_TMP/policy.acp" \
   --expect-zero-diffs >/dev/null

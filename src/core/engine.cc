@@ -191,16 +191,18 @@ Status AuthorizationEngine::ApplyBaseDelta(const BaseStateDelta& delta,
                                            const Policy& to) {
   // Ordered so that constraint stores never spuriously reject: retire
   // constraints first, shrink relations, then grow them, then re-install
-  // constraints. Steps 1-4 replay the precomputed removal delta. The add
-  // steps have two shapes: while no runtime base-state removal has run
-  // since the last reconcile (the common case — base_removals() still at
-  // the mark), the runtime DB is a superset of the old policy's entries
-  // and replaying the precomputed add delta is exactly equivalent to the
-  // full scan, at O(diff) instead of O(policy). A deassign/revoke/delete
-  // since then (an admin request, an active-security response) moves the
-  // counter, and the commit re-syncs with the full target-policy scan
-  // guarded by live presence checks.
+  // constraints. Steps 1-4 replay the precomputed removal delta. While no
+  // runtime base-state removal has run since the last reconcile (the common
+  // case — base_removals() still at the mark), the runtime DB is a superset
+  // of the old policy's entries, so the precomputed add delta is all that
+  // can be missing: O(diff). A deassign/revoke/delete since then (an admin
+  // request, an active-security response) moves the counter, and the
+  // commit re-syncs by replaying every entry of the target policy through
+  // the same presence-guarded steps.
   const bool resync = rbac_.base_removals() != base_sync_mark_;
+  const BaseStateDelta everything =
+      resync ? ComputeBaseStateDelta(Policy(), to) : BaseStateDelta();
+  const BaseStateDelta& adds = resync ? everything : delta;
   // The adds are BEST-EFFORT: an entry the live runtime state refuses
   // (e.g. a policy assignment that now conflicts with runtime SSD state
   // after an active-security deassign elsewhere) is skipped, counted, and
@@ -238,91 +240,45 @@ Status AuthorizationEngine::ApplyBaseDelta(const BaseStateDelta& delta,
     role_state_.EraseRole(name);
   }
   for (const UserName& name : delta.drop_users) (void)rbac_.DeleteUser(name);
-  if (resync) {
-    // 5. Add new users and roles.
-    for (const auto& [name, spec] : to.users()) {
-      if (!rbac_.db().HasUser(name)) {
-        best_effort(rbac_.AddUser(name));
-      }
+  // 5-7. Users and roles, then edges, grants and assignments, then SoD
+  // sets. Each add is guarded by presence: a runtime *add* may already
+  // have installed an entry the list names (e.g. a runtime-assigned
+  // (user, role) the new policy now also carries).
+  for (const UserName& name : adds.add_users) {
+    if (!rbac_.db().HasUser(name)) {
+      best_effort(rbac_.AddUser(name));
     }
-    for (const auto& [name, spec] : to.roles()) {
-      if (!rbac_.db().HasRole(name)) {
-        best_effort(rbac_.AddRole(name));
-      }
+  }
+  for (const RoleName& name : adds.add_roles) {
+    if (!rbac_.db().HasRole(name)) {
+      best_effort(rbac_.AddRole(name));
     }
-    // 6. Add hierarchy edges, grants, assignments.
-    for (const auto& [name, spec] : to.roles()) {
-      for (const RoleName& junior : spec.juniors) {
-        if (!rbac_.hierarchy().ImmediateJuniors(name).count(junior)) {
-          best_effort(rbac_.AddInheritance(name, junior));
-        }
-      }
-      for (const Permission& perm : spec.permissions) {
-        if (!rbac_.db().IsGranted(perm, name)) {
-          best_effort(
-              rbac_.GrantPermission(perm.operation, perm.object, name));
-        }
-      }
+  }
+  for (const auto& [senior, junior] : adds.add_edges) {
+    if (!rbac_.hierarchy().ImmediateJuniors(senior).count(junior)) {
+      best_effort(rbac_.AddInheritance(senior, junior));
     }
-    for (const auto& [name, spec] : to.users()) {
-      for (const RoleName& role : spec.assignments) {
-        if (!rbac_.db().IsAssigned(name, role)) {
-          best_effort(rbac_.AssignUser(name, role));
-        }
-      }
+  }
+  for (const auto& [role, perm] : adds.add_grants) {
+    if (!rbac_.db().IsGranted(perm, role)) {
+      best_effort(rbac_.GrantPermission(perm.operation, perm.object, role));
     }
-    // 7. Re-install SoD sets.
-    for (const auto& [name, set] : to.ssd_sets()) {
-      if (!rbac_.ssd().GetSet(name).ok()) {
-        best_effort(rbac_.InstallSsdSet(name, set.roles, set.n));
-      }
+  }
+  for (const auto& [user, role] : adds.add_assignments) {
+    if (!rbac_.db().IsAssigned(user, role)) {
+      best_effort(rbac_.AssignUser(user, role));
     }
-    for (const auto& [name, set] : to.dsd_sets()) {
-      if (!rbac_.dsd().GetSet(name).ok()) {
-        best_effort(rbac_.InstallDsdSet(name, set.roles, set.n));
-      }
+  }
+  for (const std::string& name : adds.add_ssd) {
+    if (!rbac_.ssd().GetSet(name).ok()) {
+      const auto& set = to.ssd_sets().at(name);
+      best_effort(rbac_.InstallSsdSet(name, set.roles, set.n));
     }
-  } else {
-    // 5-7, O(diff): same install order, same presence guards (a runtime
-    // *add* may already have installed an entry the diff lists — e.g. a
-    // runtime-assigned (user, role) the new policy now also carries).
-    for (const UserName& name : delta.add_users) {
-      if (!rbac_.db().HasUser(name)) {
-        best_effort(rbac_.AddUser(name));
-      }
-    }
-    for (const RoleName& name : delta.add_roles) {
-      if (!rbac_.db().HasRole(name)) {
-        best_effort(rbac_.AddRole(name));
-      }
-    }
-    for (const auto& [senior, junior] : delta.add_edges) {
-      if (!rbac_.hierarchy().ImmediateJuniors(senior).count(junior)) {
-        best_effort(rbac_.AddInheritance(senior, junior));
-      }
-    }
-    for (const auto& [role, perm] : delta.add_grants) {
-      if (!rbac_.db().IsGranted(perm, role)) {
-        best_effort(
-            rbac_.GrantPermission(perm.operation, perm.object, role));
-      }
-    }
-    for (const auto& [user, role] : delta.add_assignments) {
-      if (!rbac_.db().IsAssigned(user, role)) {
-        best_effort(rbac_.AssignUser(user, role));
-      }
-    }
-    for (const std::string& name : delta.add_ssd) {
-      if (!rbac_.ssd().GetSet(name).ok()) {
-        const auto& set = to.ssd_sets().at(name);
-        best_effort(rbac_.InstallSsdSet(name, set.roles, set.n));
-      }
-    }
-    for (const std::string& name : delta.add_dsd) {
-      if (!rbac_.dsd().GetSet(name).ok()) {
-        const auto& set = to.dsd_sets().at(name);
-        best_effort(rbac_.InstallDsdSet(name, set.roles, set.n));
-      }
+  }
+  for (const std::string& name : adds.add_dsd) {
+    if (!rbac_.dsd().GetSet(name).ok()) {
+      const auto& set = to.dsd_sets().at(name);
+      best_effort(rbac_.InstallDsdSet(name, set.roles, set.n));
     }
   }
   // 8. Privacy store: rebuild when purposes/object policies changed (the

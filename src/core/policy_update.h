@@ -23,9 +23,10 @@ namespace sentinel {
 /// SoD-set — e.g. an active-security rule deassigning a violator) has run
 /// since the last reconcile: then the runtime DB is a superset of `from`'s
 /// entries and the only possibly-missing entries are exactly the policy
-/// diff. When removals did run, commit falls back to the full target-policy
-/// scan with live presence guards, which re-syncs runtime-diverged state
-/// (e.g. a runtime-deassigned assignment the new policy still lists).
+/// diff. When removals did run, commit replays the add half of the diff
+/// from an empty policy, every entry of `to`, through the same presence
+/// guards, which re-syncs runtime-diverged state (e.g. a runtime-deassigned
+/// assignment the new policy still lists).
 struct BaseStateDelta {
   std::vector<std::string> drop_ssd;
   std::vector<std::string> drop_dsd;

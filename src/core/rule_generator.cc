@@ -26,6 +26,40 @@ void DenyDecision(RuleContext& ctx, const std::string& rule,
   }
 }
 
+// The GTRBAC role transitions. Raised from a rule action, the event queues
+// until the drain resumes, after the action's decision is written.
+void EnableRole(AuthorizationEngine* eng, Symbol role) {
+  eng->role_state().Enable(role);
+  (void)eng->detector().Raise(eng->events().role_enabled,
+                              {{eng->keys().role, Value(role)}});
+}
+
+// The role's active instances fall away before rbac.roleDisabled.
+void DisableRole(AuthorizationEngine* eng, Symbol role) {
+  eng->role_state().Disable(role);
+  eng->DeactivateAllInstances(role);
+  (void)eng->detector().Raise(eng->events().role_disabled,
+                              {{eng->keys().role, Value(role)}});
+}
+
+// Calls `generate` on the spec of each name in `names` that `specs` holds,
+// in name order; on every spec when `names` is null.
+template <typename Spec, typename Generate>
+Status ForEachSpec(const std::map<std::string, Spec>& specs,
+                   const std::set<std::string>* names, Generate generate) {
+  if (names == nullptr) {
+    for (const auto& [name, spec] : specs) {
+      SENTINEL_RETURN_IF_ERROR(generate(spec));
+    }
+    return Status::OK();
+  }
+  for (const std::string& name : *names) {
+    auto it = specs.find(name);
+    if (it != specs.end()) SENTINEL_RETURN_IF_ERROR(generate(it->second));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 // ======================================================== Bookkeeping
@@ -38,191 +72,137 @@ Result<EventId> RuleGenerator::EnsureFilter(const std::string& name,
     return detector.Lookup(name);
   }
   auto id = detector.DefineFilter(name, base, std::move(equals));
-  if (id.ok() && current_stats_ != nullptr) ++current_stats_->events_added;
+  if (id.ok()) ++stats_.events_added;
   return id;
 }
 
-Status RuleGenerator::AddRule(const std::string& tag, Rule rule) {
+Status RuleGenerator::AddRule(const ElementKey& key, Rule rule) {
   const std::string name = rule.name();
   auto added = engine_->rule_manager().AddRule(std::move(rule));
   if (!added.ok()) return added.status();
-  tags_[tag].rule_names.push_back(name);
-  if (current_stats_ != nullptr) ++current_stats_->rules_added;
+  index_[key].rule_names.push_back(name);
+  ++stats_.rules_added;
   return Status::OK();
 }
 
-void RuleGenerator::TrackTemporal(const std::string& tag, EventId event) {
-  tags_[tag].temporal_events.push_back(event);
-  if (current_stats_ != nullptr) ++current_stats_->events_added;
+void RuleGenerator::TrackTemporal(const ElementKey& key, EventId event) {
+  index_[key].temporal_events.push_back(event);
+  ++stats_.events_added;
 }
 
-std::string RuleGenerator::TemporalName(const std::string& tag,
-                                        const std::string& stem) {
-  const int generation = generations_[tag];
-  if (generation == 0) return stem;
-  return stem + "#" + std::to_string(generation);
+std::string RuleGenerator::TemporalName(const ElementKey& key,
+                                        const std::string& stem) const {
+  auto it = generations_.find(key);
+  if (it == generations_.end() || it->second == 0) return stem;
+  return stem + "#" + std::to_string(it->second);
 }
 
-int RuleGenerator::RemoveTag(const std::string& tag) {
-  auto it = tags_.find(tag);
-  if (it == tags_.end()) return 0;
-  int removed = 0;
+RuleGenerator::Index::iterator RuleGenerator::RemoveEntry(
+    Index::iterator it) {
   for (const std::string& rule_name : it->second.rule_names) {
-    if (engine_->rule_manager().RemoveRule(rule_name).ok()) ++removed;
+    if (engine_->rule_manager().RemoveRule(rule_name).ok()) {
+      ++stats_.rules_removed;
+    }
   }
   for (EventId event : it->second.temporal_events) {
     (void)engine_->detector().DeactivateEvent(event);
   }
-  if (tag.rfind("sec:", 0) == 0) {
-    engine_->security().RemoveWindow(tag.substr(4));
+  if (it->first.kind == ElementKind::kThreshold) {
+    engine_->security().RemoveWindow(it->first.name);
   }
-  ++generations_[tag];
-  tags_.erase(it);
-  if (current_stats_ != nullptr) current_stats_->rules_removed += removed;
-  return removed;
-}
-
-std::vector<std::string> RuleGenerator::RulesForTag(
-    const std::string& tag) const {
-  auto it = tags_.find(tag);
-  if (it == tags_.end()) return {};
-  return it->second.rule_names;
+  ++generations_[it->first];
+  return index_.erase(it);
 }
 
 // ==================================================== Top-level passes
 
 Result<RuleGenerator::Stats> RuleGenerator::GenerateAll(
     const Policy& policy) {
-  Stats stats;
-  current_stats_ = &stats;
-  Status status = GenerateGlobalRules(policy);
-  for (const auto& [name, spec] : policy.roles()) {
-    if (!status.ok()) break;
-    status = GenerateRoleRules(policy, spec);
-  }
-  for (const auto& [name, spec] : policy.users()) {
-    if (!status.ok()) break;
-    status = GenerateUserRules(policy, spec);
-  }
-  for (const TimeSod& tsod : policy.time_sods()) {
-    if (!status.ok()) break;
-    if (tsod.kind == TimeSodKind::kDisabling) {
-      status = GenerateTimeSodRules(policy, tsod);
-    }
-    // Enabling-time SoD is enforced by the GLOB.enable conditions, which
-    // read the policy dynamically; no per-constraint rules required.
-  }
-  for (size_t i = 0; i < policy.cfd_pairs().size() && status.ok(); ++i) {
-    status = GenerateCfdRules(policy, policy.cfd_pairs()[i],
-                              static_cast<int>(i));
-  }
-  for (const TransactionActivation& tx : policy.transactions()) {
-    if (!status.ok()) break;
-    status = GenerateTransactionRules(policy, tx);
-  }
-  for (const ThresholdDirective& directive : policy.thresholds()) {
-    if (!status.ok()) break;
-    status = GenerateThresholdRules(policy, directive);
-  }
-  for (const AuditDirective& directive : policy.audits()) {
-    if (!status.ok()) break;
-    status = GenerateAuditRules(policy, directive);
-  }
-  current_stats_ = nullptr;
-  if (!status.ok()) return status;
-  return stats;
+  stats_ = Stats();
+  SENTINEL_RETURN_IF_ERROR(GenerateGlobalRules(policy));
+  SENTINEL_RETURN_IF_ERROR(GenerateElements(policy, nullptr, nullptr, true));
+  return stats_;
 }
 
 Result<RuleGenerator::Stats> RuleGenerator::Regenerate(
     const Policy& policy, const std::set<RoleName>& roles,
     const std::set<UserName>& users, bool directives_changed) {
-  Stats stats;
-  current_stats_ = &stats;
-
-  auto touches_affected = [&roles](const TagInfo& info) {
-    return std::any_of(info.touches.begin(), info.touches.end(),
-                       [&roles](const RoleName& role) {
-                         return roles.count(role) > 0;
-                       });
-  };
-
-  // Collect constraint tags touching any affected role (before mutation).
-  std::vector<std::string> doomed;
-  for (const auto& [tag, info] : tags_) {
-    const bool role_tag = tag.rfind("role:", 0) == 0;
-    const bool user_tag = tag.rfind("user:", 0) == 0;
-    const bool directive_tag =
-        tag.rfind("sec:", 0) == 0 || tag.rfind("aud:", 0) == 0;
-    if (role_tag && roles.count(tag.substr(5)) > 0) {
-      doomed.push_back(tag);
-    } else if (user_tag && users.count(tag.substr(5)) > 0) {
-      doomed.push_back(tag);
-    } else if (directive_tag && directives_changed) {
-      doomed.push_back(tag);
-    } else if (!role_tag && !user_tag && !directive_tag && tag != "global" &&
-               touches_affected(info)) {
-      doomed.push_back(tag);
-    }
-  }
-  for (const std::string& tag : doomed) RemoveTag(tag);
-
-  Status status = Status::OK();
-  // Rebuild role and user rules for entries still present in the policy.
+  stats_ = Stats();
   for (const RoleName& role : roles) {
-    if (!status.ok()) break;
-    auto it = policy.roles().find(role);
-    if (it != policy.roles().end()) {
-      status = GenerateRoleRules(policy, it->second);
-    }
+    auto it = index_.find({ElementKind::kRole, role});
+    if (it != index_.end()) RemoveEntry(it);
   }
   for (const UserName& user : users) {
-    if (!status.ok()) break;
-    auto it = policy.users().find(user);
-    if (it != policy.users().end()) {
-      status = GenerateUserRules(policy, it->second);
-    }
+    auto it = index_.find({ElementKind::kUser, user});
+    if (it != index_.end()) RemoveEntry(it);
   }
-  // Rebuild constraint tags touching affected roles.
+  // The constraint entries, then the directive entries, sort last.
+  for (auto it = index_.lower_bound({ElementKind::kTimeSod, ""});
+       it != index_.end();) {
+    const std::set<RoleName>& touches = it->second.touches;
+    const bool doomed =
+        it->first.kind >= ElementKind::kThreshold
+            ? directives_changed
+            : std::any_of(touches.begin(), touches.end(),
+                          [&roles](const RoleName& role) {
+                            return roles.count(role) > 0;
+                          });
+    it = doomed ? RemoveEntry(it) : std::next(it);
+  }
+  SENTINEL_RETURN_IF_ERROR(
+      GenerateElements(policy, &roles, &users, directives_changed));
+  return stats_;
+}
+
+Status RuleGenerator::GenerateElements(const Policy& policy,
+                                       const std::set<RoleName>* roles,
+                                       const std::set<UserName>* users,
+                                       bool directives) {
+  SENTINEL_RETURN_IF_ERROR(
+      ForEachSpec(policy.roles(), roles, [&](const RoleSpec& spec) {
+        return GenerateRoleRules(policy, spec);
+      }));
+  SENTINEL_RETURN_IF_ERROR(
+      ForEachSpec(policy.users(), users, [&](const UserSpec& spec) {
+        return GenerateUserRules(policy, spec);
+      }));
+  // A constraint is generated when it involves an affected role and has no
+  // entry: Regenerate removed every entry that involves one.
+  const auto affected = [roles](const RoleName& role) {
+    return roles == nullptr || roles->count(role) > 0;
+  };
+  const auto absent = [this](ElementKind kind, const std::string& name) {
+    return index_.count({kind, name}) == 0;
+  };
   for (const TimeSod& tsod : policy.time_sods()) {
-    if (!status.ok()) break;
-    if (tsod.kind != TimeSodKind::kDisabling) continue;
-    const bool touches = std::any_of(
-        tsod.roles.begin(), tsod.roles.end(),
-        [&roles](const RoleName& role) { return roles.count(role) > 0; });
-    if (touches && tags_.count("tsod:" + tsod.name) == 0) {
-      status = GenerateTimeSodRules(policy, tsod);
+    // Enabling-time SoD is enforced by the GLOB.enable conditions, which
+    // read the policy dynamically; no per-constraint rules required.
+    if (tsod.kind == TimeSodKind::kDisabling &&
+        std::any_of(tsod.roles.begin(), tsod.roles.end(), affected) &&
+        absent(ElementKind::kTimeSod, tsod.name)) {
+      SENTINEL_RETURN_IF_ERROR(GenerateTimeSodRules(policy, tsod));
     }
   }
-  for (size_t i = 0; i < policy.cfd_pairs().size() && status.ok(); ++i) {
-    const CfdPair& pair = policy.cfd_pairs()[i];
-    const bool touches =
-        roles.count(pair.trigger) > 0 || roles.count(pair.companion) > 0;
-    const std::string tag = "cfd:" + std::to_string(i);
-    if (touches && tags_.count(tag) == 0) {
-      status = GenerateCfdRules(policy, pair, static_cast<int>(i));
+  for (const CfdPair& pair : policy.cfd_pairs()) {
+    if ((affected(pair.trigger) || affected(pair.companion)) &&
+        absent(ElementKind::kCfdPair, pair.trigger)) {
+      SENTINEL_RETURN_IF_ERROR(GenerateCfdRules(policy, pair));
     }
   }
   for (const TransactionActivation& tx : policy.transactions()) {
-    if (!status.ok()) break;
-    const bool touches =
-        roles.count(tx.controller) > 0 || roles.count(tx.dependent) > 0;
-    if (touches && tags_.count("tx:" + tx.name) == 0) {
-      status = GenerateTransactionRules(policy, tx);
+    if ((affected(tx.controller) || affected(tx.dependent)) &&
+        absent(ElementKind::kTransaction, tx.name)) {
+      SENTINEL_RETURN_IF_ERROR(GenerateTransactionRules(policy, tx));
     }
   }
-  if (directives_changed && status.ok()) {
-    for (const ThresholdDirective& directive : policy.thresholds()) {
-      status = GenerateThresholdRules(policy, directive);
-      if (!status.ok()) break;
-    }
-    for (const AuditDirective& directive : policy.audits()) {
-      if (!status.ok()) break;
-      status = GenerateAuditRules(policy, directive);
-    }
+  if (!directives) return Status::OK();
+  for (const ThresholdDirective& directive : policy.thresholds()) {
+    SENTINEL_RETURN_IF_ERROR(GenerateThresholdRules(policy, directive));
   }
-  current_stats_ = nullptr;
-  if (!status.ok()) return status;
-  return stats;
+  for (const AuditDirective& directive : policy.audits()) {
+    SENTINEL_RETURN_IF_ERROR(GenerateAuditRules(policy, directive));
+  }
+  return Status::OK();
 }
 
 // ===================================================== Global rules
@@ -234,7 +214,7 @@ Status RuleGenerator::GenerateGlobalRules(const Policy& policy) {
   // Copied into the condition lambdas: parameter lookups and RBAC
   // predicates then run entirely on interned symbols.
   const AuthorizationEngine::ParamKeys k = eng->keys();
-  const std::string tag = "global";
+  const ElementKey key{ElementKind::kGlobal, ""};
 
   using O = Rule::Options;
 
@@ -262,7 +242,7 @@ Status RuleGenerator::GenerateGlobalRules(const Policy& policy) {
         .Else("raise error \"Cannot Create Session\"", [](RuleContext& c) {
           DenyDecision(c, "ADM.createSession", "Cannot Create Session");
         });
-    SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
+    SENTINEL_RETURN_IF_ERROR(AddRule(key, std::move(rule)));
   }
 
   // --- ADM.deleteSession -------------------------------------------------
@@ -292,7 +272,7 @@ Status RuleGenerator::GenerateGlobalRules(const Policy& policy) {
         .Else("raise error \"No Such Session\"", [](RuleContext& c) {
           DenyDecision(c, "ADM.deleteSession", "No Such Session");
         });
-    SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
+    SENTINEL_RETURN_IF_ERROR(AddRule(key, std::move(rule)));
   }
 
   // --- ADM.assign (scenario 3: one globalized assignment rule) ----------
@@ -327,7 +307,7 @@ Status RuleGenerator::GenerateGlobalRules(const Policy& policy) {
         .Else("raise error \"Cannot Assign\"", [](RuleContext& c) {
           DenyDecision(c, "ADM.assign", "Cannot Assign");
         });
-    SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
+    SENTINEL_RETURN_IF_ERROR(AddRule(key, std::move(rule)));
   }
 
   // --- ADM.deassign ------------------------------------------------------
@@ -368,7 +348,7 @@ Status RuleGenerator::GenerateGlobalRules(const Policy& policy) {
         .Else("raise error \"Cannot Deassign\"", [](RuleContext& c) {
           DenyDecision(c, "ADM.deassign", "Cannot Deassign");
         });
-    SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
+    SENTINEL_RETURN_IF_ERROR(AddRule(key, std::move(rule)));
   }
 
   // --- GLOB.drop: deactivation requests ----------------------------------
@@ -401,7 +381,7 @@ Status RuleGenerator::GenerateGlobalRules(const Policy& policy) {
         .Else("raise error \"Cannot Deactivate\"", [](RuleContext& c) {
           DenyDecision(c, "GLOB.drop", "Cannot Deactivate");
         });
-    SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
+    SENTINEL_RETURN_IF_ERROR(AddRule(key, std::move(rule)));
   }
 
   // --- CA.global: Rule 5 (check access) -----------------------------------
@@ -451,7 +431,7 @@ Status RuleGenerator::GenerateGlobalRules(const Policy& policy) {
           (void)eng->detector().Raise(eng->events().access_denied,
                                       std::move(params));
         });
-    SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
+    SENTINEL_RETURN_IF_ERROR(AddRule(key, std::move(rule)));
   }
 
   // --- GLOB.enable: role enabling (GTRBAC transitions) --------------------
@@ -473,11 +453,8 @@ Status RuleGenerator::GenerateGlobalRules(const Policy& policy) {
               })
         .Then("enableRole(role)",
               [eng, k](RuleContext& c) {
-                eng->role_state().Enable(c.ParamSym(k.role));
+                EnableRole(eng, c.ParamSym(k.role));
                 AllowDecision(c, "GLOB.enable");
-                (void)eng->detector().Raise(
-                    eng->events().role_enabled,
-                    {{k.role, Value(c.ParamSym(k.role))}});
               })
         .Else("deny or defer to CFD rule", [eng, k](RuleContext& c) {
           if (!eng->rbac().db().HasRole(c.ParamSym(k.role))) {
@@ -489,7 +466,7 @@ Status RuleGenerator::GenerateGlobalRules(const Policy& policy) {
                          "Denied by Enabling-Time SoD");
           }
         });
-    SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
+    SENTINEL_RETURN_IF_ERROR(AddRule(key, std::move(rule)));
   }
 
   // --- GLOB.disable --------------------------------------------------------
@@ -508,13 +485,8 @@ Status RuleGenerator::GenerateGlobalRules(const Policy& policy) {
               })
         .Then("disableRole(role)",
               [eng, k](RuleContext& c) {
-                const Symbol role = c.ParamSym(k.role);
-                eng->role_state().Disable(role);
-                eng->DeactivateAllInstances(role);
+                DisableRole(eng, c.ParamSym(k.role));
                 AllowDecision(c, "GLOB.disable");
-                (void)eng->detector().Raise(
-                    eng->events().role_disabled,
-                    {{k.role, Value(c.ParamSym(k.role))}});
               })
         .Else("deny or defer to TSOD rule", [eng, k](RuleContext& c) {
           if (!eng->rbac().db().HasRole(c.ParamSym(k.role))) {
@@ -522,7 +494,7 @@ Status RuleGenerator::GenerateGlobalRules(const Policy& policy) {
           }
           // Guarded roles are adjudicated by the TSOD APERIODIC rule.
         });
-    SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
+    SENTINEL_RETURN_IF_ERROR(AddRule(key, std::move(rule)));
   }
 
   return Status::OK();
@@ -538,8 +510,10 @@ Status RuleGenerator::GenerateRoleRules(const Policy& policy,
   const RoleName role = spec.name;
   // Captured once here; the rule's per-firing checks never touch the name.
   const Symbol role_sym = eng->symbols().Intern(role);
-  const std::string tag = "role:" + role;
-  tags_[tag].touches.insert(role);
+  // Every role has an entry, even one that adds no rule (a transaction-
+  // gated role): its structural events below are generated for it.
+  const ElementKey key{ElementKind::kRole, role};
+  index_[key];
 
   // Structural events, shared across generations.
   SENTINEL_ASSIGN_OR_RETURN(
@@ -650,7 +624,7 @@ Status RuleGenerator::GenerateRoleRules(const Policy& policy,
                 DenyDecision(c, "AAR." + role,
                              "Access Denied Cannot Activate");
               });
-    SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
+    SENTINEL_RETURN_IF_ERROR(AddRule(key, std::move(rule)));
   }
 
   // --- CTX.<role>: context-aware deactivation (§1: constraints must hold
@@ -671,7 +645,7 @@ Status RuleGenerator::GenerateRoleRules(const Policy& policy,
                 (void)c;
                 eng->DeactivateAllInstances(role_sym);
               });
-    SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
+    SENTINEL_RETURN_IF_ERROR(AddRule(key, std::move(rule)));
   }
 
   // --- CC.<role>: Rule 4 cardinality, compensating post-check ------------
@@ -694,16 +668,16 @@ Status RuleGenerator::GenerateRoleRules(const Policy& policy,
                 DenyDecision(c, "CC." + role,
                              "Maximum Number of Roles Reached");
               });
-    SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
+    SENTINEL_RETURN_IF_ERROR(AddRule(key, std::move(rule)));
   }
 
   // --- DUR.<role>: Rule 7 duration chain via PLUS -------------------------
   if (spec.max_activation > 0) {
-    const std::string plus_name = TemporalName(tag, "ev.durexp." + role);
+    const std::string plus_name = TemporalName(key, "ev.durexp." + role);
     auto plus_ev = eng->detector().DefinePlus(
         plus_name, added_ev, spec.max_activation, k.session);
     if (!plus_ev.ok()) return plus_ev.status();
-    TrackTemporal(tag, *plus_ev);
+    TrackTemporal(key, *plus_ev);
     eng->RegisterDurationEvent(role_sym, *plus_ev);
 
     Rule rule("DUR." + role, *plus_ev,
@@ -719,45 +693,39 @@ Status RuleGenerator::GenerateRoleRules(const Policy& policy,
                 (void)eng->ForceDeactivate(c.ParamSym(k.user),
                                            c.ParamSym(k.session), role_sym);
               });
-    SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
+    SENTINEL_RETURN_IF_ERROR(AddRule(key, std::move(rule)));
   }
 
   // --- SH.<role>: GTRBAC enabling window (shift) boundaries ----------------
   if (spec.enabling_window.has_value()) {
     const PeriodicExpression& window = *spec.enabling_window;
     auto on_ev = eng->detector().DefineAbsolute(
-        TemporalName(tag, "ev.shift.on." + role), window.window_start());
+        TemporalName(key, "ev.shift.on." + role), window.window_start());
     if (!on_ev.ok()) return on_ev.status();
-    TrackTemporal(tag, *on_ev);
+    TrackTemporal(key, *on_ev);
     auto off_ev = eng->detector().DefineAbsolute(
-        TemporalName(tag, "ev.shift.off." + role), window.window_end());
+        TemporalName(key, "ev.shift.off." + role), window.window_end());
     if (!off_ev.ok()) return off_ev.status();
-    TrackTemporal(tag, *off_ev);
+    TrackTemporal(key, *off_ev);
 
     Rule on_rule("SH." + role + ".on", *on_ev,
                  Rule::Options{0, true, RuleClass::kActivityControl,
                                RuleGranularity::kLocalized});
-    on_rule.Then("enableRole" + role,
-                 [eng, k, role_sym](RuleContext& c) {
-                   (void)c;
-                   eng->role_state().Enable(role_sym);
-                   (void)eng->detector().Raise(eng->events().role_enabled,
-                                               {{k.role, Value(role_sym)}});
-                 });
-    SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(on_rule)));
+    on_rule.Then("enableRole" + role, [eng, role_sym](RuleContext& c) {
+      (void)c;
+      EnableRole(eng, role_sym);
+    });
+    SENTINEL_RETURN_IF_ERROR(AddRule(key, std::move(on_rule)));
 
     Rule off_rule("SH." + role + ".off", *off_ev,
                   Rule::Options{0, true, RuleClass::kActivityControl,
                                 RuleGranularity::kLocalized});
     off_rule.Then("disableRole" + role + "; deactivate instances",
-                  [eng, k, role_sym](RuleContext& c) {
+                  [eng, role_sym](RuleContext& c) {
                     (void)c;
-                    eng->role_state().Disable(role_sym);
-                    eng->DeactivateAllInstances(role_sym);
-                    (void)eng->detector().Raise(eng->events().role_disabled,
-                                                {{k.role, Value(role_sym)}});
+                    DisableRole(eng, role_sym);
                   });
-    SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(off_rule)));
+    SENTINEL_RETURN_IF_ERROR(AddRule(key, std::move(off_rule)));
   }
 
   return Status::OK();
@@ -772,8 +740,7 @@ Status RuleGenerator::GenerateUserRules(const Policy& policy,
   const auto& ev = eng->events();
   const AuthorizationEngine::ParamKeys k = eng->keys();
   const UserName user = spec.name;
-  const std::string tag = "user:" + user;
-  tags_[tag];  // Materialize the tag even when no rules follow.
+  const ElementKey key{ElementKind::kUser, user};
 
   // --- UAC.<user>: scenario 1, specialized active-role cap ---------------
   if (spec.max_active_roles > 0) {
@@ -799,7 +766,7 @@ Status RuleGenerator::GenerateUserRules(const Policy& policy,
                 DenyDecision(c, "UAC." + user,
                              "Maximum Number of Roles Reached");
               });
-    SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
+    SENTINEL_RETURN_IF_ERROR(AddRule(key, std::move(rule)));
   }
 
   // --- DUR.<user>.<role>: Rule 7, specialized duration bounds ------------
@@ -812,11 +779,11 @@ Status RuleGenerator::GenerateUserRules(const Policy& policy,
                      ev.session_role_added,
                      {{k.user, Value(user_sym)}, {k.role, Value(role_sym)}}));
     const std::string plus_name =
-        TemporalName(tag, "ev.durexp.u." + user + ".r." + role);
+        TemporalName(key, "ev.durexp.u." + user + ".r." + role);
     auto plus_ev =
         eng->detector().DefinePlus(plus_name, added_ev, duration, k.session);
     if (!plus_ev.ok()) return plus_ev.status();
-    TrackTemporal(tag, *plus_ev);
+    TrackTemporal(key, *plus_ev);
     eng->RegisterDurationEvent(role_sym, *plus_ev);
 
     Rule rule("DUR." + user + "." + role, *plus_ev,
@@ -832,7 +799,7 @@ Status RuleGenerator::GenerateUserRules(const Policy& policy,
                 (void)eng->ForceDeactivate(user_sym, c.ParamSym(k.session),
                                            role_sym);
               });
-    SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
+    SENTINEL_RETURN_IF_ERROR(AddRule(key, std::move(rule)));
   }
 
   return Status::OK();
@@ -846,8 +813,8 @@ Status RuleGenerator::GenerateTimeSodRules(const Policy& policy,
   AuthorizationEngine* eng = engine_;
   const auto& ev = eng->events();
   const AuthorizationEngine::ParamKeys k = eng->keys();
-  const std::string tag = "tsod:" + tsod.name;
-  tags_[tag].touches.insert(tsod.roles.begin(), tsod.roles.end());
+  const ElementKey key{ElementKind::kTimeSod, tsod.name};
+  index_[key].touches.insert(tsod.roles.begin(), tsod.roles.end());
 
   // OR over the member roles' disable requests (paper Rule 6: ET3).
   std::vector<EventId> alternatives;
@@ -859,35 +826,35 @@ Status RuleGenerator::GenerateTimeSodRules(const Policy& policy,
     alternatives.push_back(disable_ev);
   }
   auto or_ev = eng->detector().DefineOr(
-      TemporalName(tag, "ev.tsod.or." + tsod.name), alternatives);
+      TemporalName(key, "ev.tsod.or." + tsod.name), alternatives);
   if (!or_ev.ok()) return or_ev.status();
-  TrackTemporal(tag, *or_ev);
+  TrackTemporal(key, *or_ev);
 
   // Window machinery: absolute boundary events + a boot initiator so a
   // window already in progress at generation time is honoured.
   auto start_ev = eng->detector().DefineAbsolute(
-      TemporalName(tag, "ev.tsod.start." + tsod.name),
+      TemporalName(key, "ev.tsod.start." + tsod.name),
       tsod.period.window_start());
   if (!start_ev.ok()) return start_ev.status();
-  TrackTemporal(tag, *start_ev);
+  TrackTemporal(key, *start_ev);
   auto end_ev = eng->detector().DefineAbsolute(
-      TemporalName(tag, "ev.tsod.end." + tsod.name),
+      TemporalName(key, "ev.tsod.end." + tsod.name),
       tsod.period.window_end());
   if (!end_ev.ok()) return end_ev.status();
-  TrackTemporal(tag, *end_ev);
+  TrackTemporal(key, *end_ev);
   auto boot_ev = eng->detector().DefinePrimitive(
-      TemporalName(tag, "ev.tsod.boot." + tsod.name));
+      TemporalName(key, "ev.tsod.boot." + tsod.name));
   if (!boot_ev.ok()) return boot_ev.status();
-  TrackTemporal(tag, *boot_ev);
+  TrackTemporal(key, *boot_ev);
   auto init_ev = eng->detector().DefineOr(
-      TemporalName(tag, "ev.tsod.init." + tsod.name), {*start_ev, *boot_ev});
+      TemporalName(key, "ev.tsod.init." + tsod.name), {*start_ev, *boot_ev});
   if (!init_ev.ok()) return init_ev.status();
-  TrackTemporal(tag, *init_ev);
+  TrackTemporal(key, *init_ev);
   auto win_ev = eng->detector().DefineAperiodic(
-      TemporalName(tag, "ev.tsod.win." + tsod.name), *init_ev, *or_ev,
+      TemporalName(key, "ev.tsod.win." + tsod.name), *init_ev, *or_ev,
       *end_ev, ConsumptionMode::kRecent);
   if (!win_ev.ok()) return win_ev.status();
-  TrackTemporal(tag, *win_ev);
+  TrackTemporal(key, *win_ev);
 
   const PeriodicExpression period = tsod.period;
   Rule rule("TSOD." + tsod.name, *win_ev,
@@ -904,13 +871,8 @@ Status RuleGenerator::GenerateTimeSodRules(const Policy& policy,
             })
       .Then("disable requested role",
             [eng, k, rule_name = "TSOD." + tsod.name](RuleContext& c) {
-              const Symbol role = c.ParamSym(k.role);
-              eng->role_state().Disable(role);
-              eng->DeactivateAllInstances(role);
+              DisableRole(eng, c.ParamSym(k.role));
               AllowDecision(c, rule_name);
-              (void)eng->detector().Raise(
-                  eng->events().role_disabled,
-                  {{k.role, Value(c.ParamSym(k.role))}});
             })
       .Else("raise error \"Denied as Counter-Role Already Disabled\"",
             [eng, period, rule_name = "TSOD." + tsod.name](RuleContext& c) {
@@ -920,7 +882,7 @@ Status RuleGenerator::GenerateTimeSodRules(const Policy& policy,
               DenyDecision(c, rule_name,
                            "Denied as Counter-Role Already Disabled");
             });
-  SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
+  SENTINEL_RETURN_IF_ERROR(AddRule(key, std::move(rule)));
 
   // A window already open at generation time must be honoured.
   if (period.Contains(eng->Now())) {
@@ -932,12 +894,13 @@ Status RuleGenerator::GenerateTimeSodRules(const Policy& policy,
 // ============================================================ CFD rules
 
 Status RuleGenerator::GenerateCfdRules(const Policy& policy,
-                                       const CfdPair& pair, int index) {
+                                       const CfdPair& pair) {
   (void)policy;
   AuthorizationEngine* eng = engine_;
   const auto& ev = eng->events();
-  const std::string tag = "cfd:" + std::to_string(index);
-  tags_[tag].touches = {pair.trigger, pair.companion};
+  // Validate lets a role trigger one pair at most, so the trigger names it.
+  const ElementKey key{ElementKind::kCfdPair, pair.trigger};
+  index_[key].touches = {pair.trigger, pair.companion};
   const AuthorizationEngine::ParamKeys k = eng->keys();
   const RoleName trigger = pair.trigger;
   const RoleName companion = pair.companion;
@@ -971,14 +934,10 @@ Status RuleGenerator::GenerateCfdRules(const Policy& policy,
                        eng->EnableTsodOk(companion);
               })
         .Then("enableRole" + trigger + "(); enableRole" + companion + "()",
-              [eng, k, trigger, trigger_sym, companion_sym](RuleContext& c) {
-                eng->role_state().Enable(trigger_sym);
-                (void)eng->detector().Raise(eng->events().role_enabled,
-                                            {{k.role, Value(trigger_sym)}});
+              [eng, trigger, trigger_sym, companion_sym](RuleContext& c) {
+                EnableRole(eng, trigger_sym);
                 if (!eng->role_state().IsEnabled(companion_sym)) {
-                  eng->role_state().Enable(companion_sym);
-                  (void)eng->detector().Raise(eng->events().role_enabled,
-                                              {{k.role, Value(companion_sym)}});
+                  EnableRole(eng, companion_sym);
                 }
                 AllowDecision(c, "CFD." + trigger + ".enable");
               })
@@ -987,7 +946,7 @@ Status RuleGenerator::GenerateCfdRules(const Policy& policy,
                 DenyDecision(c, "CFD." + trigger + ".enable",
                              "Cannot Enable " + trigger);
               });
-    SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
+    SENTINEL_RETURN_IF_ERROR(AddRule(key, std::move(rule)));
   }
 
   // CFD2: disabling the companion disables the trigger (post-condition
@@ -1008,14 +967,11 @@ Status RuleGenerator::GenerateCfdRules(const Policy& policy,
                 return eng->role_state().IsEnabled(trigger_sym);
               })
         .Then("disableRole" + trigger + "()",
-              [eng, k, trigger_sym](RuleContext& c) {
+              [eng, trigger_sym](RuleContext& c) {
                 (void)c;
-                eng->role_state().Disable(trigger_sym);
-                eng->DeactivateAllInstances(trigger_sym);
-                (void)eng->detector().Raise(eng->events().role_disabled,
-                                            {{k.role, Value(trigger_sym)}});
+                DisableRole(eng, trigger_sym);
               });
-    SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
+    SENTINEL_RETURN_IF_ERROR(AddRule(key, std::move(rule)));
   }
 
   return Status::OK();
@@ -1027,8 +983,8 @@ Status RuleGenerator::GenerateTransactionRules(
     const Policy& policy, const TransactionActivation& tx) {
   AuthorizationEngine* eng = engine_;
   const auto& ev = eng->events();
-  const std::string tag = "tx:" + tx.name;
-  tags_[tag].touches = {tx.controller, tx.dependent};
+  const ElementKey key{ElementKind::kTransaction, tx.name};
+  index_[key].touches = {tx.controller, tx.dependent};
   const AuthorizationEngine::ParamKeys k = eng->keys();
   const RoleName controller = tx.controller;
   const RoleName dependent = tx.dependent;
@@ -1048,18 +1004,18 @@ Status RuleGenerator::GenerateTransactionRules(
                                {{k.role, Value(dependent_sym)}}));
 
   auto boot_ev = eng->detector().DefinePrimitive(
-      TemporalName(tag, "ev.tx.boot." + tx.name));
+      TemporalName(key, "ev.tx.boot." + tx.name));
   if (!boot_ev.ok()) return boot_ev.status();
-  TrackTemporal(tag, *boot_ev);
+  TrackTemporal(key, *boot_ev);
   auto init_ev = eng->detector().DefineOr(
-      TemporalName(tag, "ev.tx.init." + tx.name), {ctrl_on_ev, *boot_ev});
+      TemporalName(key, "ev.tx.init." + tx.name), {ctrl_on_ev, *boot_ev});
   if (!init_ev.ok()) return init_ev.status();
-  TrackTemporal(tag, *init_ev);
+  TrackTemporal(key, *init_ev);
   auto win_ev = eng->detector().DefineAperiodic(
-      TemporalName(tag, "ev.tx.win." + tx.name), *init_ev, dep_req_ev,
+      TemporalName(key, "ev.tx.win." + tx.name), *init_ev, dep_req_ev,
       ctrl_off_ev, ConsumptionMode::kRecent);
   if (!win_ev.ok()) return win_ev.status();
-  TrackTemporal(tag, *win_ev);
+  TrackTemporal(key, *win_ev);
 
   const bool in_hierarchy = policy.RoleInHierarchy(dependent);
   const bool in_dsd = policy.RoleInDsd(dependent);
@@ -1144,7 +1100,7 @@ Status RuleGenerator::GenerateTransactionRules(
                 DenyDecision(c, "ASEC." + tx_name + ".activate",
                              "Permission Denied");
               });
-    SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
+    SENTINEL_RETURN_IF_ERROR(AddRule(key, std::move(rule)));
   }
 
   // ASEC cascade (paper Rule 9, ASEC2 tail): when the last controller
@@ -1165,7 +1121,7 @@ Status RuleGenerator::GenerateTransactionRules(
                   (void)eng->detector().Raise(boot, {});
                 }
               });
-    SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
+    SENTINEL_RETURN_IF_ERROR(AddRule(key, std::move(rule)));
   }
 
   // Honour controllers already active at generation time.
@@ -1181,8 +1137,7 @@ Status RuleGenerator::GenerateThresholdRules(
     const Policy& policy, const ThresholdDirective& directive) {
   (void)policy;
   AuthorizationEngine* eng = engine_;
-  const std::string tag = "sec:" + directive.name;
-  tags_[tag];
+  const ElementKey key{ElementKind::kThreshold, directive.name};
 
   eng->security().DefineWindow(directive.name, directive.window,
                                directive.threshold);
@@ -1246,17 +1201,13 @@ Status RuleGenerator::GenerateThresholdRules(
         // The paper's "deactivate a set of roles" alert action.
         for (const RoleName& role : disable_roles) {
           if (eng->role_state().IsEnabled(role)) {
-            const Symbol role_sym = eng->symbols().Intern(role);
-            eng->role_state().Disable(role_sym);
-            eng->DeactivateAllInstances(role_sym);
-            (void)eng->detector().Raise(eng->events().role_disabled,
-                                        {{k.role, Value(role_sym)}});
+            DisableRole(eng, eng->symbols().Intern(role));
           }
         }
         (void)eng->detector().Raise(eng->events().security_alert,
                                     {{alert_key, Value(alert_name)}});
       });
-  SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
+  SENTINEL_RETURN_IF_ERROR(AddRule(key, std::move(rule)));
   return Status::OK();
 }
 
@@ -1266,22 +1217,21 @@ Status RuleGenerator::GenerateAuditRules(const Policy& policy,
                                          const AuditDirective& directive) {
   (void)policy;
   AuthorizationEngine* eng = engine_;
-  const std::string tag = "aud:" + directive.name;
-  tags_[tag];
+  const ElementKey key{ElementKind::kAudit, directive.name};
 
   auto boot_ev = eng->detector().DefinePrimitive(
-      TemporalName(tag, "ev.audit.boot." + directive.name));
+      TemporalName(key, "ev.audit.boot." + directive.name));
   if (!boot_ev.ok()) return boot_ev.status();
-  TrackTemporal(tag, *boot_ev);
+  TrackTemporal(key, *boot_ev);
   auto stop_ev = eng->detector().DefinePrimitive(
-      TemporalName(tag, "ev.audit.stop." + directive.name));
+      TemporalName(key, "ev.audit.stop." + directive.name));
   if (!stop_ev.ok()) return stop_ev.status();
-  TrackTemporal(tag, *stop_ev);
+  TrackTemporal(key, *stop_ev);
   auto tick_ev = eng->detector().DefinePeriodic(
-      TemporalName(tag, "ev.audit." + directive.name), *boot_ev,
+      TemporalName(key, "ev.audit." + directive.name), *boot_ev,
       directive.interval, *stop_ev);
   if (!tick_ev.ok()) return tick_ev.status();
-  TrackTemporal(tag, *tick_ev);
+  TrackTemporal(key, *tick_ev);
 
   const std::string name = directive.name;
   Rule rule("AUD." + name, *tick_ev,
@@ -1295,7 +1245,7 @@ Status RuleGenerator::GenerateAuditRules(const Policy& policy,
                         << " denials=" << eng->denials() << " sessions="
                         << eng->rbac().db().session_count();
   });
-  SENTINEL_RETURN_IF_ERROR(AddRule(tag, std::move(rule)));
+  SENTINEL_RETURN_IF_ERROR(AddRule(key, std::move(rule)));
 
   // Start the periodic stream.
   (void)eng->detector().Raise(*boot_ev, {});

@@ -1,6 +1,8 @@
 #ifndef SENTINELPP_CORE_RULE_GENERATOR_H_
 #define SENTINELPP_CORE_RULE_GENERATOR_H_
 
+#include <compare>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -32,12 +34,17 @@ class AuthorizationEngine;
 ///   SEC.<name>        threshold monitoring (active security)
 ///   AUD.<name>        periodic audit reports (PERIODIC)
 ///
-/// Every rule is indexed under a *tag* ("role:R", "user:U", "tsod:N",
-/// "tx:N", "cfd:I", "sec:N", "aud:N", "global"); incremental regeneration
-/// removes and re-creates exactly the tags the policy diff touches.
+/// Every rule and temporal event is filed under the policy element it
+/// compiles: a kind (global, role, user, time-SoD, CFD pair, transaction,
+/// threshold, audit) and a name. An element that generates nothing has no
+/// entry. A regeneration looks up the affected roles' and users' entries by
+/// key, removes those and every constraint entry involving an affected role
+/// (and the directive entries when directives changed), then generates
+/// exactly those elements again through the pass a full load runs.
 /// Structural events are reused across generations; superseded temporal
 /// events (PLUS, ABSOLUTE, PERIODIC) are deactivated and replaced under a
-/// generation-suffixed name.
+/// name suffixed with the element's removal count, which outlives its
+/// entry, so no temporal event name is ever reused.
 class RuleGenerator {
  public:
   struct Stats {
@@ -55,22 +62,30 @@ class RuleGenerator {
   Result<Stats> GenerateAll(const Policy& policy);
 
   /// Incremental regeneration: rebuilds rules for the given roles/users
-  /// and every constraint tag touching them; directive tags when asked.
+  /// and every constraint element involving one of the roles; the
+  /// directive elements when asked.
   Result<Stats> Regenerate(const Policy& policy,
                            const std::set<RoleName>& roles,
                            const std::set<UserName>& users,
                            bool directives_changed);
 
-  /// Rules currently indexed under `tag` (introspection/tests).
-  std::vector<std::string> RulesForTag(const std::string& tag) const;
-  int tag_count() const { return static_cast<int>(tags_.size()); }
-
  private:
-  struct TagInfo {
+  /// Ordered as a generation pass visits the elements.
+  enum class ElementKind : uint8_t {
+    kGlobal, kRole, kUser, kTimeSod, kCfdPair, kTransaction, kThreshold, kAudit
+  };
+  struct ElementKey {
+    ElementKind kind;
+    std::string name;
+    friend auto operator<=>(const ElementKey&, const ElementKey&) = default;
+  };
+  /// What one element generated.
+  struct Entry {
     std::vector<std::string> rule_names;
     std::vector<EventId> temporal_events;  // Deactivated on removal.
-    std::set<RoleName> touches;            // Roles this tag involves.
+    std::set<RoleName> touches;  // Roles a constraint element involves.
   };
+  using Index = std::map<ElementKey, Entry>;
 
   // --- Helpers -----------------------------------------------------------
 
@@ -78,23 +93,31 @@ class RuleGenerator {
   /// registered, otherwise defines Filter(base, equals).
   Result<EventId> EnsureFilter(const std::string& name, EventId base,
                                FlatParamMap equals);
-  /// Adds a rule to the pool and indexes it under `tag`.
-  Status AddRule(const std::string& tag, class Rule rule);
-  /// Registers a temporal event under `tag` for later deactivation.
-  void TrackTemporal(const std::string& tag, EventId event);
-  /// Next generation-suffixed name for a temporal event of `tag`.
-  std::string TemporalName(const std::string& tag, const std::string& stem);
-  /// Removes every rule of `tag` and deactivates its temporal events.
-  int RemoveTag(const std::string& tag);
+  /// Adds a rule to the pool and files it under `key`.
+  Status AddRule(const ElementKey& key, class Rule rule);
+  /// Files a temporal event under `key` for later deactivation.
+  void TrackTemporal(const ElementKey& key, EventId event);
+  /// Next generation-suffixed name for a temporal event of `key`.
+  std::string TemporalName(const ElementKey& key,
+                           const std::string& stem) const;
+  /// Removes the entry's rules, deactivates its temporal events and counts
+  /// the removal in its element's name suffix. Returns the next entry.
+  Index::iterator RemoveEntry(Index::iterator it);
 
   // --- Per-section generation --------------------------------------------
 
+  /// The one generation pass: every role of `roles` and user of `users`
+  /// the policy holds (all of them when null), in name order; then every
+  /// time-SoD, CFD pair and transaction that involves one of those roles
+  /// and has no entry; then the directives when `directives` is set.
+  Status GenerateElements(const Policy& policy,
+                          const std::set<RoleName>* roles,
+                          const std::set<UserName>* users, bool directives);
   Status GenerateGlobalRules(const Policy& policy);
   Status GenerateRoleRules(const Policy& policy, const RoleSpec& spec);
   Status GenerateUserRules(const Policy& policy, const UserSpec& spec);
   Status GenerateTimeSodRules(const Policy& policy, const TimeSod& tsod);
-  Status GenerateCfdRules(const Policy& policy, const CfdPair& pair,
-                          int index);
+  Status GenerateCfdRules(const Policy& policy, const CfdPair& pair);
   Status GenerateTransactionRules(const Policy& policy,
                                   const TransactionActivation& tx);
   Status GenerateThresholdRules(const Policy& policy,
@@ -103,10 +126,11 @@ class RuleGenerator {
                             const AuditDirective& directive);
 
   AuthorizationEngine* engine_;  // Not owned.
-  std::map<std::string, TagInfo> tags_;
-  std::map<std::string, int> generations_;
-  std::string current_tag_;
-  Stats* current_stats_ = nullptr;
+  Index index_;
+  /// Removals per element; kept after its entry goes.
+  std::map<ElementKey, int> generations_;
+  /// Counts of the pass in progress.
+  Stats stats_;
 };
 
 }  // namespace sentinel

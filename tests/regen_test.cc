@@ -231,6 +231,106 @@ user u { assign: OnCall }
   EXPECT_FALSE(engine_.rbac().db().IsSessionRoleActive("s1", "OnCall"));
 }
 
+// A temporal event name is never reused: the re-added role's PLUS event
+// must not collide with the one its removal retired.
+TEST_F(RegenTest, RemovedAndReaddedRoleKeepsItsDurationBound) {
+  auto with_role = PolicyParser::Parse(R"(
+policy "dur"
+role OnCall { max-activation: 30m }
+role Desk {}
+user u { assign: OnCall, Desk }
+)");
+  ASSERT_TRUE(with_role.ok());
+  Load(*with_role);
+  Policy without_role = *with_role;
+  ASSERT_TRUE(without_role.RemoveRole("OnCall").ok());
+  ASSERT_TRUE(engine_.ApplyPolicyUpdate(without_role).ok());
+  auto readded = engine_.ApplyPolicyUpdate(*with_role);
+  ASSERT_TRUE(readded.ok()) << readded.status().ToString();
+  ASSERT_TRUE(engine_.CreateSession("u", "s1").allowed);
+  ASSERT_TRUE(engine_.AddActiveRole("u", "s1", "OnCall").allowed);
+  engine_.AdvanceBy(31 * kMinute);
+  EXPECT_FALSE(engine_.rbac().db().IsSessionRoleActive("s1", "OnCall"));
+}
+
+TEST_F(RegenTest, RemovedAndReaddedUserKeepsItsDurationBound) {
+  auto with_user = PolicyParser::Parse(R"(
+policy "dur"
+role OnCall {}
+user u { assign: OnCall  duration: OnCall = 30m }
+user v { assign: OnCall }
+)");
+  ASSERT_TRUE(with_user.ok());
+  Load(*with_user);
+  Policy without_user = *with_user;
+  ASSERT_TRUE(without_user.RemoveUser("u").ok());
+  ASSERT_TRUE(engine_.ApplyPolicyUpdate(without_user).ok());
+  auto readded = engine_.ApplyPolicyUpdate(*with_user);
+  ASSERT_TRUE(readded.ok()) << readded.status().ToString();
+  ASSERT_TRUE(engine_.CreateSession("u", "s1").allowed);
+  ASSERT_TRUE(engine_.AddActiveRole("u", "s1", "OnCall").allowed);
+  engine_.AdvanceBy(31 * kMinute);
+  EXPECT_FALSE(engine_.rbac().db().IsSessionRoleActive("s1", "OnCall"));
+}
+
+// A CFD pair is known by its trigger, not its position: when an earlier pair
+// goes, the pair that moves into its place keeps its rules, and a pair
+// added later at the freed position still gets its own.
+TEST_F(RegenTest, CfdPairAddedAfterAnotherMovedGeneratesItsRules) {
+  const std::string roles = R"(
+policy "cfd"
+role A {}
+role B {}
+role C {}
+role D {}
+role E {}
+role F {}
+)";
+  auto both = PolicyParser::Parse(roles + R"(
+cfd { trigger: A  companion: B }
+cfd { trigger: C  companion: D }
+)");
+  auto second = PolicyParser::Parse(roles + R"(
+cfd { trigger: C  companion: D }
+)");
+  auto grown = PolicyParser::Parse(roles + R"(
+cfd { trigger: C  companion: D }
+cfd { trigger: E  companion: F }
+)");
+  ASSERT_TRUE(both.ok() && second.ok() && grown.ok());
+  Load(*both);
+  ASSERT_TRUE(engine_.ApplyPolicyUpdate(*second).ok());
+  EXPECT_FALSE(engine_.rule_manager().Find("CFD.A.B.enable").ok());
+  EXPECT_TRUE(engine_.rule_manager().Find("CFD.C.D.enable").ok());
+  ASSERT_TRUE(engine_.ApplyPolicyUpdate(*grown).ok());
+  EXPECT_TRUE(engine_.rule_manager().Find("CFD.C.D.enable").ok());
+  EXPECT_TRUE(engine_.rule_manager().Find("CFD.E.F.enable").ok());
+  EXPECT_TRUE(engine_.rule_manager().Find("CFD.E.F.disable").ok());
+}
+
+// A runtime removal since the last reconcile makes the next commit replay
+// every entry of the target policy; it re-adds what the runtime took away.
+TEST_F(RegenTest, ResyncReaddsRuntimeRemovedEntries) {
+  Policy base = testutil::EnterpriseXyzPolicy();
+  Load(base);
+  ASSERT_TRUE(engine_.DeassignUser("carol", "Clerk").allowed);
+  ASSERT_TRUE(engine_.rbac().RevokePermission("write", "approval", "AC").ok());
+  ASSERT_FALSE(engine_.rbac().db().IsAssigned("carol", "Clerk"));
+  ASSERT_FALSE(
+      engine_.rbac().db().IsGranted(Permission{"write", "approval"}, "AC"));
+
+  Policy unrelated = base;
+  (*unrelated.MutableRole("PM"))->activation_cardinality = 2;
+  auto report = engine_.ApplyPolicyUpdate(unrelated);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->base_entries_skipped, 0);
+  EXPECT_TRUE(engine_.rbac().db().IsAssigned("carol", "Clerk"));
+  EXPECT_TRUE(
+      engine_.rbac().db().IsGranted(Permission{"write", "approval"}, "AC"));
+  ASSERT_TRUE(engine_.CreateSession("carol", "s1").allowed);
+  EXPECT_TRUE(engine_.AddActiveRole("carol", "s1", "Clerk").allowed);
+}
+
 TEST_F(RegenTest, ThresholdDisableRolesRoundTripsThroughDsl) {
   auto policy = PolicyParser::Parse(R"(
 policy "sec"
