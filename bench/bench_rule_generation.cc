@@ -2,8 +2,9 @@
 // which requires thousands of rules" (§1/§7). Measures full policy-load
 // time and reports generated rule/event counts as the role count grows,
 // for plain and constraint-rich policies, and what one engine costs at
-// perfbench's service scale (BM_Load_ServiceScale) and what one policy swap
-// costs it (BM_Commit_ServiceScale).
+// perfbench's service scale (BM_Load_ServiceScale), what one policy swap
+// costs it (BM_Commit_ServiceScale) and what a full Validate() of that
+// policy costs (BM_Validate_ServiceScale).
 
 #include <benchmark/benchmark.h>
 #include <malloc.h>
@@ -143,11 +144,17 @@ void BM_Load_ServiceScale(benchmark::State& state) {
 }
 BENCHMARK(BM_Load_ServiceScale)->Iterations(3)->Unit(benchmark::kMillisecond);
 
-// One policy swap on the service-scale engine: each iteration toggles one
-// role's permission (WithToggledPermission, the swap perfbench's churn
-// runs), prepares the plan and commits it — one shard's share of a swap.
-// Counters: prepare_us and commit_us per swap.
+// One policy swap on the service-scale engine: each iteration edits the
+// installed generation, prepares the plan and commits it — one shard's
+// share of a swap. The argument picks the edit: 0 toggles one role's
+// permission (WithToggledPermission, the swap perfbench's churn runs), 1
+// one user's assignment (WithToggledAssignment) and 2 a DSD set over two
+// co-assigned roles (WithToggledDsd). Building the edited policy is not
+// timed. Counters: prepare_us and commit_us per swap.
 void BM_Commit_ServiceScale(benchmark::State& state) {
+  static constexpr const char* kEdits[] = {"permission", "assignment", "dsd"};
+  const int64_t edit = state.range(0);
+  state.SetLabel(kEdits[edit]);
   const Scenario scenario = GenerateScenario(ServiceScaleParams());
   SimulatedClock clock(benchutil::Noon());
   AuthorizationEngine engine(&clock);
@@ -159,9 +166,12 @@ void BM_Commit_ServiceScale(benchmark::State& state) {
   uint64_t salt = 0;
   for (auto _ : state) {
     const std::shared_ptr<const Policy> base = engine.policy_generation();
-    auto next = WithToggledPermission(*base, salt++);
+    auto next = edit == 0   ? WithToggledPermission(*base, salt)
+                : edit == 1 ? WithToggledAssignment(*base, salt)
+                            : WithToggledDsd(*base, "bench-dsd");
+    ++salt;
     if (!next.ok()) {
-      state.SkipWithError("no role to toggle");
+      state.SkipWithError("nothing to toggle");
       return;
     }
     const Clock::time_point t0 = Clock::now();
@@ -180,7 +190,25 @@ void BM_Commit_ServiceScale(benchmark::State& state) {
   state.counters["prepare_us"] = benchmark::Counter(prepare_s * 1e6, per_swap);
   state.counters["commit_us"] = benchmark::Counter(commit_s * 1e6, per_swap);
 }
-BENCHMARK(BM_Commit_ServiceScale)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Commit_ServiceScale)
+    ->ArgName("edit")
+    ->DenseRange(0, 2)
+    ->Unit(benchmark::kMicrosecond);
+
+// The full Validate() of the service-scale policy, with no base to skip
+// by: what LoadPolicy, the parser, replay and the DirectEnforcer oracle's
+// every update pay.
+void BM_Validate_ServiceScale(benchmark::State& state) {
+  const Scenario scenario = GenerateScenario(ServiceScaleParams());
+  for (auto _ : state) {
+    const Status status = scenario.policy.Validate();
+    if (!status.ok()) {
+      state.SkipWithError("policy invalid");
+      return;
+    }
+  }
+}
+BENCHMARK(BM_Validate_ServiceScale)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace sentinel

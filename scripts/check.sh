@@ -361,8 +361,10 @@ rm -rf "$REPLAY_TMP"
 # own build tree.
 echo "== Sanitizer pass: thread (service + mailbox + fast-path + net tests) =="
 # policy_test rides along for its concurrent-copy case: threads copying one
-# shared policy generation and writing their copies' copy-on-write sections;
-# cache_test for the decision cache the shards and zero-hop callers share.
+# shared policy generation, writing their copies' copy-on-write sections, and
+# diffing and validating each copy against the generation through the
+# sections' write journals; cache_test for the decision cache the shards and
+# zero-hop callers share.
 # GCC's ThreadSanitizer does not model std::atomic_thread_fence and says so
 # with -Wtsan; an ordering it cannot see is one it cannot check, so that
 # warning is an error in this tree. Every object in it is compiled that

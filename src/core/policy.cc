@@ -1,46 +1,99 @@
 #include "core/policy.h"
 
 #include <algorithm>
+#include <unordered_map>
+#include <unordered_set>
 
 namespace sentinel {
 
 namespace {
 
+using RoleMap = std::map<RoleName, RoleSpec>;
+
 /// Detects a cycle in the hierarchy edges of a role map via DFS coloring.
-bool HierarchyHasCycle(const std::map<RoleName, RoleSpec>& roles) {
+/// Colours are keyed by node, so a step copies no name.
+bool HierarchyHasCycle(const RoleMap& roles) {
   enum class Color { kWhite, kGray, kBlack };
-  std::map<RoleName, Color> color;
-  for (const auto& [name, spec] : roles) color[name] = Color::kWhite;
+  std::unordered_map<const RoleSpec*, Color> color;  // Absent: white.
+  color.reserve(roles.size());
 
   // Iterative DFS with an explicit stack of (node, child cursor).
+  std::vector<std::pair<const RoleSpec*, std::set<RoleName>::const_iterator>>
+      stack;
   for (const auto& [start, spec] : roles) {
-    if (color[start] != Color::kWhite) continue;
-    std::vector<std::pair<RoleName, std::set<RoleName>::const_iterator>>
-        stack;
-    color[start] = Color::kGray;
-    stack.push_back({start, roles.at(start).juniors.begin()});
+    if (color[&spec] != Color::kWhite) continue;
+    color[&spec] = Color::kGray;
+    stack.push_back({&spec, spec.juniors.begin()});
     while (!stack.empty()) {
       auto& [node, cursor] = stack.back();
-      const std::set<RoleName>& juniors = roles.at(node).juniors;
-      if (cursor == juniors.end()) {
+      if (cursor == node->juniors.end()) {
         color[node] = Color::kBlack;
         stack.pop_back();
         continue;
       }
-      const RoleName next = *cursor++;
-      auto it = roles.find(next);
+      auto it = roles.find(*cursor++);
       if (it == roles.end()) continue;  // Dangling edge caught elsewhere.
-      if (color[next] == Color::kGray) return true;
-      if (color[next] == Color::kWhite) {
-        color[next] = Color::kGray;
-        stack.push_back({next, it->second.juniors.begin()});
+      Color& next = color[&it->second];
+      if (next == Color::kGray) return true;
+      if (next == Color::kWhite) {
+        next = Color::kGray;
+        stack.push_back({&it->second, it->second.juniors.begin()});
       }
     }
   }
   return false;
 }
 
+/// True when `target` is `start` or lies below it along junior edges.
+bool Reaches(const RoleMap& roles, const RoleName& start,
+             const RoleName& target) {
+  std::unordered_set<const RoleSpec*> seen;
+  std::vector<const RoleSpec*> stack;
+  const auto push = [&](const RoleName& name) {
+    if (name == target) return true;
+    auto it = roles.find(name);
+    if (it != roles.end() && seen.insert(&it->second).second) {
+      stack.push_back(&it->second);
+    }
+    return false;
+  };
+  if (push(start)) return true;
+  while (!stack.empty()) {
+    const RoleSpec* node = stack.back();
+    stack.pop_back();
+    for (const RoleName& junior : node->juniors) {
+      if (push(junior)) return true;
+    }
+  }
+  return false;
+}
+
+/// Runs `check(name, spec)` over the entries of `map` in name order, or
+/// over those at `keys` only when given, and returns the first error.
+template <typename Map, typename Check>
+Status CheckEntries(const Map& map,
+                    const std::set<typename Map::key_type>* keys,
+                    Check&& check) {
+  if (keys == nullptr) {
+    for (const auto& [name, spec] : map) {
+      SENTINEL_RETURN_IF_ERROR(check(name, spec));
+    }
+    return Status::OK();
+  }
+  for (const auto& key : *keys) {
+    auto it = map.find(key);
+    if (it != map.end()) SENTINEL_RETURN_IF_ERROR(check(it->first, it->second));
+  }
+  return Status::OK();
+}
+
+std::atomic<uint64_t> next_section_id{1};
+
 }  // namespace
+
+uint64_t Policy::NextSectionId() {
+  return next_section_id.fetch_add(1, std::memory_order_relaxed);
+}
 
 Status Policy::AddRole(RoleSpec role) {
   if (role.name.empty()) {
@@ -50,7 +103,7 @@ Status Policy::AddRole(RoleSpec role) {
     return Status::AlreadyExists("role already in policy: " + role.name);
   }
   const RoleName name = role.name;
-  roles_.Mutable().emplace(name, std::move(role));
+  roles_.Mutable(name).emplace(name, std::move(role));
   return Status::OK();
 }
 
@@ -58,14 +111,15 @@ Status Policy::RemoveRole(const RoleName& role) {
   if (!HasRole(role)) {
     return Status::NotFound("role not in policy: " + role);
   }
-  std::map<RoleName, RoleSpec>& roles = roles_.Mutable();
+  // Scrub references so the policy stays self-consistent. The scrub may
+  // write any role and user, so both sections leave their journals.
+  RoleMap& roles = roles_.Sweep();
   roles.erase(role);
-  // Scrub references so the policy stays self-consistent.
   for (auto& [name, spec] : roles) {
     spec.juniors.erase(role);
     spec.prerequisites.erase(role);
   }
-  for (auto& [name, spec] : users_.Mutable()) {
+  for (auto& [name, spec] : users_.Sweep()) {
     spec.assignments.erase(role);
     spec.role_durations.erase(role);
   }
@@ -106,7 +160,7 @@ Result<RoleSpec*> Policy::MutableRole(const RoleName& role) {
   if (!HasRole(role)) {
     return Status::NotFound("role not in policy: " + role);
   }
-  return &roles_.Mutable().at(role);
+  return &roles_.Mutable(role).at(role);
 }
 
 Status Policy::AddUser(UserSpec user) {
@@ -117,7 +171,7 @@ Status Policy::AddUser(UserSpec user) {
     return Status::AlreadyExists("user already in policy: " + user.name);
   }
   const UserName name = user.name;
-  users_.Mutable().emplace(name, std::move(user));
+  users_.Mutable(name).emplace(name, std::move(user));
   return Status::OK();
 }
 
@@ -125,7 +179,7 @@ Status Policy::RemoveUser(const UserName& user) {
   if (users().count(user) == 0) {
     return Status::NotFound("user not in policy: " + user);
   }
-  users_.Mutable().erase(user);
+  users_.Mutable(user).erase(user);
   return Status::OK();
 }
 
@@ -133,7 +187,7 @@ Result<UserSpec*> Policy::MutableUser(const UserName& user) {
   if (users().count(user) == 0) {
     return Status::NotFound("user not in policy: " + user);
   }
-  return &users_.Mutable().at(user);
+  return &users_.Mutable(user).at(user);
 }
 
 Status Policy::AddSsd(SodSet set) {
@@ -235,68 +289,109 @@ bool Policy::RoleIsTransactionDependent(const RoleName& role) const {
 }
 
 Status Policy::Validate(const Policy* validated_base) const {
+  // Builds its message only when the role is missing.
   auto require_role = [this](const RoleName& role,
-                             const std::string& where) -> Status {
-    if (!HasRole(role)) {
-      return Status::InvalidArgument("unknown role '" + role + "' in " +
-                                     where);
-    }
-    return Status::OK();
+                             const auto&... where) -> Status {
+    if (HasRole(role)) return Status::OK();
+    std::string message = "unknown role '" + role + "' in ";
+    ((message += where), ...);
+    return Status::InvalidArgument(std::move(message));
   };
 
-  for (const auto& [name, spec] : roles()) {
-    for (const RoleName& junior : spec.juniors) {
-      SENTINEL_RETURN_IF_ERROR(
-          require_role(junior, "hierarchy under role " + name));
+  // Against a validated base, an entry this policy holds as the base did
+  // passes as it did there, unless a role it names is gone. So while every
+  // role of the base is still here, only the entries that the journal says
+  // may differ are checked (none of a shared section); a section not
+  // linked to the base's is checked in full.
+  const std::set<RoleName>* role_edits = nullptr;
+  const std::set<UserName>* user_edits = nullptr;
+  if (validated_base != nullptr) {
+    role_edits = decltype(roles_)::Edits(roles_, validated_base->roles_);
+    user_edits = decltype(users_)::Edits(users_, validated_base->users_);
+    bool role_removed = false;
+    if (role_edits != nullptr || user_edits != nullptr) {
+      DiffRoles(*validated_base, *this,
+                [&role_removed](const RoleName&, const RoleSpec*,
+                                const RoleSpec* now) {
+                  role_removed |= now == nullptr;
+                });
     }
-    for (const RoleName& prereq : spec.prerequisites) {
-      SENTINEL_RETURN_IF_ERROR(
-          require_role(prereq, "prerequisites of role " + name));
-      if (prereq == name) {
-        return Status::InvalidArgument("role " + name +
-                                       " cannot be its own prerequisite");
-      }
-    }
-    if (spec.activation_cardinality < 0) {
-      return Status::InvalidArgument("negative cardinality on role " + name);
-    }
-    if (spec.max_activation < 0) {
-      return Status::InvalidArgument("negative max-activation on role " +
-                                     name);
+    if (role_removed) {
+      role_edits = nullptr;
+      user_edits = nullptr;
     }
   }
-  if (HierarchyHasCycle(roles())) {
+
+  SENTINEL_RETURN_IF_ERROR(CheckEntries(
+      roles(), role_edits,
+      [&](const RoleName& name, const RoleSpec& spec) -> Status {
+        for (const RoleName& junior : spec.juniors) {
+          SENTINEL_RETURN_IF_ERROR(
+              require_role(junior, "hierarchy under role ", name));
+        }
+        for (const RoleName& prereq : spec.prerequisites) {
+          SENTINEL_RETURN_IF_ERROR(
+              require_role(prereq, "prerequisites of role ", name));
+          if (prereq == name) {
+            return Status::InvalidArgument("role " + name +
+                                           " cannot be its own prerequisite");
+          }
+        }
+        if (spec.activation_cardinality < 0) {
+          return Status::InvalidArgument("negative cardinality on role " +
+                                         name);
+        }
+        if (spec.max_activation < 0) {
+          return Status::InvalidArgument("negative max-activation on role " +
+                                         name);
+        }
+        return Status::OK();
+      }));
+  bool cycle = false;
+  if (role_edits == nullptr) {
+    cycle = HierarchyHasCycle(roles());
+  } else {
+    // The base is acyclic, so a new cycle runs through an edge the edit
+    // added: look for each such edge's senior below its junior.
+    DiffRoles(*validated_base, *this,
+              [&](const RoleName& name, const RoleSpec* was,
+                  const RoleSpec* now) {
+                if (cycle || now == nullptr) return;
+                for (const RoleName& junior : now->juniors) {
+                  if ((was == nullptr || was->juniors.count(junior) == 0) &&
+                      Reaches(roles(), junior, name)) {
+                    cycle = true;
+                    return;
+                  }
+                }
+              });
+  }
+  if (cycle) {
     return Status::ConstraintViolation("role hierarchy contains a cycle");
   }
 
-  // The user checks read only the users and the role names: a user section
-  // shared with an already-validated base passes them as it did there,
-  // unless a role name the base had is gone.
-  const bool users_checked =
-      validated_base != nullptr && SharesUsersWith(*validated_base) &&
-      (SharesRolesWith(*validated_base) ||
-       std::all_of(validated_base->roles().begin(),
-                   validated_base->roles().end(),
-                   [this](const auto& entry) { return HasRole(entry.first); }));
-  if (!users_checked) {
-    for (const auto& [name, spec] : users()) {
-      for (const RoleName& role : spec.assignments) {
-        SENTINEL_RETURN_IF_ERROR(
-            require_role(role, "assignments of user " + name));
-      }
-      for (const auto& [role, duration] : spec.role_durations) {
-        SENTINEL_RETURN_IF_ERROR(
-            require_role(role, "durations of user " + name));
-        if (duration <= 0) {
-          return Status::InvalidArgument("non-positive duration for user " +
-                                         name + " role " + role);
+  // The user checks read only the users and the role names.
+  SENTINEL_RETURN_IF_ERROR(CheckEntries(
+      users(), user_edits,
+      [&](const UserName& name, const UserSpec& spec) -> Status {
+        for (const RoleName& role : spec.assignments) {
+          SENTINEL_RETURN_IF_ERROR(
+              require_role(role, "assignments of user ", name));
         }
-      }
-      if (spec.max_active_roles < 0) {
-        return Status::InvalidArgument("negative max-active on user " + name);
-      }
-    }
-  }
+        for (const auto& [role, duration] : spec.role_durations) {
+          SENTINEL_RETURN_IF_ERROR(
+              require_role(role, "durations of user ", name));
+          if (duration <= 0) {
+            return Status::InvalidArgument(
+                "non-positive duration for user " + name + " role " + role);
+          }
+        }
+        if (spec.max_active_roles < 0) {
+          return Status::InvalidArgument("negative max-active on user " +
+                                         name);
+        }
+        return Status::OK();
+      }));
 
   auto check_sod = [&](const std::map<std::string, SodSet>& sets,
                        const char* kind) -> Status {
@@ -310,8 +405,7 @@ Status Policy::Validate(const Policy* validated_base) const {
                                        " smaller than its cardinality");
       }
       for (const RoleName& role : set.roles) {
-        SENTINEL_RETURN_IF_ERROR(
-            require_role(role, std::string(kind) + " set " + name));
+        SENTINEL_RETURN_IF_ERROR(require_role(role, kind, " set ", name));
       }
     }
     return Status::OK();
@@ -334,9 +428,9 @@ Status Policy::Validate(const Policy* validated_base) const {
   std::set<RoleName> tx_dependents;
   for (const TransactionActivation& tx : transactions_) {
     SENTINEL_RETURN_IF_ERROR(
-        require_role(tx.controller, "transaction " + tx.name));
+        require_role(tx.controller, "transaction ", tx.name));
     SENTINEL_RETURN_IF_ERROR(
-        require_role(tx.dependent, "transaction " + tx.name));
+        require_role(tx.dependent, "transaction ", tx.name));
     if (tx.controller == tx.dependent) {
       return Status::InvalidArgument("transaction " + tx.name +
                                      " controller equals dependent");
@@ -354,7 +448,7 @@ Status Policy::Validate(const Policy* validated_base) const {
     }
     for (const RoleName& role : directive.disable_roles) {
       SENTINEL_RETURN_IF_ERROR(
-          require_role(role, "threshold directive " + directive.name));
+          require_role(role, "threshold directive ", directive.name));
     }
   }
   for (const AuditDirective& directive : audits_) {
@@ -370,7 +464,7 @@ Status Policy::Validate(const Policy* validated_base) const {
     }
     for (const RoleName& role : constraint.roles) {
       SENTINEL_RETURN_IF_ERROR(
-          require_role(role, "time-SoD " + constraint.name));
+          require_role(role, "time-SoD ", constraint.name));
     }
   }
 
@@ -401,17 +495,13 @@ std::set<RoleName> Policy::AffectedRoles(const Policy& from,
                                          const Policy& to) {
   std::set<RoleName> affected;
   // Changed, added or removed role specs.
-  if (!from.SharesRolesWith(to)) {
-    for (const auto& [name, spec] : to.roles()) {
-      auto it = from.roles().find(name);
-      if (it == from.roles().end() || !(it->second == spec)) {
-        affected.insert(name);
-      }
-    }
-    for (const auto& [name, spec] : from.roles()) {
-      if (!to.HasRole(name)) affected.insert(name);
-    }
-  }
+  DiffRoles(from, to,
+            [&affected](const RoleName& name, const RoleSpec* was,
+                        const RoleSpec* now) {
+              if (was == nullptr || now == nullptr || !(*was == *now)) {
+                affected.insert(affected.end(), name);
+              }
+            });
   // Membership in changed constraint sections.
   auto mark_sod_changes = [&](const std::map<std::string, SodSet>& a,
                               const std::map<std::string, SodSet>& b) {
@@ -460,16 +550,13 @@ std::set<RoleName> Policy::AffectedRoles(const Policy& from,
 std::set<UserName> Policy::AffectedUsers(const Policy& from,
                                          const Policy& to) {
   std::set<UserName> affected;
-  if (from.SharesUsersWith(to)) return affected;
-  for (const auto& [name, spec] : to.users()) {
-    auto it = from.users().find(name);
-    if (it == from.users().end() || !(it->second == spec)) {
-      affected.insert(name);
-    }
-  }
-  for (const auto& [name, spec] : from.users()) {
-    if (to.users().count(name) == 0) affected.insert(name);
-  }
+  DiffUsers(from, to,
+            [&affected](const UserName& name, const UserSpec* was,
+                        const UserSpec* now) {
+              if (was == nullptr || now == nullptr || !(*was == *now)) {
+                affected.insert(affected.end(), name);
+              }
+            });
   return affected;
 }
 

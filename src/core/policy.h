@@ -2,6 +2,7 @@
 #define SENTINELPP_CORE_POLICY_H_
 
 #include <atomic>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -141,9 +142,11 @@ struct ObjectPolicySpec {
 /// shares them with its source, and whichever side first writes a section
 /// clones it. AddRole/MutableRole clone the roles, AddUser/RemoveUser/
 /// MutableUser clone the users, and RemoveRole clones both because it
-/// scrubs user assignments. A copy therefore costs the sections it edits,
-/// and the diffs below skip a section both policies still share.
-/// Copying a `const Policy` from several threads at once is safe.
+/// scrubs user assignments. A clone journals the keys written since, so
+/// the diffs and Validate(&base) below visit only those keys when one
+/// policy's section was cloned from the other's, and nothing when the two
+/// still share it. Copying a `const Policy` from several threads at once is
+/// safe.
 class Policy {
  public:
   Policy() = default;
@@ -230,21 +233,40 @@ class Policy {
   /// hierarchy is acyclic, SoD sets are sane, directives well-formed.
   ///
   /// `validated_base`, when given, must be a policy that already passed
-  /// Validate(). The per-user checks are then skipped if this policy shares
-  /// the base's user section and still has every role the base had: those
-  /// checks read only the users and the role names, so they cannot fail.
-  /// Everything else is checked in full either way.
+  /// Validate(). If this policy still has every role the base had, an
+  /// entry of a section shared with the base, or one the journal says was
+  /// not written since a clone linked the two, passes as it did there: the
+  /// per-role and per-user checks run only for the journaled entries, and
+  /// the cycle check only from the hierarchy edges they added. A section
+  /// not linked to the base's is checked in full, as are the constraint
+  /// sections. The result is the Status that Validate() returns.
   Status Validate(const Policy* validated_base = nullptr) const;
 
   // ------------------------------------------------------------- Diffing
 
+  /// Calls `visit(name, in_from, in_to)` for each role the two policies
+  /// may hold differently, in name order, with a null spec on the side
+  /// that lacks the role. A pair whose role sections are linked (one was
+  /// cloned from the other) visits only the clone's journaled names; a
+  /// shared section visits none; any other pair visits every name of
+  /// either. A visited role may be equal on both sides: `visit` compares.
+  template <typename Visit>
+  static void DiffRoles(const Policy& from, const Policy& to, Visit&& visit) {
+    DiffSections(from.roles_, to.roles_, visit);
+  }
+  /// The same over the user sections.
+  template <typename Visit>
+  static void DiffUsers(const Policy& from, const Policy& to, Visit&& visit) {
+    DiffSections(from.users_, to.users_, visit);
+  }
+
   /// Roles whose generated rules must be rebuilt when moving from `from`
   /// to `to` (changed/added/removed role specs, membership in changed SoD
-  /// sets / CFDs / transactions / time-SoDs). This and AffectedUsers skip a
-  /// section the two policies share.
+  /// sets / CFDs / transactions / time-SoDs). The role specs are compared
+  /// through DiffRoles.
   static std::set<RoleName> AffectedRoles(const Policy& from,
                                           const Policy& to);
-  /// Users whose specialized rules must be rebuilt.
+  /// Users whose specialized rules must be rebuilt (through DiffUsers).
   static std::set<UserName> AffectedUsers(const Policy& from,
                                           const Policy& to);
   /// True when directive sections (thresholds/audits) differ.
@@ -253,8 +275,8 @@ class Policy {
   friend bool operator==(const Policy&, const Policy&) = default;
 
  private:
-  /// \brief One copy-on-write section. Copies share the map until either
-  /// side writes; the writer clones first.
+  /// \brief One copy-on-write section with a write journal. Copies share
+  /// the map until either side writes; the writer clones first.
   ///
   /// Ownership is a flag that a copy sets on BOTH sides, and a flagged
   /// section is cloned before any write, even after the other side is
@@ -262,61 +284,147 @@ class Policy {
   /// order another thread's last read of the map before this side's
   /// write. The flag is atomic because several threads may copy one
   /// `const` generation at once. A null map reads as empty.
+  ///
+  /// The journal sits beside the map, so a copy carries it along and only
+  /// the owner of a map ever writes it. A map takes an id from a
+  /// process-wide counter when it is created or cloned; ids are never
+  /// reused, because an address freed with its map can come back and a
+  /// false link would silently shrink a diff. A clone records its source's
+  /// id as its origin and the keys written since (`Mutable` takes the key
+  /// it writes). A fresh map is untracked, and so is one rewritten
+  /// wholesale (`Sweep`). Since a map is never written once copied, a
+  /// clone differs from its origin only at its journaled keys.
   template <typename Map>
   class Section {
    public:
+    using Key = typename Map::key_type;
+
     Section() = default;
-    Section(const Section& other) : map_(other.map_) { MarkShared(other); }
+    Section(const Section& other) : node_(other.node_) { MarkShared(other); }
     Section& operator=(const Section& other) {
       if (this != &other) {
-        map_ = other.map_;
+        node_ = other.node_;
         MarkShared(other);
       }
       return *this;
     }
     Section(Section&& other) noexcept
-        : map_(std::move(other.map_)),
+        : node_(std::move(other.node_)),
           shared_(other.shared_.load(std::memory_order_relaxed)) {}
     Section& operator=(Section&& other) noexcept {
-      map_ = std::move(other.map_);
+      node_ = std::move(other.node_);
       shared_.store(other.shared_.load(std::memory_order_relaxed),
                     std::memory_order_relaxed);
       return *this;
     }
 
-    const Map& get() const { return map_ != nullptr ? *map_ : Empty(); }
+    const Map& get() const { return node_ != nullptr ? node_->map : Empty(); }
 
-    /// The map to write, cloned first unless this side owns it alone.
-    Map& Mutable() {
-      if (map_ == nullptr) {
-        map_ = std::make_shared<Map>();
-      } else if (shared_.load(std::memory_order_relaxed)) {
-        map_ = std::make_shared<Map>(*map_);
-      }
-      shared_.store(false, std::memory_order_relaxed);
-      return *map_;
+    /// The map to write at `key`, cloned first unless this side owns it
+    /// alone; a tracked map journals the key.
+    Map& Mutable(const Key& key) {
+      Map& map = Own();
+      if (node_->origin != 0) node_->touched.insert(key);
+      return map;
+    }
+    /// The map to rewrite at any key: owned as by Mutable, then untracked.
+    Map& Sweep() {
+      Map& map = Own();
+      node_->origin = 0;
+      node_->touched.clear();
+      return map;
     }
 
-    bool SameAs(const Section& other) const { return map_ == other.map_; }
+    bool SameAs(const Section& other) const { return node_ == other.node_; }
+
+    /// The keys at which `a` and `b` can differ: none when they share the
+    /// map, the clone's journal when one was cloned from the other, and
+    /// null when they are not linked.
+    static const std::set<Key>* Edits(const Section& a, const Section& b) {
+      static const std::set<Key> none;
+      if (a.SameAs(b)) return &none;
+      if (a.node_ == nullptr || b.node_ == nullptr) return nullptr;
+      if (b.node_->origin == a.node_->id) return &b.node_->touched;
+      if (a.node_->origin == b.node_->id) return &a.node_->touched;
+      return nullptr;
+    }
 
     friend bool operator==(const Section& a, const Section& b) {
       return a.SameAs(b) || a.get() == b.get();
     }
 
    private:
+    struct Node {
+      Node() = default;
+      explicit Node(const Map& source) : map(source) {}
+      const uint64_t id = NextSectionId();
+      uint64_t origin = 0;  // 0: untracked. Ids start at 1.
+      std::set<Key> touched;
+      Map map;
+    };
+
     static const Map& Empty() {
       static const Map empty;
       return empty;
     }
+    /// Makes this side the map's sole owner, cloning a shared map.
+    Map& Own() {
+      if (node_ == nullptr) {
+        node_ = std::make_shared<Node>();
+      } else if (shared_.load(std::memory_order_relaxed)) {
+        auto clone = std::make_shared<Node>(node_->map);
+        clone->origin = node_->id;
+        node_ = std::move(clone);
+      }
+      shared_.store(false, std::memory_order_relaxed);
+      return node_->map;
+    }
     void MarkShared(const Section& other) {
-      const bool shared = map_ != nullptr;
+      const bool shared = node_ != nullptr;
       if (shared) other.shared_.store(true, std::memory_order_relaxed);
       shared_.store(shared, std::memory_order_relaxed);
     }
 
-    std::shared_ptr<Map> map_;
+    std::shared_ptr<Node> node_;
     mutable std::atomic<bool> shared_{false};
   };
+
+  /// Ids for Section maps: 1, 2, ... and never the same twice.
+  static uint64_t NextSectionId();
+
+  /// DiffRoles and DiffUsers: the one walk of both sections' candidates.
+  template <typename Map, typename Visit>
+  static void DiffSections(const Section<Map>& from, const Section<Map>& to,
+                           Visit& visit) {
+    const Map& a = from.get();
+    const Map& b = to.get();
+    if (const auto* edits = Section<Map>::Edits(from, to)) {
+      for (const auto& key : *edits) {
+        const auto i = a.find(key);
+        const auto j = b.find(key);
+        if (i == a.end() && j == b.end()) continue;
+        visit(key, i == a.end() ? nullptr : &i->second,
+              j == b.end() ? nullptr : &j->second);
+      }
+      return;
+    }
+    // Unlinked: merge both maps' keys, in name order.
+    auto i = a.begin();
+    auto j = b.begin();
+    while (i != a.end() || j != b.end()) {
+      if (j == b.end() || (i != a.end() && i->first < j->first)) {
+        visit(i->first, &i->second, nullptr);
+        ++i;
+      } else if (i == a.end() || j->first < i->first) {
+        visit(j->first, nullptr, &j->second);
+        ++j;
+      } else {
+        visit(i->first, &i->second, &j->second);
+        ++i;
+        ++j;
+      }
+    }
+  }
 
   std::string name_;
   Section<std::map<RoleName, RoleSpec>> roles_;

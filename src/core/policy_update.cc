@@ -4,10 +4,11 @@ namespace sentinel {
 
 BaseStateDelta ComputeBaseStateDelta(const Policy& from, const Policy& to) {
   BaseStateDelta delta;
-  // Each list keeps the name order of the map it walks; ApplyBaseDelta in
-  // engine.cc replays the lists in reconcile order (constraints, relations
-  // and entities out; then entities, relations and constraints in). A
-  // section both policies share holds no difference and is not walked.
+  // Each list is in name order: DiffUsers and DiffRoles visit names in
+  // order, and only the names a linked pair's journal lists (see Policy).
+  // ApplyBaseDelta in engine.cc replays the lists in reconcile order
+  // (constraints, relations and entities out; then entities, relations and
+  // constraints in).
   for (const auto& [name, set] : from.ssd_sets()) {
     auto it = to.ssd_sets().find(name);
     if (it == to.ssd_sets().end() || !(it->second == set)) {
@@ -20,67 +21,61 @@ BaseStateDelta ComputeBaseStateDelta(const Policy& from, const Policy& to) {
       delta.drop_dsd.push_back(name);
     }
   }
-  if (!from.SharesUsersWith(to)) {
-    for (const auto& [name, spec] : from.users()) {
-      auto it = to.users().find(name);
-      if (it == to.users().end()) delta.drop_users.push_back(name);
-      for (const RoleName& role : spec.assignments) {
-        if (it == to.users().end() ||
-            it->second.assignments.count(role) == 0) {
+  Policy::DiffUsers(from, to, [&delta](const UserName& name,
+                                      const UserSpec* was,
+                                      const UserSpec* now) {
+    if (now == nullptr) delta.drop_users.push_back(name);
+    if (was != nullptr) {
+      for (const RoleName& role : was->assignments) {
+        if (now == nullptr || now->assignments.count(role) == 0) {
           delta.deassign.emplace_back(name, role);
         }
       }
     }
-    for (const auto& [name, spec] : to.users()) {
-      auto it = from.users().find(name);
-      const bool fresh = it == from.users().end();
-      if (fresh) delta.add_users.push_back(name);
-      for (const RoleName& role : spec.assignments) {
-        if (fresh || it->second.assignments.count(role) == 0) {
-          delta.add_assignments.emplace_back(name, role);
-        }
+    if (now == nullptr) return;
+    if (was == nullptr) delta.add_users.push_back(name);
+    for (const RoleName& role : now->assignments) {
+      if (was == nullptr || was->assignments.count(role) == 0) {
+        delta.add_assignments.emplace_back(name, role);
       }
     }
-  }
-  const bool roles_shared = from.SharesRolesWith(to);
-  if (!roles_shared) {
-    for (const auto& [name, spec] : from.roles()) {
-      auto it = to.roles().find(name);
-      if (it == to.roles().end()) delta.drop_roles.push_back(name);
-      for (const Permission& perm : spec.permissions) {
-        if (it == to.roles().end() ||
-            it->second.permissions.count(perm) == 0) {
+  });
+  Policy::DiffRoles(from, to, [&delta](const RoleName& name,
+                                      const RoleSpec* was,
+                                      const RoleSpec* now) {
+    if (now == nullptr) delta.drop_roles.push_back(name);
+    if (was != nullptr) {
+      for (const Permission& perm : was->permissions) {
+        if (now == nullptr || now->permissions.count(perm) == 0) {
           delta.revoke.emplace_back(name, perm);
         }
       }
-      for (const RoleName& junior : spec.juniors) {
-        if (it == to.roles().end() || it->second.juniors.count(junior) == 0) {
+      for (const RoleName& junior : was->juniors) {
+        if (now == nullptr || now->juniors.count(junior) == 0) {
           delta.drop_edges.emplace_back(name, junior);
         }
       }
     }
-  }
-  // window_roles lists every windowed role of `to`, shared section or not.
-  for (const auto& [name, spec] : to.roles()) {
-    if (spec.enabling_window.has_value()) delta.window_roles.push_back(name);
-    if (roles_shared) continue;
-    auto it = from.roles().find(name);
-    const bool fresh = it == from.roles().end();
-    if (fresh) delta.add_roles.push_back(name);
-    for (const RoleName& junior : spec.juniors) {
-      if (fresh || it->second.juniors.count(junior) == 0) {
+    if (now == nullptr) return;
+    if (was == nullptr) delta.add_roles.push_back(name);
+    for (const RoleName& junior : now->juniors) {
+      if (was == nullptr || was->juniors.count(junior) == 0) {
         delta.add_edges.emplace_back(name, junior);
       }
     }
-    for (const Permission& perm : spec.permissions) {
-      if (fresh || it->second.permissions.count(perm) == 0) {
+    for (const Permission& perm : now->permissions) {
+      if (was == nullptr || was->permissions.count(perm) == 0) {
         delta.add_grants.emplace_back(name, perm);
       }
     }
-    if (!spec.enabling_window.has_value() && !fresh &&
-        it->second.enabling_window.has_value()) {
+    if (!now->enabling_window.has_value() && was != nullptr &&
+        was->enabling_window.has_value()) {
       delta.window_removed.insert(name);
     }
+  });
+  // window_roles lists every windowed role of `to`, whatever the edit.
+  for (const auto& [name, spec] : to.roles()) {
+    if (spec.enabling_window.has_value()) delta.window_roles.push_back(name);
   }
   for (const auto& [name, set] : to.ssd_sets()) {
     auto it = from.ssd_sets().find(name);

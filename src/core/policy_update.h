@@ -62,8 +62,9 @@ struct BaseStateDelta {
                          const BaseStateDelta&) = default;
 };
 
-/// Diffs `from` → `to` into the delta above, skipping a role or user
-/// section the two policies share. Pure; thread-safe.
+/// Diffs `from` → `to` into the delta above, visiting only the roles and
+/// users the two may hold differently (Policy::DiffRoles). Pure;
+/// thread-safe.
 BaseStateDelta ComputeBaseStateDelta(const Policy& from, const Policy& to);
 
 /// \brief Everything a pauseless policy swap needs, built off the shard

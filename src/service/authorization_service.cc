@@ -214,6 +214,11 @@ AuthorizationService::AuthorizationService(const ServiceConfig& config)
       "policy_swap_build_us",
       "off-thread prepare cost of a policy update (validate+diff, us)",
       telemetry::Histogram::ExponentialBounds(1, 2.0, 15));
+  swap_broadcast_hist_ = service_metrics_.AddHistogram(
+      "policy_swap_broadcast_us",
+      "a policy swap's commit broadcast, from pushing the envelopes to the "
+      "latch's release (us)",
+      telemetry::Histogram::ExponentialBounds(1, 2.0, 15));
 
   // The exporter must exist before any shard thread starts: ShardLoop reads
   // audit_ without synchronization, relying on the thread-start fence.
@@ -710,11 +715,13 @@ Result<RegenReport> AuthorizationService::ApplyPolicyUpdate(
       Result<RegenReport>(Status::FailedPrecondition(
           "service is shut down; update not applied on every shard")));
   // A shard that can no longer take the commit keeps the shutdown error.
+  const int64_t broadcast_start_ns = NowNanos();
   RunOnEveryShard([&plan, &reports](Shard& s) {
     const int64_t start_ns = NowNanos();
     reports[s.index] = s.engine->CommitPolicyUpdate(*plan);
     s.swap_commit_hist->Record((NowNanos() - start_ns) / 1000);
   });
+  swap_broadcast_hist_->RecordShared((NowNanos() - broadcast_start_ns) / 1000);
   for (auto& report : reports) {
     if (!report.ok()) {
       // Loud rollback: validation failures are caught at Prepare before

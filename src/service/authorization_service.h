@@ -760,6 +760,9 @@ class AuthorizationService {
   telemetry::Counter* policy_swap_failures_counter_ = nullptr;
   /// Off-thread prepare cost (validate + diff + delta), in microseconds.
   telemetry::Histogram* swap_build_hist_ = nullptr;
+  /// From pushing a swap's commit envelopes to the latch's release, in
+  /// microseconds: the shards' commits plus the wake and the wait.
+  telemetry::Histogram* swap_broadcast_hist_ = nullptr;
 
   std::atomic<Time> now_{0};
 

@@ -324,6 +324,71 @@ std::vector<Mutation> EveryMutator() {
   };
 }
 
+/// The contents of `p` in a policy built apart: it shares no section with
+/// any other policy and journals nothing, so every diff against it walks.
+Policy Rebuilt(const Policy& p) {
+  Policy out(p.name());
+  for (const auto& [name, spec] : p.roles()) (void)out.AddRole(spec);
+  for (const auto& [name, spec] : p.users()) (void)out.AddUser(spec);
+  for (const auto& [name, set] : p.ssd_sets()) (void)out.AddSsd(set);
+  for (const auto& [name, set] : p.dsd_sets()) (void)out.AddDsd(set);
+  for (const CfdPair& pair : p.cfd_pairs()) (void)out.AddCfd(pair);
+  for (const auto& tx : p.transactions()) (void)out.AddTransaction(tx);
+  for (const auto& directive : p.thresholds()) {
+    (void)out.AddThreshold(directive);
+  }
+  for (const auto& directive : p.audits()) (void)out.AddAudit(directive);
+  for (const TimeSod& constraint : p.time_sods()) {
+    (void)out.AddTimeSod(constraint);
+  }
+  for (const PurposeSpec& purpose : p.purposes()) (void)out.AddPurpose(purpose);
+  for (const auto& object : p.object_policies()) {
+    (void)out.AddObjectPolicy(object);
+  }
+  return out;
+}
+
+/// Every diff of `from` and `to`, both ways, equals the same diff of their
+/// contents rebuilt apart, and validating either against the other, when
+/// that one is valid, equals validating it alone.
+void ExpectDiffsMatchTheWalk(const Policy& from, const Policy& to) {
+  const Policy apart_from = Rebuilt(from);
+  const Policy apart_to = Rebuilt(to);
+  ASSERT_TRUE(apart_from == from);
+  ASSERT_TRUE(apart_to == to);
+  for (const bool forward : {true, false}) {
+    SCOPED_TRACE(forward ? "from -> to" : "to -> from");
+    const Policy& a = forward ? from : to;
+    const Policy& b = forward ? to : from;
+    const Policy& apart_a = forward ? apart_from : apart_to;
+    const Policy& apart_b = forward ? apart_to : apart_from;
+    EXPECT_EQ(Policy::AffectedRoles(a, b),
+              Policy::AffectedRoles(apart_a, apart_b));
+    EXPECT_EQ(Policy::AffectedUsers(a, b),
+              Policy::AffectedUsers(apart_a, apart_b));
+    EXPECT_TRUE(ComputeBaseStateDelta(a, b) ==
+                ComputeBaseStateDelta(apart_a, apart_b));
+    if (a.Validate().ok()) {
+      const Status against_base = b.Validate(&a);
+      const Status alone = b.Validate();
+      EXPECT_EQ(against_base.code(), alone.code());
+      EXPECT_EQ(against_base.message(), alone.message());
+    }
+  }
+}
+
+void Grant(Policy& p, const RoleName& role) {
+  auto spec = p.MutableRole(role);
+  ASSERT_TRUE(spec.ok()) << role;
+  (*spec)->permissions.insert(Permission{"churn", "churn-" + role});
+}
+
+void Assign(Policy& p, const UserName& user, const RoleName& role) {
+  auto spec = p.MutableUser(user);
+  ASSERT_TRUE(spec.ok()) << user;
+  (*spec)->assignments.insert(role);
+}
+
 TEST(PolicyCopyOnWriteTest, MutatingACopyLeavesTheSourceUnchanged) {
   const Policy reference = SeededPolicy();
   for (const Mutation& mutation : EveryMutator()) {
@@ -387,6 +452,129 @@ TEST(PolicyCopyOnWriteTest, DiffsAgreeOnSharedAndIndependentPairs) {
                 ComputeBaseStateDelta(apart_next, apart_base));
     EXPECT_EQ(base == next, apart_base == apart_next);
     EXPECT_EQ(mutation.name == "none", base == next);
+  }
+
+  // Chains of copies and edits. A diff visits only the journaled keys of a
+  // linked pair, and must find what the full walk finds.
+  const auto role = [](int i) { return SyntheticRoleName(i); };
+  const auto user = [](int i) { return SyntheticUserName(i); };
+  {
+    SCOPED_TRACE("two edits on one copy");
+    const Policy base = SeededPolicy();
+    Policy next = base;
+    Grant(next, role(2));
+    (*next.MutableRole(role(5)))->activation_cardinality += 3;
+    Assign(next, user(3), role(6));
+    (*next.MutableUser(user(7)))->max_active_roles += 1;
+    ExpectDiffsMatchTheWalk(base, next);
+  }
+  {
+    SCOPED_TRACE("an edited copy copied and edited again");
+    const Policy base = SeededPolicy();
+    Policy mid = base;
+    Grant(mid, role(2));
+    Assign(mid, user(3), role(6));
+    Policy next = mid;
+    Grant(next, role(6));
+    Assign(next, user(8), role(1));
+    ExpectDiffsMatchTheWalk(mid, next);
+    ExpectDiffsMatchTheWalk(base, next);
+    ExpectDiffsMatchTheWalk(base, mid);
+  }
+  {
+    SCOPED_TRACE("AddRole then MutableRole of the new role");
+    const Policy base = SeededPolicy();
+    Policy next = base;
+    ASSERT_TRUE(next.AddRole(MakeRole("cow-role")).ok());
+    Grant(next, "cow-role");
+    (*next.MutableRole("cow-role"))->juniors.insert(role(2));
+    UserSpec spec;
+    spec.name = "cow-user";
+    ASSERT_TRUE(next.AddUser(std::move(spec)).ok());
+    Assign(next, "cow-user", "cow-role");
+    ExpectDiffsMatchTheWalk(base, next);
+  }
+  {
+    SCOPED_TRACE("the source edited after the copy");
+    Policy source = SeededPolicy();
+    Policy copy = source;
+    Grant(copy, role(2));
+    Assign(copy, user(4), role(9));
+    Grant(source, role(3));
+    Assign(source, user(5), role(9));
+    ExpectDiffsMatchTheWalk(source, copy);
+    // Only the source edited: it is the clone, the copy its origin.
+    Policy only_source = SeededPolicy();
+    const Policy untouched = only_source;
+    Grant(only_source, role(3));
+    Assign(only_source, user(5), role(9));
+    ExpectDiffsMatchTheWalk(untouched, only_source);
+  }
+  {
+    SCOPED_TRACE("MutableRole then RemoveRole");
+    const Policy base = SeededPolicy();
+    Policy next = base;
+    Grant(next, role(2));
+    ASSERT_TRUE(next.RemoveRole(role(4)).ok());
+    ExpectDiffsMatchTheWalk(base, next);
+    // And a write after the sweep.
+    Policy later = base;
+    ASSERT_TRUE(later.RemoveRole(role(4)).ok());
+    Grant(later, role(2));
+    Assign(later, user(6), role(2));
+    ExpectDiffsMatchTheWalk(base, later);
+  }
+  {
+    SCOPED_TRACE("RemoveUser");
+    const Policy base = SeededPolicy();
+    Policy next = base;
+    ASSERT_TRUE(next.RemoveUser(user(3)).ok());
+    ExpectDiffsMatchTheWalk(base, next);
+    // A user added and removed again leaves a journaled key on neither side.
+    UserSpec spec;
+    spec.name = "cow-user";
+    ASSERT_TRUE(next.AddUser(std::move(spec)).ok());
+    ASSERT_TRUE(next.RemoveUser("cow-user").ok());
+    ASSERT_TRUE(next.RemoveUser(user(5)).ok());
+    ExpectDiffsMatchTheWalk(base, next);
+  }
+  {
+    SCOPED_TRACE("hierarchy edges and enabling windows");
+    const Policy base = SeededPolicy();
+    Policy mid = base;
+    (*mid.MutableRole(role(8)))->juniors.insert(role(9));
+    (*mid.MutableRole(role(8)))->enabling_window = *PeriodicExpression::Create(
+        testutil::Daily(9), testutil::Daily(17));
+    Policy next = mid;
+    (*next.MutableRole(role(8)))->enabling_window.reset();
+    (*next.MutableRole(role(8)))->juniors.erase(role(9));
+    ExpectDiffsMatchTheWalk(base, mid);
+    ExpectDiffsMatchTheWalk(mid, next);
+    EXPECT_EQ(ComputeBaseStateDelta(mid, next).window_removed,
+              (std::set<RoleName>{role(8)}));
+  }
+}
+
+/// Lineage rests on ids that are never reused, not on addresses: a section
+/// allocated where a freed origin's map was must not pass for that origin.
+TEST(PolicyCopyOnWriteTest, LineageOutlivesAFreedOrigin) {
+  const RoleName edited_role = SyntheticRoleName(2);
+  const RoleName other_role = SyntheticRoleName(5);
+  for (int round = 0; round < 8; ++round) {
+    SCOPED_TRACE(round);
+    auto origin = std::make_unique<Policy>(SeededPolicy());
+    Policy edited = *origin;
+    Grant(edited, edited_role);
+    origin.reset();  // Frees the origin's maps; `edited` holds clones.
+    // Built fresh right after, so its maps may take the freed addresses.
+    Policy unrelated = SeededPolicy();
+    Grant(unrelated, other_role);
+    Grant(unrelated, other_role);
+    EXPECT_EQ(Policy::AffectedRoles(unrelated, edited),
+              (std::set<RoleName>{edited_role, other_role}));
+    EXPECT_EQ(Policy::AffectedRoles(edited, unrelated),
+              (std::set<RoleName>{edited_role, other_role}));
+    ExpectDiffsMatchTheWalk(unrelated, edited);
   }
 }
 
@@ -461,6 +649,93 @@ TEST(PolicyCopyOnWriteTest, PrepareRefusesExactlyWhatValidateRefuses) {
   edits.push_back({"undersized dsd", [](Policy& p) {
                      return p.AddDsd(SodSet{"bad", {SyntheticRoleName(0)}, 2});
                    }});
+  // Invalid edits of roles and users, which a journal-linked pair checks
+  // one entry at a time.
+  using RoleEdit = std::function<void(RoleSpec&)>;
+  using UserEdit = std::function<void(UserSpec&)>;
+  const auto edit_role = [](int index, RoleEdit edit) {
+    return [index, edit](Policy& p) {
+      auto spec = p.MutableRole(SyntheticRoleName(index));
+      if (!spec.ok()) return spec.status();
+      edit(**spec);
+      return Status::OK();
+    };
+  };
+  const auto edit_user = [](int index, UserEdit edit) {
+    return [index, edit](Policy& p) {
+      auto spec = p.MutableUser(SyntheticUserName(index));
+      if (!spec.ok()) return spec.status();
+      edit(**spec);
+      return Status::OK();
+    };
+  };
+  const auto add_role = [](RoleEdit edit) {
+    return [edit](Policy& p) {
+      RoleSpec spec = MakeRole("cow-role");
+      edit(spec);
+      return p.AddRole(std::move(spec));
+    };
+  };
+  edits.push_back(
+      {"self prerequisite",
+       edit_role(3, [](RoleSpec& r) { r.prerequisites.insert(r.name); })});
+  edits.push_back(
+      {"negative cardinality",
+       edit_role(4, [](RoleSpec& r) { r.activation_cardinality = -1; })});
+  edits.push_back(
+      {"negative max-activation",
+       edit_role(5, [](RoleSpec& r) { r.max_activation = -kMinute; })});
+  edits.push_back({"edge closing a cycle", [](Policy& p) {
+                     // A downward path of up to three roles from the first
+                     // senior, closed back to its top.
+                     for (const auto& [senior, spec] : p.roles()) {
+                       if (spec.juniors.empty()) continue;
+                       RoleName bottom = *spec.juniors.begin();
+                       const RoleSpec& middle = p.roles().at(bottom);
+                       if (!middle.juniors.empty()) {
+                         bottom = *middle.juniors.begin();
+                       }
+                       const RoleName top = senior;
+                       (*p.MutableRole(bottom))->juniors.insert(top);
+                       return Status::OK();
+                     }
+                     return Status::NotFound("no hierarchy edge");
+                   }});
+  edits.push_back(
+      {"AddRole with a dangling junior",
+       add_role([](RoleSpec& r) { r.juniors.insert("Ghost"); })});
+  edits.push_back(
+      {"AddRole with a dangling prerequisite",
+       add_role([](RoleSpec& r) { r.prerequisites.insert("Ghost"); })});
+  edits.push_back(
+      {"user assigned an unknown role",
+       edit_user(3, [](UserSpec& u) { u.assignments.insert("Ghost"); })});
+  edits.push_back(
+      {"user duration on an unknown role",
+       edit_user(5, [](UserSpec& u) { u.role_durations["Ghost"] = kHour; })});
+  edits.push_back({"non-positive user duration", edit_user(4, [](UserSpec& u) {
+                     u.role_durations[SyntheticRoleName(2)] = 0;
+                   })});
+  edits.push_back(
+      {"negative max-active",
+       edit_user(6, [](UserSpec& u) { u.max_active_roles = -1; })});
+  // Two faults: the one the full walk meets first is the one reported.
+  edits.push_back({"two bad roles", [edit_role](Policy& p) {
+                     SENTINEL_RETURN_IF_ERROR(edit_role(9, [](RoleSpec& r) {
+                       r.activation_cardinality = -1;
+                     })(p));
+                     return edit_role(3, [](RoleSpec& r) {
+                       r.juniors.insert("Ghost");
+                     })(p);
+                   }});
+  edits.push_back({"bad user and bad role", [edit_role, edit_user](Policy& p) {
+                     SENTINEL_RETURN_IF_ERROR(edit_user(2, [](UserSpec& u) {
+                       u.assignments.insert("Ghost");
+                     })(p));
+                     return edit_role(12, [](RoleSpec& r) {
+                       r.max_activation = -1;
+                     })(p);
+                   }});
   for (const Mutation& edit : edits) {
     SCOPED_TRACE(edit.name);
     Policy next = *base;
@@ -469,6 +744,7 @@ TEST(PolicyCopyOnWriteTest, PrepareRefusesExactlyWhatValidateRefuses) {
     const auto plan = AuthorizationEngine::PreparePolicyUpdate(base, next);
     EXPECT_EQ(plan.ok(), direct.ok());
     if (!direct.ok() && !plan.ok()) {
+      EXPECT_EQ(plan.status().code(), direct.code());
       EXPECT_EQ(plan.status().message(), direct.message());
     }
   }
@@ -480,6 +756,25 @@ TEST(PolicyCopyOnWriteTest, PrepareRefusesExactlyWhatValidateRefuses) {
 TEST(PolicyCopyOnWriteTest, ConcurrentCopiesOfOneGenerationStayIsolated) {
   const auto generation = std::make_shared<const Policy>(SeededPolicy());
   const std::vector<Mutation> mutations = EveryMutator();
+  // What each edit's diffs and validation give by the full walk, computed
+  // once here; the threads then diff and validate their own journal-linked
+  // copies against the shared generation at once.
+  struct Expected {
+    std::set<RoleName> roles;
+    std::set<UserName> users;
+    BaseStateDelta delta;
+    Status valid;
+  };
+  std::vector<Expected> expected;
+  const Policy apart = Rebuilt(*generation);
+  for (const Mutation& mutation : mutations) {
+    Policy edited = Rebuilt(*generation);
+    if (!mutation.apply(edited).ok()) ADD_FAILURE() << mutation.name;
+    expected.push_back({Policy::AffectedRoles(apart, edited),
+                        Policy::AffectedUsers(apart, edited),
+                        ComputeBaseStateDelta(apart, edited),
+                        edited.Validate()});
+  }
   constexpr int kThreads = 4;
   constexpr int kRounds = 50;
   std::vector<std::thread> threads;
@@ -490,9 +785,21 @@ TEST(PolicyCopyOnWriteTest, ConcurrentCopiesOfOneGenerationStayIsolated) {
         const std::shared_ptr<const Policy> pinned = generation;
         Policy mine = *pinned;
         Policy twin = mine;
-        const Mutation& mutation =
-            mutations[static_cast<size_t>(t + round) % mutations.size()];
+        const size_t index =
+            static_cast<size_t>(t + round) % mutations.size();
+        const Mutation& mutation = mutations[index];
         if (!mutation.apply(mine).ok()) ++failures[t];
+        const Expected& want = expected[index];
+        if (Policy::AffectedRoles(*pinned, mine) != want.roles) ++failures[t];
+        if (Policy::AffectedUsers(*pinned, mine) != want.users) ++failures[t];
+        if (!(ComputeBaseStateDelta(*pinned, mine) == want.delta)) {
+          ++failures[t];
+        }
+        const Status valid = mine.Validate(pinned.get());
+        if (valid.code() != want.valid.code() ||
+            valid.message() != want.valid.message()) {
+          ++failures[t];
+        }
         UserSpec spec;
         spec.name = "thread-" + std::to_string(t);
         if (!twin.AddUser(std::move(spec)).ok()) ++failures[t];

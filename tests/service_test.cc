@@ -114,6 +114,38 @@ TEST(ServiceTest, SessionsLiveOnTheUsersHomeShard) {
 
 // ------------------------------------------------- Admin broadcast + epoch
 
+/// A swap's caller-side time splits into its prepare
+/// (policy_swap_build_us) and its commit broadcast
+/// (policy_swap_broadcast_us), beside each shard's own commit
+/// (policy_swap_commit_us). A refused update is prepared but never
+/// broadcast.
+TEST(ServiceTest, SwapRecordsOneBroadcastSamplePerSwap) {
+  AuthorizationService service(ShardedConfig(2));
+  ASSERT_TRUE(service.LoadPolicy(testutil::EnterpriseXyzPolicy()).ok());
+  const auto samples = [&service](const char* name) {
+    const TelemetrySnapshot snap = service.Snapshot();
+    const telemetry::HistogramSnapshot* hist =
+        snap.metrics.FindHistogram(name);
+    return hist == nullptr ? ~uint64_t{0} : hist->TotalCount();
+  };
+  ASSERT_EQ(samples("policy_swap_broadcast_us"), 0u);
+  for (int swap = 1; swap <= 3; ++swap) {
+    Policy updated = *service.current_policy();
+    auto role = updated.MutableRole("PC");
+    ASSERT_TRUE(role.ok());
+    (*role)->activation_cardinality = swap;
+    ASSERT_TRUE(service.ApplyPolicyUpdate(updated).ok());
+    EXPECT_EQ(samples("policy_swap_broadcast_us"), static_cast<uint64_t>(swap));
+  }
+  Policy invalid = *service.current_policy();
+  (*invalid.MutableRole("PC"))->juniors.insert("Ghost");
+  EXPECT_FALSE(service.ApplyPolicyUpdate(invalid).ok());
+  EXPECT_EQ(samples("policy_swap_build_us"), 4u);
+  EXPECT_EQ(samples("policy_swap_broadcast_us"), 3u);
+  // The shards' series merge: two commits per swap.
+  EXPECT_EQ(samples("policy_swap_commit_us"), 6u);
+}
+
 TEST(ServiceTest, AdminBroadcastVisibleOnAllShardsAfterBarrier) {
   AuthorizationService service(ShardedConfig(4));
   Policy policy = testutil::EnterpriseXyzPolicy();
