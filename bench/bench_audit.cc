@@ -50,7 +50,6 @@ void BM_Service_CheckAccess_Audit(benchmark::State& state) {
   const Policy policy = GeneratePolicy(PolicyGenParams{});
   ServiceConfig config;
   config.num_shards = 1;
-  config.synchronous = false;
   config.start_time = benchutil::Noon();
   if (audit) config.audit_path = path;
   auto service = std::make_unique<AuthorizationService>(config);

@@ -146,8 +146,7 @@ void BM_CheckAccess_Engine_RepeatHeavy(benchmark::State& state) {
   constexpr int kRoles = 16;
   constexpr int kPerms = 4;
   benchutil::ServiceUnderTest sut(FlatPolicy(kRoles, kPerms), 1,
-                                  /*synchronous=*/true, benchutil::Noon(),
-                                  capacity);
+                                  benchutil::Noon(), capacity);
   ActivateAll(*sut.service, kRoles);
   // 16 distinct requests spread across the role set, repeated to kBatch.
   std::vector<AccessRequest> batch;

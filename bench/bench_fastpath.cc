@@ -74,7 +74,6 @@ std::unique_ptr<AuthorizationService> WarmService(bool fastpath,
                                                   int churn_users) {
   ServiceConfig config;
   config.num_shards = 1;
-  config.synchronous = false;
   config.start_time = benchutil::Noon();
   config.decision_cache_capacity = 1024;
   config.decision_cache_fastpath = fastpath;

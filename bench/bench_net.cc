@@ -102,7 +102,6 @@ void BM_Net_ClosedLoop(benchmark::State& state) {
 
   ServiceConfig config;
   config.num_shards = 1;
-  config.synchronous = false;
   config.start_time = benchutil::Noon();
   if (fastpath) {
     config.decision_cache_capacity = 1024;
@@ -158,7 +157,6 @@ void BM_Net_SaturatedShard(benchmark::State& state) {
 
   ServiceConfig config;
   config.num_shards = 1;
-  config.synchronous = false;
   config.start_time = benchutil::Noon();
   if (shed) {
     config.mailbox_capacity = 4;

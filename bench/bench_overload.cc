@@ -55,7 +55,6 @@ void BM_Service_SaturatedOfferedLoad(benchmark::State& state) {
 
   ServiceConfig config;
   config.num_shards = 1;
-  config.synchronous = false;
   config.start_time = benchutil::Noon();
   config.mailbox_capacity = capacity;
   config.overload_policy =

@@ -63,7 +63,6 @@ void BM_Service_WeightedShedFairness(benchmark::State& state) {
 
   ServiceConfig config;
   config.num_shards = 1;
-  config.synchronous = false;
   config.start_time = benchutil::Noon();
   config.mailbox_capacity = 8;
   config.overload_policy = OverloadPolicy::kShed;

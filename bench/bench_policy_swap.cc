@@ -73,7 +73,6 @@ void BM_CheckAccess_UnderUpdateChurn(benchmark::State& state) {
 
   ServiceConfig config;
   config.num_shards = 2;
-  config.synchronous = false;
   config.start_time = benchutil::Noon();
   config.decision_cache_capacity = 1024;
   config.decision_cache_fastpath = false;

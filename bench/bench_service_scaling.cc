@@ -5,8 +5,8 @@
 // shards work). The per-shard engines never share request-path state, so
 // on a machine with enough cores throughput scales with the shard count;
 // the `shards` counter and items_per_second make the scaling curve
-// directly readable. A synchronous single-shard run is included as the
-// no-thread reference.
+// directly readable. At one shard a single caller runs every envelope on
+// its own thread, so /1 is also the reference with no thread crossing.
 
 #include <benchmark/benchmark.h>
 
@@ -102,8 +102,7 @@ void RunBatches(benchmark::State& state, AuthorizationService& service) {
 
 void BM_Service_Sharded(benchmark::State& state) {
   const int shards = static_cast<int>(state.range(0));
-  benchutil::ServiceUnderTest sut(ScalingPolicy(), shards,
-                                  /*synchronous=*/false);
+  benchutil::ServiceUnderTest sut(ScalingPolicy(), shards);
   RunBatches(state, *sut.service);
   state.counters["shards"] = shards;
 }
@@ -112,15 +111,6 @@ BENCHMARK(BM_Service_Sharded)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Service_Synchronous(benchmark::State& state) {
-  benchutil::ServiceUnderTest sut(ScalingPolicy(), 1, /*synchronous=*/true);
-  RunBatches(state, *sut.service);
-  state.counters["shards"] = 0;  // No threads: inline reference.
-}
-BENCHMARK(BM_Service_Synchronous)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -36,17 +36,16 @@ struct EngineUnderTest {
   }
 };
 
-/// AuthorizationService with policy loaded; synchronous single-shard by
-/// default (the engine-equivalent mode), or `num_shards` threaded shards.
+/// AuthorizationService with policy loaded on `num_shards` shards; one by
+/// default, where a single caller runs every check on its own thread.
 struct ServiceUnderTest {
   std::unique_ptr<AuthorizationService> service;
 
   explicit ServiceUnderTest(const Policy& policy, int num_shards = 1,
-                            bool synchronous = true, Time start = Noon(),
+                            Time start = Noon(),
                             size_t decision_cache_capacity = 0) {
     ServiceConfig config;
     config.num_shards = num_shards;
-    config.synchronous = synchronous;
     config.start_time = start;
     config.decision_cache_capacity = decision_cache_capacity;
     service = std::make_unique<AuthorizationService>(config);

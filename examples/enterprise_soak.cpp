@@ -7,14 +7,15 @@
 // audit stream — the canonical capture corpus for sentinelpp-replay.
 //
 //   sentinelpp-soak [--scale=smoke|enterprise] [--seed=2026]
-//                   [--users=N] [--requests=N] [--shards=0]
+//                   [--users=N] [--requests=N] [--shards=1]
 //                   [--audit=PATH] [--audit-rotate=N] [--audit-queue=N]
 //                   [--policy-out=PATH] [--mutated-policy-out=PATH]
 //                   [--expect-no-drops]
 //
-// --shards=0 (the default) runs the service in synchronous mode: one
-// engine, every call inline — the deterministic configuration the
-// replay-determinism check relies on. --policy-out writes the generated
+// --shards (at least 1; 1 by default) sets the service's shard count. One
+// caller drives the stream, so the capture is deterministic at a given
+// count: scripts/check.sh compares two runs at 1 and at 4 shards, and two
+// builds' captures compare the same way. --policy-out writes the generated
 // policy as .acp text (the replay candidate); --mutated-policy-out writes
 // the same policy with one added DSD edge ("DSD_SHADOW") for verdict-flip
 // experiments. The final stats line is machine-greppable and ends in `ok`.
@@ -57,7 +58,7 @@ bool WriteFile(const std::string& path, const std::string& contents) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int64_t seed = 2026, users = -1, requests = -1, shards = 0;
+  int64_t seed = 2026, users = -1, requests = -1, shards = 1;
   int64_t audit_rotate = 0, audit_queue = 65536;
   std::string scale = "smoke", audit_path, policy_out, mutated_out;
   bool expect_no_drops = false;
@@ -80,6 +81,11 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "unknown flag: %s\n", arg);
     return 2;
+  }
+  if (shards < 1) {
+    std::fprintf(stderr, "--shards must be at least 1; got %lld\n",
+                 static_cast<long long>(shards));
+    return 1;
   }
   std::error_code exists_error;
   if (!audit_path.empty() &&
@@ -119,8 +125,7 @@ int main(int argc, char** argv) {
   }
 
   sentinel::ServiceConfig config;
-  config.synchronous = shards <= 0;
-  config.num_shards = shards <= 0 ? 1 : static_cast<int>(shards);
+  config.num_shards = static_cast<int>(shards);
   config.start_time = sentinel::MakeTime(2026, 7, 6, 9, 0, 0);
   config.audit_path = audit_path;
   config.audit_rotate_bytes = static_cast<uint64_t>(audit_rotate);

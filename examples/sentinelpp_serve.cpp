@@ -148,7 +148,6 @@ int main(int argc, char** argv) {
 
   sentinel::ServiceConfig config;
   config.num_shards = static_cast<int>(shards);
-  config.synchronous = false;
   config.start_time = sentinel::MakeTime(2026, 7, 6, 12, 0, 0);
   config.decision_cache_capacity = static_cast<size_t>(cache);
   config.decision_cache_fastpath = fastpath != 0;

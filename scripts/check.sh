@@ -345,16 +345,21 @@ cmp "$REPLAY_TMP/capture.jsonl" "$REPLAY_TMP/capture.before"
 ./build-asan/examples/sentinelpp-replay \
   --capture="$REPLAY_TMP/capture.jsonl" --policy="$REPLAY_TMP/mutated.acp" \
   >/dev/null
-# The sharded service must be deterministic too: two smoke soaks on four
-# shards record the same decisions, field for field (wall-clock fields
-# aside), which is what lets two builds' captures be compared.
-for run in a b; do
-  ./build-asan/examples/sentinelpp-soak --scale=smoke --shards=4 \
-    --audit="$REPLAY_TMP/sharded_$run.jsonl" --expect-no-drops >/dev/null
+# The service must be deterministic at one shard, whose shard thread takes
+# the broadcasts and time advances while the caller runs its own
+# envelopes, and at four: two smoke soaks at each count record the same
+# decisions, field for field (wall-clock fields aside), which is what lets
+# two builds' captures be compared.
+for shards in 1 4; do
+  for run in a b; do
+    ./build-asan/examples/sentinelpp-soak --scale=smoke --shards="$shards" \
+      --audit="$REPLAY_TMP/shards${shards}_$run.jsonl" --expect-no-drops \
+      >/dev/null
+  done
+  ./build-asan/examples/sentinelpp-replay \
+    --capture="$REPLAY_TMP/shards${shards}_a.jsonl" \
+    --baseline="$REPLAY_TMP/shards${shards}_b.jsonl" --expect-zero-diffs
 done
-./build-asan/examples/sentinelpp-replay \
-  --capture="$REPLAY_TMP/sharded_a.jsonl" \
-  --baseline="$REPLAY_TMP/sharded_b.jsonl" --expect-zero-diffs
 rm -rf "$REPLAY_TMP"
 
 # TSan is incompatible with ASan, so the threaded service tests get their
@@ -364,7 +369,9 @@ echo "== Sanitizer pass: thread (service + mailbox + fast-path + net tests) =="
 # shared policy generation, writing their copies' copy-on-write sections, and
 # diffing and validating each copy against the generation through the
 # sections' write journals; cache_test for the decision cache the shards and
-# zero-hop callers share.
+# zero-hop callers share; replay_test for the one-shard audited service,
+# whose records a caller thread and the shard thread both hand to the
+# exporter.
 # GCC's ThreadSanitizer does not model std::atomic_thread_fence and says so
 # with -Wtsan; an ordering it cannot see is one it cannot check, so that
 # warning is an error in this tree. Every object in it is compiled that
@@ -373,9 +380,9 @@ cmake -B build-tsan -S . -DSENTINELPP_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS=-Werror=tsan >/dev/null
 cmake --build build-tsan -j"$JOBS" --target service_test mailbox_test \
   policer_test fastpath_test interner_test wire_test net_test audit_test \
-  policy_swap_test policy_test cache_test
+  policy_swap_test policy_test cache_test replay_test
 ctest --test-dir build-tsan --output-on-failure \
-  -R '^(service_test|mailbox_test|policer_test|fastpath_test|interner_test|wire_test|net_test|audit_test|policy_swap_test|policy_test|cache_test)$'
+  -R '^(service_test|mailbox_test|policer_test|fastpath_test|interner_test|wire_test|net_test|audit_test|policy_swap_test|policy_test|cache_test|replay_test)$'
 
 echo "== Overload stress: stall-injected shed/deadline paths under TSan =="
 # The acceptance stress for the bounded-mailbox work: shard stalls injected

@@ -76,10 +76,6 @@ void AuditExporter::Offer(AuditRecord record) {
   Offer(std::move(queued));
 }
 
-void AuditExporter::AddUpstreamLoss(uint64_t n) {
-  if (n > 0) drops_.fetch_add(n, std::memory_order_relaxed);
-}
-
 void AuditExporter::Flush() {
   std::unique_lock<std::mutex> lock(mu_);
   const uint64_t target = enqueued_;

@@ -18,7 +18,7 @@ namespace audit {
 /// \brief Asynchronous JSON-lines audit writer.
 ///
 /// One dedicated writer thread drains a bounded hand-off buffer that any
-/// number of producer threads (the service's per-shard export taps) feed
+/// number of producer threads (the service's per-shard record sinks) feed
 /// through Offer. The contract the decision path depends on: **Offer never
 /// blocks on I/O**. Producers and the writer share one mutex, but the writer
 /// holds it only to swap the pending buffer for an empty one — O(1), never
@@ -72,11 +72,6 @@ class AuditExporter {
   /// Offers a record that carries its own words.
   void Offer(AuditRecord record);
 
-  /// Accounts `n` records lost upstream (evicted from a shard's DecisionLog
-  /// ring before the tap drained them). They join the same drops counter:
-  /// one number answers "is the stream complete?".
-  void AddUpstreamLoss(uint64_t n);
-
   /// Blocks until every record offered before this call is written.
   /// Producers may keep offering concurrently.
   void Flush();
@@ -91,7 +86,7 @@ class AuditExporter {
 
   struct Counters {
     uint64_t records = 0;  // Lines durably handed to the OS.
-    uint64_t drops = 0;    // Offered-but-lost + upstream ring losses.
+    uint64_t drops = 0;    // Offered but lost: queue full, closed, failed.
     uint64_t bytes = 0;    // Serialized bytes written.
     uint64_t batches = 0;  // Batches written, one write each.
   };

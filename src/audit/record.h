@@ -37,10 +37,10 @@ struct BasicAuditRecord {
   /// and are skipped by replay.
   uint64_t seq = 0;
   int shard = 0;
-  /// Service admin epoch at drain time: which generation of the policy the
-  /// surrounding records were decided under. Drain-time, not decision-time,
-  /// so records raced by an in-flight admin broadcast may carry the new
-  /// epoch — a correlation hint, not a proof.
+  /// Admin epoch of the deciding shard when it recorded the decision: the
+  /// last admin broadcast it had applied, or, for a broadcast's own
+  /// records, the one it was applying. A service-level record carries the
+  /// service's admin epoch at the moment it was written.
   uint64_t epoch = 0;
   int64_t wall_us = 0;
   int64_t sim_us = 0;
@@ -77,8 +77,8 @@ std::string_view KindName(ServiceKind kind);
 
 /// \brief One record on the exporter's hand-off queue.
 ///
-/// Fixed-field: the engine's DecisionRecord as it left the ring plus the
-/// fields a drain adds, so queueing a record copies no text. The names are
+/// Fixed-field: the engine's DecisionRecord as the ring stored it plus the
+/// fields the service adds, so queueing a record copies no text. The names are
 /// symbols of `symbols` — the deciding shard's table — and only the audit
 /// writer resolves them (SymbolTable::NameOf is safe from any thread, and a
 /// name never moves). The table must therefore outlive the record: the
@@ -104,7 +104,7 @@ RecordView View(const AuditRecord& record);
 RecordView View(const QueuedRecord& record);
 
 /// Builds the text record for one engine decision, names resolved through
-/// `symbols`. `epoch` is the service admin epoch at drain time.
+/// `symbols`. `epoch` is the shard's admin epoch at record time.
 AuditRecord FromDecisionRecord(const DecisionRecord& record,
                                const SymbolTable& symbols, int shard,
                                uint64_t epoch);

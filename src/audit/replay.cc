@@ -93,7 +93,7 @@ Result<ReplayReport> ReplayCapture(const std::vector<AuditRecord>& records,
   SENTINEL_RETURN_IF_ERROR(candidate.Validate());
 
   // Group into per-shard streams; within a shard the exporter preserved
-  // drain order, but interleaved batches make the file order global-ish —
+  // record order, but interleaved batches make the file order global-ish —
   // a stable sort by seq restores each shard's exact decision order.
   std::map<int, std::vector<const AuditRecord*>> by_shard;
   ReplayReport report;

@@ -23,7 +23,7 @@ namespace sentinel {
 struct DecisionRecord {
   Time when = 0;
   /// Per-log monotonic sequence number, assigned by DecisionLog::Push.
-  /// Consumers order and dedupe by it; gaps mean records were evicted.
+  /// Consumers order and dedupe by it; gaps mean records were lost.
   uint64_t seq = 0;
   /// Wall-clock capture time, microseconds since the Unix epoch (distinct
   /// from `when`, which is the engine's simulated clock).
@@ -63,13 +63,13 @@ class DecisionLog {
  public:
   explicit DecisionLog(size_t capacity = 256) : slots_(capacity) {}
 
-  /// Appends a record, evicting the oldest when full. Assigns the record's
-  /// sequence number; capacity 0 disables recording (no sequence is
-  /// consumed, so a drain cursor sees a disabled log as simply empty).
-  void Push(const DecisionRecord& record) {
+  /// Appends a record, evicting the oldest when full, and returns the slot
+  /// it stored, with its sequence number assigned. Capacity 0 disables
+  /// recording: no sequence is consumed and the result is null.
+  const DecisionRecord* Push(const DecisionRecord& record) {
     if (slots_.empty()) {
       BumpOverflow();
-      return;
+      return nullptr;
     }
     DecisionRecord& slot = slots_[next_];
     slot = record;
@@ -80,35 +80,8 @@ class DecisionLog {
     } else {
       BumpOverflow();
     }
+    return &slot;
   }
-
-  /// \brief Ordered incremental consumption for the audit exporter.
-  ///
-  /// Invokes `fn` on every retained record with seq >= *cursor, oldest
-  /// first, then advances *cursor past the newest. Only the undrained tail
-  /// is visited — a drain that finds nothing new costs one comparison, not
-  /// a copy of the ring. Returns the number of records that were evicted
-  /// before they could be drained (the seq gap between the cursor and the
-  /// oldest retained record); the caller accounts those as losses.
-  template <typename Fn>
-  uint64_t DrainInto(uint64_t* cursor, Fn&& fn) const {
-    if (empty() || *cursor >= next_seq_) return 0;
-    uint64_t missed = 0;
-    const uint64_t oldest = front().seq;
-    if (*cursor < oldest) {
-      missed = oldest - *cursor;
-      *cursor = oldest;
-    }
-    for (size_t i = static_cast<size_t>(*cursor - oldest); i < size(); ++i) {
-      fn((*this)[i]);
-    }
-    *cursor = back().seq + 1;
-    return missed;
-  }
-
-  /// Sequence the next pushed record will receive; a cursor equal to this
-  /// value has drained everything.
-  uint64_t next_seq() const { return next_seq_; }
 
   /// Resizes the trail; when shrinking, the oldest surplus records are
   /// dropped (counted as overflow).

@@ -361,21 +361,20 @@ Decision AuthorizationEngine::Dispatch(EventId event, FlatParamMap params) {
   }
   if (traced) tracer_.End(decision.allowed, decision.rule, elapsed_ns);
   if (logged) {
-    decision_log_.Push({.when = Now(),
-                        .wall_us = WallTimeMicros(),
-                        .latency_us = elapsed_ns / 1000,
-                        .event = event_names_[event],
-                        .user = a_user,
-                        .session = a_session,
-                        .role = a_role,
-                        .op = a_op,
-                        .object = a_obj,
-                        .purpose = a_purpose,
-                        .allowed = decision.allowed,
-                        .rule = RecordText(decision.rule),
-                        .reason = RecordText(decision.reason),
-                        .failed_condition =
-                            RecordText(decision.failed_condition)});
+    Record({.when = Now(),
+            .wall_us = WallTimeMicros(),
+            .latency_us = elapsed_ns / 1000,
+            .event = event_names_[event],
+            .user = a_user,
+            .session = a_session,
+            .role = a_role,
+            .op = a_op,
+            .object = a_obj,
+            .purpose = a_purpose,
+            .allowed = decision.allowed,
+            .rule = RecordText(decision.rule),
+            .reason = RecordText(decision.reason),
+            .failed_condition = RecordText(decision.failed_condition)});
   }
   // Whatever this dispatch's cascade mutated is reflected in the published
   // words by the time the caller (and, through the service, the client) learns
@@ -386,6 +385,11 @@ Decision AuthorizationEngine::Dispatch(EventId event, FlatParamMap params) {
 
 void AuthorizationEngine::set_decision_log_capacity(size_t capacity) {
   decision_log_.set_capacity(capacity);
+}
+
+void AuthorizationEngine::Record(const DecisionRecord& record) {
+  const DecisionRecord* stored = decision_log_.Push(record);
+  if (stored != nullptr && record_sink_) record_sink_(*stored);
 }
 
 Symbol AuthorizationEngine::RecordText(const std::string& text) {
@@ -508,7 +512,7 @@ Decision AuthorizationEngine::ReplayCachedVerdict(DecisionCache::Verdict
     record.session = session;
     record.op = op;
     record.object = obj;
-    decision_log_.Push(record);
+    Record(record);
   }
   return decision;
 }
@@ -629,12 +633,12 @@ void AuthorizationEngine::SetContext(const std::string& key,
   // record a synthetic always-allowed entry, key/value riding in the
   // op/object slots.
   if (decision_log_.capacity() > 0) {
-    decision_log_.Push({.when = Now(),
-                        .wall_us = WallTimeMicros(),
-                        .event = event_names_[events_.context_changed],
-                        .op = key_sym,
-                        .object = value_sym,
-                        .allowed = true});
+    Record({.when = Now(),
+            .wall_us = WallTimeMicros(),
+            .event = event_names_[events_.context_changed],
+            .op = key_sym,
+            .object = value_sym,
+            .allowed = true});
   }
   // The contextChanged cascade may itself mutate state after the epoch
   // bump above already published; re-publish at the tail.

@@ -1,6 +1,7 @@
 #ifndef SENTINELPP_CORE_ENGINE_H_
 #define SENTINELPP_CORE_ENGINE_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -361,24 +362,16 @@ class AuthorizationEngine {
   const DecisionLog& decision_log() const { return decision_log_; }
   /// Number of audit records shed once the ring filled up.
   uint64_t decision_log_overflow() const { return decision_log_.overflow(); }
-  /// Sets the trail capacity (default 256; 0 disables recording).
+  /// Sets the trail capacity (default 256; 0 disables recording, and with
+  /// it the record sink).
   void set_decision_log_capacity(size_t capacity);
 
-  /// \brief Ordered audit hand-off: invokes `fn` on every decision record
-  /// not yet drained (oldest first) and returns how many records were
-  /// evicted from the ring before they could be drained — the caller (the
-  /// service's export tap) accounts those as audit losses. The engine keeps
-  /// the cursor, so repeat calls only ever see new records; a call with
-  /// nothing new costs one comparison. Engine-thread only, like every other
-  /// mutating entry point.
-  template <typename Fn>
-  uint64_t DrainDecisionLog(Fn&& fn) {
-    return decision_log_.DrainInto(&audit_cursor_, std::forward<Fn>(fn));
-  }
-  /// True iff a drain right now would deliver records (or report losses).
-  bool HasUndrainedDecisions() const {
-    return audit_cursor_ < decision_log_.next_seq();
-  }
+  /// Sink for decision records: called with each record as the trail
+  /// stores it, `seq` assigned, on the thread running the engine — the
+  /// hosting service installs one per shard to feed its audit exporter. It
+  /// must not block; the record is valid only for the call.
+  using RecordSink = std::function<void(const DecisionRecord& record)>;
+  void set_record_sink(RecordSink sink) { record_sink_ = std::move(sink); }
 
  private:
   /// Raises `event` with a fresh Decision installed; applies the default
@@ -402,6 +395,9 @@ class AuthorizationEngine {
   /// Re-derives cache_positive_ok_ / cache_negative_ok_ from the current
   /// rule pool and event graph (called when pool generation or epoch moved).
   void RefreshCacheGates();
+  /// Stores `record` in the trail and hands the stored slot to the record
+  /// sink. Callers skip building a record while the trail is disabled.
+  void Record(const DecisionRecord& record);
   /// The symbol a decision record stores for a verdict text (rule name,
   /// reason, condition label); the invalid symbol for empty text.
   Symbol RecordText(const std::string& text);
@@ -453,8 +449,7 @@ class AuthorizationEngine {
   std::map<std::string, std::string> context_;
   ThrottleSink throttle_sink_;
   DecisionLog decision_log_;
-  /// Drain position for DrainDecisionLog (seq of the next undrained record).
-  uint64_t audit_cursor_ = 0;
+  RecordSink record_sink_;
   bool policy_loaded_ = false;
   DecisionCache decision_cache_;
   uint64_t cache_epoch_ = 0;

@@ -27,7 +27,7 @@ uint64_t Fnv1a(const std::string& name) {
 }
 
 /// The shard whose thread is running this code; null on every other thread
-/// (a caller running an envelope inline, or synchronous mode).
+/// (a caller running an envelope inline).
 thread_local const void* tls_serving_shard = nullptr;
 
 }  // namespace
@@ -120,13 +120,12 @@ Result<std::unique_ptr<AuthorizationService>> AuthorizationService::Create(
 }
 
 AuthorizationService::AuthorizationService(const ServiceConfig& config)
-    : synchronous_(config.synchronous),
-      init_status_(ValidateConfig(config)),
+    : init_status_(ValidateConfig(config)),
       shed_on_full_(config.overload_policy == OverloadPolicy::kShed),
-      default_deadline_(config.default_deadline) {
+      default_deadline_(config.default_deadline),
+      fastpath_(config.decision_cache_fastpath) {
   int count = config.num_shards;
   size_t cache_capacity = config.decision_cache_capacity;
-  bool fastpath = config.decision_cache_fastpath;
   if (!init_status_.ok()) {
     SENTINEL_LOG(kError) << "AuthorizationService config rejected ("
                         << init_status_.message()
@@ -134,7 +133,7 @@ AuthorizationService::AuthorizationService(const ServiceConfig& config)
                            "off, no overload protection";
     count = 1;
     cache_capacity = 0;
-    fastpath = false;
+    fastpath_ = false;
     shed_on_full_ = false;
     default_deadline_ = 0;
   }
@@ -142,11 +141,6 @@ AuthorizationService::AuthorizationService(const ServiceConfig& config)
     count = static_cast<int>(std::thread::hardware_concurrency());
     if (count <= 0) count = 1;
   }
-  if (synchronous_) count = 1;
-  // Synchronous calls already run inline on the caller's thread; the fast
-  // path would only add a redundant probe in front of the engine's own
-  // cache lookup.
-  fastpath_ = fastpath && cache_capacity > 0 && !synchronous_;
   latency_sample_every_ = config.latency_sample_every;
   now_.store(config.start_time, std::memory_order_release);
 
@@ -174,8 +168,7 @@ AuthorizationService::AuthorizationService(const ServiceConfig& config)
       "requests refused kOverloaded for exceeding their principal's quota");
   envelopes_inline_counter_ = service_metrics_.AddCounter(
       "service_envelopes_inline_total",
-      "decision envelopes run on the caller's thread (idle shard, or "
-      "synchronous mode)");
+      "decision envelopes run on the caller's thread (idle shard)");
   envelopes_queued_counter_ = service_metrics_.AddCounter(
       "service_envelopes_queued_total",
       "decision envelopes handed to a shard thread through its mailbox");
@@ -198,11 +191,10 @@ AuthorizationService::AuthorizationService(const ServiceConfig& config)
                          Policer::Quota{quota.rate_per_s, quota.burst});
     }
     quota_always_ = config.quota_enforcement == QuotaEnforcement::kAlways;
-    quota_key_delimiter_ = config.quota_key_delimiter;
     // The reserved top quarter of a bounded mailbox: over-quota requests
     // admit only up to this depth, so conformant principals always find
     // headroom an abuser cannot occupy.
-    const size_t cap = synchronous_ ? 0 : config.mailbox_capacity;
+    const size_t cap = config.mailbox_capacity;
     over_quota_max_depth_ = cap > 0 ? cap - cap / 4 : 0;
   }
   policy_swaps_counter_ = service_metrics_.AddCounter(
@@ -220,8 +212,9 @@ AuthorizationService::AuthorizationService(const ServiceConfig& config)
       "latch's release (us)",
       telemetry::Histogram::ExponentialBounds(1, 2.0, 15));
 
-  // The exporter must exist before any shard thread starts: ShardLoop reads
-  // audit_ without synchronization, relying on the thread-start fence.
+  // The exporter must exist before the shards: their record sinks offer to
+  // it, and shard threads read audit_ without synchronization, relying on
+  // the thread-start fence.
   if (init_status_.ok() && !config.audit_path.empty()) {
     audit::AuditExporter::Options audit_options;
     audit_options.path = config.audit_path;
@@ -247,6 +240,17 @@ AuthorizationService::AuthorizationService(const ServiceConfig& config)
         [this](const std::string& user, double rate_per_s, int64_t burst) {
           policer_->SetQuota(user, Policer::Quota{rate_per_s, burst});
         });
+    // The audit export: each decision record, as the engine stores it, on
+    // the thread running the engine under the owner lock. Offer never
+    // blocks on I/O.
+    if (audit_ != nullptr) {
+      shard->engine->set_record_sink(
+          [this, s = shard.get()](const DecisionRecord& record) {
+            audit_->Offer(audit::QueuedRecord{record, &s->engine->symbols(),
+                                              s->record_epoch,
+                                              static_cast<int>(s->index)});
+          });
+    }
     if (!init_status_.ok()) {
       shard->mailbox.set_capacity(0);
     } else {
@@ -313,11 +317,9 @@ AuthorizationService::AuthorizationService(const ServiceConfig& config)
     }
     shards_.push_back(std::move(shard));
   }
-  if (!synchronous_) {
-    for (auto& shard : shards_) {
-      shard->thread = std::thread(&AuthorizationService::ShardLoop, this,
-                                  shard.get());
-    }
+  for (auto& shard : shards_) {
+    shard->thread =
+        std::thread(&AuthorizationService::ShardLoop, this, shard.get());
   }
 }
 
@@ -338,7 +340,7 @@ void AuthorizationService::ShardLoop(Shard* shard) {
       shard->mailbox.TryPopAll(&batch);
       for (Task& task : batch) {
         if (last != nullptr) last->Arrive();
-        last = RunTask(*shard, task);
+        last = task(*shard);
       }
     }
     // The batch's last waiter wakes to a free lock: its next call can run
@@ -347,32 +349,18 @@ void AuthorizationService::ShardLoop(Shard* shard) {
   }
 }
 
-AuthorizationService::Latch* AuthorizationService::RunTask(Shard& shard,
-                                                           Task& task) {
-  Latch* const done = task(shard);
-  // Tap after every task, not every mailbox batch, which could outrun the
-  // whole ring. An envelope has already tapped after each of its engine
-  // calls (RunEnvelope); this catches admin broadcasts and time advances.
-  if (audit_ != nullptr) DrainShardAudit(shard);
-  return done;
-}
-
 AuthorizationService::InlineRun AuthorizationService::RunInline(Shard& shard,
                                                                 Task& task) {
   Latch* done = nullptr;
   {
-    std::unique_lock<std::mutex> owner(shard.owner, std::defer_lock);
-    if (synchronous_) {
-      owner.lock();
-    } else if (!owner.try_lock()) {
-      return InlineRun::kBusy;
-    }
+    std::unique_lock<std::mutex> owner(shard.owner, std::try_to_lock);
+    if (!owner.owns_lock()) return InlineRun::kBusy;
     if (shut_down_.load(std::memory_order_acquire)) return InlineRun::kClosed;
     // Only after the lock: the shard thread pops under it and runs what it
     // popped before letting go, so an empty mailbox here means nothing is
     // queued or popped ahead of this task.
     if (shard.mailbox.depth() != 0) return InlineRun::kBusy;
-    done = RunTask(shard, task);
+    done = task(shard);
   }
   if (done != nullptr) done->Arrive();
   return InlineRun::kRan;
@@ -402,17 +390,12 @@ AuthorizationService::PushResult AuthorizationService::PushDecision(
   return result;
 }
 
-bool AuthorizationService::PushExempt(Shard& shard, Task task) {
-  if (synchronous_) return RunInline(shard, task) == InlineRun::kRan;
-  return shard.mailbox.Push(std::move(task));
-}
-
 bool AuthorizationService::RunOnEveryShard(
     const std::function<void(Shard&)>& fn) {
   Latch done(static_cast<int>(shards_.size()));
   bool reached = true;
   for (auto& shard : shards_) {
-    if (!PushExempt(*shard, [&fn, &done](Shard& s) {
+    if (!shard->mailbox.Push([&fn, &done](Shard& s) {
           fn(s);
           return &done;
         })) {
@@ -422,19 +405,6 @@ bool AuthorizationService::RunOnEveryShard(
   }
   done.Wait();
   return reached;
-}
-
-void AuthorizationService::DrainShardAudit(Shard& shard) {
-  AuthorizationEngine& engine = *shard.engine;
-  if (!engine.HasUndrainedDecisions()) return;
-  const uint64_t epoch = shard.applied_epoch.load(std::memory_order_relaxed);
-  const SymbolTable* symbols = &engine.symbols();
-  const int index = static_cast<int>(shard.index);
-  const uint64_t missed = engine.DrainDecisionLog(
-      [this, symbols, index, epoch](const DecisionRecord& record) {
-        audit_->Offer(audit::QueuedRecord{record, symbols, epoch, index});
-      });
-  if (missed > 0) audit_->AddUpstreamLoss(missed);
 }
 
 void AuthorizationService::OfferServiceRecord(audit::ServiceKind kind,
@@ -474,18 +444,17 @@ void AuthorizationService::Shutdown() {
   for (auto& shard : shards_) {
     if (shard->thread.joinable()) shard->thread.join();
   }
-  // Every shard thread is joined (or never existed); the owner lock waits
-  // out an inline run that began before the close, and no later one can
-  // begin. A final drain collects whatever the last envelopes pushed, then
-  // Close flushes the stream to disk before Shutdown returns — the
-  // "explicit flush/close on shutdown" half of the exporter contract.
-  // Close must also come before any engine dies: queued records name
-  // their shard's symbol table, and the writer resolves those names while
-  // it serializes, so a table freed first would leave it reading freed
-  // names. The destructor calls Shutdown before the shards are destroyed.
+  // Every shard thread is joined; the owner lock waits out an inline run
+  // that began before the close, and no later one can begin. So every
+  // record is offered by the time Close flushes the stream to disk, before
+  // Shutdown returns — the "explicit flush/close on shutdown" half of the
+  // exporter contract. Close must also come before any engine dies: queued
+  // records name their shard's symbol table, and the writer resolves those
+  // names while it serializes, so a table freed first would leave it
+  // reading freed names. The destructor calls Shutdown before the shards
+  // are destroyed.
   for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> owner(shard->owner);
-    if (audit_ != nullptr) DrainShardAudit(*shard);
+    std::lock_guard<std::mutex> wait_out(shard->owner);
   }
   if (audit_ != nullptr) audit_->Close();
 }
@@ -581,7 +550,7 @@ AdminResult AuthorizationService::ToAdminResult(
 int64_t AuthorizationService::DeadlineNanos(const AccessRequest& request,
                                             int64_t submit_ns) const {
   const Duration deadline_us = request.EffectiveDeadline(default_deadline_);
-  if (synchronous_ || deadline_us <= 0) return 0;
+  if (deadline_us <= 0) return 0;
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
   if (deadline_us > kMax / 1000) return kMax;
   const int64_t budget_ns = static_cast<int64_t>(deadline_us) * 1000;
@@ -608,14 +577,8 @@ AccessDecision AuthorizationService::Convert(const Decision& decision,
 Policer::Verdict AuthorizationService::AdmitPrincipal(
     const AccessRequest& request) {
   if (!policer_->active()) return Policer::Verdict::kUnpoliced;
-  std::string_view principal = request.user.empty()
-                                   ? std::string_view(request.session)
-                                   : std::string_view(request.user);
-  if (quota_key_delimiter_ != '\0') {
-    const size_t cut = principal.find(quota_key_delimiter_);
-    if (cut != std::string_view::npos) principal = principal.substr(0, cut);
-  }
-  return policer_->Admit(principal);
+  return policer_->Admit(request.user.empty() ? request.session
+                                              : request.user);
 }
 
 void AuthorizationService::SetPrincipalQuota(const std::string& principal,
@@ -635,6 +598,10 @@ bool AuthorizationService::Broadcast(
   broadcasts_counter_->Add();
   const uint64_t epoch = admin_epoch_.load(std::memory_order_relaxed) + 1;
   const bool reached = RunOnEveryShard([&fn, epoch, admin](Shard& s) {
+    // The broadcast's own records carry its epoch. applied_epoch moves only
+    // once `fn` is done: a zero-hop hit reads it before it probes, so it
+    // never stamps a verdict newer than the state the verdict came from.
+    s.record_epoch = epoch;
     // Admin envelopes carry the cache-epoch bump with them, so any request
     // queued behind this one already sees every memoized verdict from the
     // old policy world as stale.
@@ -935,7 +902,7 @@ void AuthorizationService::Dispatch(std::span<const AccessRequest> requests,
   Call call{this, requests, out, op, submit_ns, items, &done};
   // All but the last envelope go to their shard threads first, so the
   // shards work in parallel while this thread runs the last one itself
-  // when its shard is idle. In synchronous mode there is only one.
+  // when its shard is idle.
   uint32_t begin = 0;
   for (size_t key = 0; key + 1 < group_end.size(); ++key) {
     const uint32_t end = group_end[key];
@@ -1018,9 +985,6 @@ AuthorizationService::Latch* AuthorizationService::RunEnvelope(
             ? (*call.op)(*shard.engine)
             : shard.engine->CheckAccess(request.session, request.operation,
                                         request.object, request.purpose);
-    // Tap per engine call: a batch of any size then leaves at most one
-    // call's records in the ring at a time, so it never wraps.
-    if (audit_ != nullptr) DrainShardAudit(shard);
     call.out[i] = Convert(decision, shard.index, epoch, call.submit_ns);
   }
   return call.done;
@@ -1155,7 +1119,7 @@ void AuthorizationService::Inspect(
     const std::function<void(const AuthorizationEngine&)>& fn) {
   Shard& target = *shards_[shard];
   Latch done(1);
-  const bool pushed = PushExempt(target, [&fn, &done](Shard& s) {
+  const bool pushed = target.mailbox.Push([&fn, &done](Shard& s) {
     fn(*s.engine);
     return &done;
   });
@@ -1220,10 +1184,11 @@ size_t AuthorizationService::MailboxPeakDepth(uint32_t shard) const {
 
 bool AuthorizationService::InjectShardFault(uint32_t shard,
                                             std::function<void()> fn) {
-  return PushExempt(*shards_[shard], [fn = std::move(fn)](Shard&) -> Latch* {
-    fn();
-    return nullptr;
-  });
+  return shards_[shard]->mailbox.Push(
+      [fn = std::move(fn)](Shard&) -> Latch* {
+        fn();
+        return nullptr;
+      });
 }
 
 // -------------------------------------------------------------- Telemetry
@@ -1250,8 +1215,7 @@ TelemetrySnapshot AuthorizationService::Snapshot() {
         "audit records durably written by the exporter", counters.records});
     snap.metrics.counters.push_back(telemetry::CounterSnapshot{
         "audit_export_drops_total",
-        "audit records lost (hand-off full, write failure, or ring "
-        "eviction before the tap)",
+        "audit records lost (hand-off full or write failure)",
         counters.drops});
     snap.metrics.counters.push_back(telemetry::CounterSnapshot{
         "audit_export_bytes_total", "serialized audit bytes written",

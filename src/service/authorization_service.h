@@ -45,9 +45,8 @@ enum class QuotaEnforcement {
   /// semantics over the full capacity.
   kOnOverload,
   /// Hard cap: an over-quota request is refused immediately at admission,
-  /// idle shard or not. Deterministic (and the only mode with any effect in
-  /// synchronous mode, where there is no queue to overload) — what the
-  /// differential harness's policer arm runs.
+  /// idle shard or not. Deterministic — what the differential harness's
+  /// policer arm runs.
   kAlways,
 };
 
@@ -71,15 +70,10 @@ struct ServiceConfig {
   /// be >= 1 — 0 and other negatives are rejected by ValidateConfig with a
   /// Status error, not silently clamped.
   int num_shards = kAutoShards;
-  /// Synchronous single-shard mode: one engine, every call runs inline on
-  /// the caller's thread, no threads are spawned (concurrent callers take
-  /// turns on the shard's owner lock). Semantically identical to driving an
-  /// AuthorizationEngine directly — the mode existing tests and benches
-  /// (and the stress test's oracle) rely on.
-  bool synchronous = false;
   /// Simulated start time for every shard clock.
   Time start_time = 0;
-  /// Per-shard decision audit ring capacity (see DecisionLog).
+  /// Per-shard decision audit ring capacity (see DecisionLog). 0 disables
+  /// the ring and with it the audit export of engine decisions.
   size_t decision_log_capacity = 256;
   /// When > 0, a PERIODIC-driven metrics reporter is installed on every
   /// shard engine: each simulated interval, the shard renders its registry
@@ -107,8 +101,7 @@ struct ServiceConfig {
   /// a mailbox hop or any lock. Misses, stale entries, purpose-qualified
   /// requests and symbol-overflow keys fall back to the engine unchanged
   /// (inline on an idle shard, else through its mailbox). Requires
-  /// decision_cache_capacity > 0 (rejected by ValidateConfig otherwise) and
-  /// is ignored in synchronous mode, where every call is already inline.
+  /// decision_cache_capacity > 0 (rejected by ValidateConfig otherwise).
   /// Caveat: fast-path hits are counted in decision_cache_fastpath_hits_total
   /// and service_requests_total but bypass the shard engine — they do not
   /// appear in its decisions_total or its decision audit log.
@@ -129,12 +122,11 @@ struct ServiceConfig {
   /// yields AccessOutcome::kOverloaded, never a policy deny.
   Duration default_deadline = 0;
   /// Durable audit stream: when non-empty, an async JSONL exporter (see
-  /// audit::AuditExporter) is attached and every shard's DecisionLog is
-  /// tapped after each engine call it makes — by the thread that made the
-  /// call, under the shard's owner lock, without copying the ring and
-  /// without ever blocking on I/O. Fast-path hits and overload verdicts,
-  /// which never reach an engine, are exported as service-level records
-  /// (seq 0).
+  /// audit::AuditExporter) is attached and every shard engine hands it each
+  /// decision record as its DecisionLog stores it — on the thread running
+  /// the engine, under the shard's owner lock, without ever blocking on
+  /// I/O. Fast-path hits and overload verdicts, which never reach an
+  /// engine, are exported as service-level records (seq 0).
   std::string audit_path;
   /// Rotate the audit file once it exceeds this size; 0 disables. See
   /// audit::AuditExporter::Options::rotate_bytes.
@@ -164,11 +156,6 @@ struct ServiceConfig {
   /// Policer slot-table capacity (principals tracked); must be a power of
   /// two. Principals beyond it fail open (unpoliced) and are counted.
   size_t policer_capacity = 1024;
-  /// When non-zero, the policing key is the principal name truncated at the
-  /// first occurrence of this delimiter — "tenant-a/alice" and
-  /// "tenant-a/bob" then share the "tenant-a" bucket (role/tenant
-  /// aggregation). 0 (the default) polices full principal names.
-  char quota_key_delimiter = '\0';
   /// Nanosecond clock driving refill arithmetic; defaults to the steady
   /// wall clock. Injectable so tests and the differential harness control
   /// refill exactly.
@@ -222,9 +209,8 @@ struct ServiceStats {
   uint64_t policer_refused = 0;
   uint64_t policer_refill_tokens = 0;
   /// Decision envelopes (checks, batches, session ops) by how they ran: on
-  /// the caller's thread, because the shard was idle (or the service is
-  /// synchronous), or through the shard's mailbox. Refused envelopes count
-  /// in neither.
+  /// the caller's thread, because the shard was idle, or through the
+  /// shard's mailbox. Refused envelopes count in neither.
   uint64_t envelopes_inline = 0;
   uint64_t envelopes_queued = 0;
 };
@@ -303,8 +289,7 @@ struct TelemetrySnapshot {
 ///    idle, so a session op or single-shard check on an idle shard crosses
 ///    no thread while a multi-shard batch keeps its parallelism.
 ///    Broadcasts, swap commits, Inspect and injected faults always run on
-///    the shard threads. Synchronous mode is the same inline executor with
-///    a blocking lock and no shard threads.
+///    the shard threads.
 ///
 /// No service method may be called while the calling thread holds an owner
 /// lock — from inside an Inspect callback, an injected fault, or a sink an
@@ -412,7 +397,6 @@ class AuthorizationService {
   // ------------------------------------------------------ Introspection
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
-  bool synchronous() const { return synchronous_; }
   /// Epoch of the latest completed admin broadcast.
   uint64_t admin_epoch() const {
     return admin_epoch_.load(std::memory_order_acquire);
@@ -420,10 +404,10 @@ class AuthorizationService {
   /// Home shard of `user` — deterministic in (user, num_shards).
   uint32_t ShardOf(const std::string& user) const;
 
-  /// Runs `fn` against one shard's engine on that shard's thread (inline in
-  /// synchronous mode, and under the owner lock after Shutdown()) and
-  /// blocks until done — the race-free window tests and stats use to look
-  /// inside an engine. `fn` must not call back into the service.
+  /// Runs `fn` against one shard's engine on that shard's thread (under the
+  /// owner lock after Shutdown()) and blocks until done — the race-free
+  /// window tests and stats use to look inside an engine. `fn` must not
+  /// call back into the service.
   void Inspect(uint32_t shard,
                const std::function<void(const AuthorizationEngine&)>& fn);
 
@@ -431,7 +415,7 @@ class AuthorizationService {
   ServiceStats Stats();
 
   /// Current / high-water queued-envelope depth of one shard mailbox
-  /// (exempt admin envelopes included). Always 0 in synchronous mode.
+  /// (exempt admin envelopes included).
   size_t MailboxDepth(uint32_t shard) const;
   size_t MailboxPeakDepth(uint32_t shard) const;
 
@@ -458,8 +442,8 @@ class AuthorizationService {
   /// the owner lock and is stalled: decision traffic behind it queues and
   /// ages (no caller can run inline) and, with a bounded mailbox, producers
   /// shed or block — the deterministic way tests create overload. Returns
-  /// false once Shutdown() has run. In synchronous mode `fn` runs inline
-  /// before returning. `fn` must not call back into the service.
+  /// false once Shutdown() has run. `fn` must not call back into the
+  /// service.
   bool InjectShardFault(uint32_t shard, std::function<void()> fn);
 
   // -------------------------------------------------------- Telemetry
@@ -481,16 +465,16 @@ class AuthorizationService {
   /// Closes every mailbox, drains queued envelopes (queued requests still
   /// get real decisions), joins all threads, then takes every owner lock,
   /// so no envelope is running anywhere when it returns. Idempotent; the
-  /// destructor calls it. In either mode, requests submitted after
-  /// shutdown are answered with a denied "service is shut down" decision
-  /// (kShutdown), and mutators, LoadPolicy and AdvanceTo with
-  /// FailedPrecondition.
+  /// destructor calls it. Requests submitted after shutdown are answered
+  /// with a denied "service is shut down" decision (kShutdown), and
+  /// mutators, LoadPolicy and AdvanceTo with FailedPrecondition.
   void Shutdown();
 
  private:
   struct Shard;
   class Latch;
-  /// One mailbox envelope: what runs between two audit taps. It returns
+  /// One mailbox envelope, run start to finish by whichever thread holds
+  /// the shard's owner lock. It returns
   /// the latch its caller waits on (null when nobody waits); the executor
   /// counts it down once it has let go of the owner lock, so a caller's
   /// next call finds the shard free.
@@ -514,12 +498,17 @@ class AuthorizationService {
     /// The owner lock: held around every engine call, on the shard thread
     /// or an inline caller, so the engine and everything documented as
     /// single-writer (symbol interning, decision-cache writes, Counter::Inc,
-    /// Histogram::Record, the DecisionLog and its audit tap) has one writer
-    /// at a time, each ordered after the last.
+    /// Histogram::Record, the DecisionLog and its record sink) has one
+    /// writer at a time, each ordered after the last.
     std::mutex owner;
     std::unique_ptr<AuthorizationEngine> engine;
     /// Epoch of the last admin envelope this shard applied.
     std::atomic<uint64_t> applied_epoch{0};
+    /// The epoch the record sink stamps on this shard's records: the
+    /// applied epoch, except inside a broadcast, which sets it to its own
+    /// epoch before it runs, so the broadcast's records carry the epoch its
+    /// caller is told. Owner lock only.
+    uint64_t record_epoch = 0;
     Mailbox<Task> mailbox;
     /// Overload instruments, registered in the shard engine's registry so
     /// they merge into RenderMetrics and the admin report like any other
@@ -588,8 +577,8 @@ class AuthorizationService {
   /// each of its items.
   void SubmitEnvelope(const Call& call, uint32_t shard, bool restricted,
                       uint32_t begin, uint32_t end, bool run_inline);
-  /// The envelope body: per item, the expiry check, then the engine call
-  /// and the audit tap. Returns the call's latch.
+  /// The envelope body: per item, the expiry check, then the engine call.
+  /// Returns the call's latch.
   Latch* RunEnvelope(const Call& call, Shard& shard, uint32_t begin,
                      uint32_t end);
   /// A session op as a batch of one on `shard`. A refusal's audit record
@@ -604,28 +593,20 @@ class AuthorizationService {
   PushResult PushDecision(Shard& shard, Task task, bool block,
                           int64_t deadline_ns, size_t max_depth,
                           bool run_inline);
-  /// Exempt lane: Mailbox::Push, or in synchronous mode the inline
-  /// executor. False once Shutdown() has run.
-  bool PushExempt(Shard& shard, Task task);
   /// How RunInline left its task.
   enum class InlineRun { kRan, kBusy, kClosed };
   /// The inline executor: runs `task` on the calling thread under `shard`'s
-  /// owner lock, as the shard thread would. Synchronous mode waits for the
-  /// lock. Otherwise the task runs only if try_lock wins and the mailbox is
-  /// empty once the lock is held — the shard thread pops only under the
-  /// lock and runs what it popped before letting go, so nothing queued or
-  /// popped is overtaken — and kBusy leaves it to be queued. kClosed once
-  /// Shutdown() has run.
+  /// owner lock, as the shard thread would. The task runs only if try_lock
+  /// wins and the mailbox is empty once the lock is held — the shard thread
+  /// pops only under the lock and runs what it popped before letting go,
+  /// so nothing queued or popped is overtaken — and kBusy leaves it to be
+  /// queued. kClosed once Shutdown() has run.
   InlineRun RunInline(Shard& shard, Task& task);
   /// Runs `fn` on every shard through the exempt lane and waits; true iff
   /// every shard ran it. Shutdown() closes the mailboxes under admin_mu_,
   /// so only a caller holding admin_mu_ reaches every shard or none; the
   /// ApplyPolicyUpdate commit, which does not, can reach some of them.
   bool RunOnEveryShard(const std::function<void(Shard&)>& fn);
-  /// What the owner of a shard does with one envelope: the task, then the
-  /// tap. Returns the task's latch, for the caller to count down once it
-  /// has let go of the owner lock.
-  Latch* RunTask(Shard& shard, Task& task);
 
   static AdminResult ToAdminResult(const AccessDecision& decision);
 
@@ -638,10 +619,10 @@ class AuthorizationService {
   bool TryFastPath(const AccessRequest& request, AccessDecision* out);
 
   /// `request`'s steady-clock expiry instant in ns for a budget starting
-  /// at `submit_ns`; 0 = none, and always 0 in synchronous mode (nothing
-  /// queues). Saturates both steps at INT64_MAX — a huge but valid budget
-  /// means "effectively never", not signed-overflow UB wrapping to an
-  /// already-expired instant that sheds every request carrying it.
+  /// at `submit_ns`; 0 = none. Saturates both steps at INT64_MAX — a huge
+  /// but valid budget means "effectively never", not signed-overflow UB
+  /// wrapping to an already-expired instant that sheds every request
+  /// carrying it.
   int64_t DeadlineNanos(const AccessRequest& request, int64_t submit_ns) const;
 
   /// Why a request was answered kOverloaded without reaching an engine.
@@ -652,7 +633,7 @@ class AuthorizationService {
               int64_t submit_ns, AccessDecision* out);
 
   /// Policer verdict for `request` (kUnpoliced when policing is inactive).
-  /// The key is the user, else the session, cut at quota_key_delimiter.
+  /// The key is the user, else the session.
   Policer::Verdict AdmitPrincipal(const AccessRequest& request);
 
   /// Pushes `fn` to every shard with a fresh epoch and waits for all shards
@@ -675,11 +656,6 @@ class AuthorizationService {
 
   void ShardLoop(Shard* shard);
 
-  /// Export tap: hands the shard's undrained DecisionLog tail to the audit
-  /// exporter and accounts ring evictions as drops. Under the shard's owner
-  /// lock only. One comparison when nothing is new.
-  void DrainShardAudit(Shard& shard);
-
   /// Exports a service-level audit record (seq 0) that keeps its words:
   /// a refusal, the swap marker, or a fast-path hit naming a user its
   /// shard never interned. Any-thread safe; `request` may be null when no
@@ -697,7 +673,6 @@ class AuthorizationService {
   AccessDecision Convert(const Decision& decision, uint32_t shard,
                          uint64_t epoch, int64_t submit_ns) const;
 
-  bool synchronous_ = false;
   Status init_status_;
   /// Overload knobs, frozen at construction.
   bool shed_on_full_ = false;
@@ -708,19 +683,17 @@ class AuthorizationService {
   std::unique_ptr<Policer> policer_;
   /// QuotaEnforcement::kAlways — refuse over-quota at admission.
   bool quota_always_ = false;
-  /// Tenant-aggregation delimiter (0 = full principal names).
-  char quota_key_delimiter_ = '\0';
   /// Decision-lane depth over-quota requests may fill under kOnOverload:
   /// capacity minus the reserved top quarter. The reservation is what makes
   /// shedding weighted — conformant principals always find headroom an
-  /// abuser cannot occupy. 0 where no bound applies (unbounded mailbox,
-  /// synchronous mode): over-quota requests then share envelopes.
+  /// abuser cannot occupy. 0 with an unbounded mailbox: over-quota requests
+  /// then share envelopes.
   size_t over_quota_max_depth_ = 0;
-  /// Zero-hop read path enabled (config flag, cache on, not synchronous).
+  /// Zero-hop read path enabled (config flag, cache on).
   bool fastpath_ = false;
   /// Async audit writer; null when audit_path was empty. Created before the
-  /// shard threads start and Closed (flushing) inside Shutdown, so every
-  /// shard-thread Offer happens while it is alive.
+  /// shards and Closed (flushing) inside Shutdown once every owner lock is
+  /// free, so every record sink's Offer happens while it is alive.
   std::unique_ptr<audit::AuditExporter> audit_;
   /// Fast-path latency sampling interval (mirrors the engines' setting).
   uint32_t latency_sample_every_ = 32;

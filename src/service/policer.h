@@ -18,9 +18,8 @@ namespace sentinel {
 /// \brief Lock-free per-principal token-bucket policer (GCRA form) for the
 /// service's decision-lane admission control.
 ///
-/// Each principal (user name, or session id for user-less legacy requests,
-/// optionally truncated to a tenant prefix by the service) owns one bucket
-/// in a fixed open-addressed slot table. The bucket is a single
+/// Each principal (user name, or session id for user-less legacy requests)
+/// owns one bucket in a fixed open-addressed slot table. The bucket is a single
 /// `atomic<int64_t>`: the GCRA *theoretical arrival time* (TAT) in clock
 /// nanoseconds. A request conforms iff `tat - now <= tau` where
 /// `tau = (burst - 1) * T` and `T = 1e9 / rate` ns is the emission

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "audit/exporter.h"
@@ -458,19 +459,6 @@ TEST(AuditExporterTest, SlowWriterDropsAreCountedExactly) {
   EXPECT_EQ(ReadLines(path).size(), 5u);
 }
 
-TEST(AuditExporterTest, UpstreamLossJoinsTheDropCounter) {
-  const std::string path = TempPath("export_upstream.jsonl");
-  std::remove(path.c_str());
-  AuditExporter::Options options;
-  options.path = path;
-  AuditExporter exporter(options);
-  exporter.AddUpstreamLoss(7);
-  exporter.Offer(FullRecord());
-  exporter.Close();
-  EXPECT_EQ(exporter.counters().records, 1u);
-  EXPECT_EQ(exporter.counters().drops, 7u);
-}
-
 TEST(AuditExporterTest, UnwritablePathFailsLoudlyWithExactAccounting) {
   AuditExporter::Options options;
   options.path = "/nonexistent-dir/sub/audit.jsonl";
@@ -516,7 +504,6 @@ TEST(ServiceAuditTest, ExportsEveryEngineDecisionWithExactAccounting) {
   const std::string path = TempPath("service_audit.jsonl");
   std::remove(path.c_str());
   ServiceConfig config;
-  config.synchronous = true;
   config.num_shards = 1;
   config.audit_path = path;
   AuthorizationService service(config);
@@ -567,7 +554,6 @@ TEST(ServiceAuditTest, MetricsSurfaceAuditCounters) {
   const std::string path = TempPath("service_audit_metrics.jsonl");
   std::remove(path.c_str());
   ServiceConfig config;
-  config.synchronous = true;
   config.num_shards = 1;
   config.audit_path = path;
   AuthorizationService service(config);
@@ -703,6 +689,53 @@ TEST(ServiceAuditTest, BatchLongerThanTheRingExportsEveryRecord) {
   }
   EXPECT_EQ(checks, 64u);
   EXPECT_EQ(service.audit_exporter()->counters().drops, 0u);
+}
+
+TEST(ServiceAuditTest, AdminRecordsCarryTheEpochTheCallReturns) {
+  const std::string path = TempPath("service_audit_epochs.jsonl");
+  std::remove(path.c_str());
+  ServiceConfig config;
+  config.num_shards = 1;
+  config.audit_path = path;
+  AuthorizationService service(config);
+  Policy policy = TinyPolicy();
+  RoleSpec auditor;
+  auditor.name = "auditor";
+  auditor.permissions.insert(Permission{"read", "report"});
+  ASSERT_TRUE(policy.AddRole(std::move(auditor)).ok());
+  ASSERT_TRUE(service.LoadPolicy(policy).ok());
+  const uint64_t loaded = service.admin_epoch();
+
+  ASSERT_TRUE(service.CreateSession("alice", "s1").ok());
+  const AccessRequest check{"alice", "s1", "read", "ledger", ""};
+  const AccessDecision before = service.CheckAccess(check);
+  const AdminResult assigned = service.AssignUser("alice", "auditor");
+  ASSERT_TRUE(assigned.ok()) << assigned.status;
+  ASSERT_GT(assigned.epoch, loaded);
+  const AccessDecision after = service.CheckAccess(check);
+  service.SetContext("location", "office");
+  const uint64_t context_epoch = service.admin_epoch();
+  ASSERT_GT(context_epoch, assigned.epoch);
+  EXPECT_EQ(before.epoch, loaded);
+  EXPECT_EQ(after.epoch, assigned.epoch);
+  service.audit_exporter()->Flush();
+
+  // A broadcast's own record carries the epoch its caller is told; checks
+  // on either side of it carry the epoch they were decided under.
+  std::vector<std::pair<std::string, uint64_t>> got;
+  for (const std::string& line : ReadLines(path)) {
+    AuditRecord parsed;
+    ASSERT_TRUE(ParseJsonLine(line, &parsed)) << line;
+    got.emplace_back(parsed.kind, parsed.epoch);
+  }
+  const std::vector<std::pair<std::string, uint64_t>> want = {
+      {"rbac.createSession", loaded},
+      {"rbac.checkAccess", loaded},
+      {"rbac.assignUser", assigned.epoch},
+      {"rbac.checkAccess", assigned.epoch},
+      {"rbac.contextChanged", context_epoch}};
+  EXPECT_EQ(got, want);
+  service.Shutdown();
 }
 
 TEST(ServiceAuditTest, RejectsZeroQueueCapacityWithAuditPath) {

@@ -345,6 +345,7 @@ struct ServiceAdapter {
     } else {
       d.Deny(decision.rule, decision.reason);
     }
+    d.failed_condition = decision.failed_condition;
     return d;
   }
 
@@ -731,11 +732,12 @@ TEST(CachedServiceDifferentialTest, PolicedAdmissionZeroDivergences) {
       << "--seed=" << seed;
 }
 
-/// Same lockstep over the synchronous single-shard mode, where the cache
-/// shares the caller's thread — a cheaper second arm with its own seed.
-TEST(CachedServiceDifferentialTest, SynchronousCachedServiceMatchesOracle) {
+/// Same lockstep over one shard, whose idle shard runs every check on the
+/// caller's thread through the engine's own cache — a cheaper second arm
+/// with its own seed.
+TEST(CachedServiceDifferentialTest, OneShardCachedServiceMatchesOracle) {
   const uint64_t seed = g_harness_seed * 0xd1342543de82ef95ull + 1;
-  std::cerr << "[harness] synchronous-arm seed derived from --seed="
+  std::cerr << "[harness] one-shard-arm seed derived from --seed="
             << g_harness_seed << "\n";
 
   const Policy policy = GeneratePolicy(CachedHarnessPolicyParams(seed));
@@ -750,7 +752,6 @@ TEST(CachedServiceDifferentialTest, SynchronousCachedServiceMatchesOracle) {
 
   ServiceConfig config;
   config.num_shards = 1;
-  config.synchronous = true;
   config.start_time = testutil::Noon();
   config.decision_cache_capacity = 1024;
   auto service_or = AuthorizationService::Create(config);
@@ -776,6 +777,71 @@ TEST(CachedServiceDifferentialTest, SynchronousCachedServiceMatchesOracle) {
     }
   }
   EXPECT_GT(service.Stats().cache_hits + service.Stats().cache_misses, 0u);
+}
+
+/// A one-shard service is one engine behind the executor every service
+/// runs: its shard thread takes the broadcasts and time advances, and the
+/// caller runs its own envelopes while the shard is idle. It must decide
+/// exactly like the same engine driven directly: the same verdict, rule,
+/// reason and failed condition on every check, the same ok() and status
+/// message on every session and admin call, across clock advances,
+/// context moves and admin broadcasts. The cache is off, so every check
+/// dispatches; the policy keeps the global constraints the DirectEnforcer
+/// arms leave out, since one shard sees every user.
+TEST(OneShardServiceDifferentialTest, DecidesExactlyLikeABareEngine) {
+  const uint64_t seed = g_harness_seed * 0x9e3779b97f4a7c15ull + 5;
+  std::cerr << "[harness] bare-engine-arm seed derived from --seed="
+            << g_harness_seed << "\n";
+  PolicyGenParams policy_params = EverythingParams();
+  policy_params.seed = seed;
+  const Policy policy = GeneratePolicy(policy_params);
+  ASSERT_TRUE(policy.Validate().ok());
+  RequestGenParams request_params = LongStream();
+  request_params.seed = seed;
+  const std::vector<Request> requests =
+      RequestGenerator(policy, request_params).Generate();
+
+  ServiceConfig config;
+  config.num_shards = 1;
+  config.start_time = testutil::Noon();
+  auto service_or = AuthorizationService::Create(config);
+  ASSERT_TRUE(service_or.ok());
+  AuthorizationService& service = **service_or;
+  ASSERT_TRUE(service.LoadPolicy(policy).ok());
+  ServiceAdapter adapter{service};
+
+  SimulatedClock engine_clock(testutil::Noon());
+  AuthorizationEngine engine(&engine_clock);
+  ASSERT_TRUE(engine.LoadPolicy(policy).ok());
+
+  size_t checks = 0;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const Request& request = requests[i];
+    const Decision got = ApplyRequest(adapter, request);
+    const Decision want = ApplyRequest(engine, request);
+    const bool check = request.kind == RequestKind::kCheckAccess;
+    checks += check ? 1 : 0;
+    // A session or admin call's status message is its denial reason, and
+    // empty when it succeeded.
+    ASSERT_EQ(got.allowed, want.allowed)
+        << "--seed=" << g_harness_seed << " request #" << i << " "
+        << RequestKindToString(request.kind)
+        << "\n  service: " << got.rule << " / " << got.reason
+        << "\n  engine: " << want.rule << " / " << want.reason;
+    ASSERT_EQ(got.reason, want.reason) << "request #" << i;
+    if (check) {
+      ASSERT_EQ(got.rule, want.rule) << "request #" << i;
+      ASSERT_EQ(got.failed_condition, want.failed_condition)
+          << "request #" << i;
+    }
+  }
+  EXPECT_GT(checks, 0u);
+  EXPECT_EQ(service.Now(), engine.Now());
+  std::string served;
+  service.Inspect(0, [&served](const AuthorizationEngine& shard) {
+    served = StateFingerprint(shard.rbac(), shard.role_state());
+  });
+  EXPECT_EQ(served, StateFingerprint(engine.rbac(), engine.role_state()));
 }
 
 // ================================================================

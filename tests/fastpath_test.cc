@@ -327,29 +327,6 @@ TEST_F(FastPathServiceTest, EachFallbackReasonIsCountedOnce) {
 
 // ----------------------------------------------- Modes and observability
 
-TEST(FastPathModeTest, SynchronousModeIgnoresTheFlag) {
-  ServiceConfig config;
-  config.num_shards = 1;
-  config.synchronous = true;
-  config.start_time = testutil::Noon();
-  config.decision_cache_capacity = 256;
-  config.decision_cache_fastpath = true;
-  auto service_or = AuthorizationService::Create(config);
-  ASSERT_TRUE(service_or.ok());
-  AuthorizationService& service = **service_or;
-  ASSERT_TRUE(service.LoadPolicy(FastLabPolicy()).ok());
-  ASSERT_TRUE(service.CreateSession("alice", "s1").ok());
-  ASSERT_TRUE(service.AddActiveRole("alice", "s1", "Doctor").ok());
-
-  // Inline calls have no mailbox to skip: the engine's own cache serves
-  // replays and the fast-path counter stays dark.
-  EXPECT_TRUE(service.CheckAccess(Req("read", "chart")).allowed);
-  EXPECT_TRUE(service.CheckAccess(Req("read", "chart")).allowed);
-  ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.fastpath_hits, 0u);
-  EXPECT_GE(stats.cache_hits, 1u);
-}
-
 TEST_F(FastPathServiceTest, HitsSurfaceInExpositionAndAdminReport) {
   Start();
   service().CheckAccess(Req("read", "chart"));

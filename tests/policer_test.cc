@@ -262,23 +262,24 @@ TEST(PolicerServiceTest, BatchPathRefusesPerItem) {
   service.Shutdown();
 }
 
-TEST(PolicerServiceTest, SessionKeyedWhenUserAbsentAndTenantAggregation) {
+TEST(PolicerServiceTest, SessionKeyedWhenUserAbsent) {
   std::atomic<int64_t> clock{0};
-  ServiceConfig config = PolicedConfig(1, &clock);
-  config.quota_key_delimiter = '/';
-  AuthorizationService service(config);
+  AuthorizationService service(PolicedConfig(1, &clock));
   ASSERT_TRUE(service.LoadPolicy(testutil::EnterpriseXyzPolicy()).ok());
-  ASSERT_TRUE(service.CreateSession("alice", "tenant-a/s1").ok());
-  ASSERT_TRUE(service.AddActiveRole("alice", "tenant-a/s1", "PM").ok());
+  ASSERT_TRUE(service.CreateSession("alice", "s1").ok());
+  ASSERT_TRUE(service.AddActiveRole("alice", "s1", "PM").ok());
 
-  // No user on the request: the session id is the principal, truncated at
-  // the delimiter — both sessions share the "tenant-a" bucket.
-  const AccessRequest first{"", "tenant-a/s1", "read", "ledger", ""};
-  const AccessRequest second{"", "tenant-a/s2", "read", "ledger", ""};
+  // No user on the request: the session id is the principal. s1 spends its
+  // own bucket (burst 2, frozen clock) and leaves s2's full.
+  const AccessRequest first{"", "s1", "read", "ledger", ""};
+  const AccessRequest second{"", "s2", "read", "ledger", ""};
   EXPECT_EQ(service.CheckAccess(first).outcome, AccessOutcome::kDecided);
-  EXPECT_EQ(service.CheckAccess(second).outcome, AccessOutcome::kDecided);
+  EXPECT_EQ(service.CheckAccess(first).outcome, AccessOutcome::kDecided);
   EXPECT_EQ(service.CheckAccess(first).outcome, AccessOutcome::kOverloaded);
-  EXPECT_EQ(service.policer().TokensAvailable("tenant-a"), 0);
+  EXPECT_EQ(service.policer().TokensAvailable("s1"), 0);
+  EXPECT_EQ(service.CheckAccess(second).outcome, AccessOutcome::kDecided);
+  EXPECT_EQ(service.policer().TokensAvailable("s2"), 1);
+  EXPECT_EQ(service.policer().TokensAvailable("alice"), 2);
   service.Shutdown();
 }
 
@@ -433,7 +434,7 @@ threshold guard { count: 3  window: 1m  throttle-rate: 0.000001
 TEST(PolicerServiceTest, ThresholdRuleThrottlesAbusivePrincipal) {
   std::atomic<int64_t> clock{0};
   ServiceConfig config;
-  config.synchronous = true;
+  config.num_shards = 1;
   config.start_time = testutil::Noon();
   config.quota_enforcement = QuotaEnforcement::kAlways;
   config.quota_clock = [&clock] { return clock.load(); };
@@ -464,7 +465,7 @@ TEST(PolicerServiceTest, ThresholdRuleThrottlesAbusivePrincipal) {
 TEST(PolicerServiceTest, PauselessSwapUpdatesThrottlePenalty) {
   std::atomic<int64_t> clock{0};
   ServiceConfig config;
-  config.synchronous = true;
+  config.num_shards = 1;
   config.start_time = testutil::Noon();
   config.quota_enforcement = QuotaEnforcement::kAlways;
   config.quota_clock = [&clock] { return clock.load(); };

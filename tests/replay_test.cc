@@ -67,13 +67,12 @@ void Apply(AuthorizationService& service, const Request& request) {
   }
 }
 
-/// Captures an audit stream by running `scenario` through a synchronous
+/// Captures an audit stream by running `scenario` through a one-shard
 /// audited service; returns the parsed records.
 std::vector<AuditRecord> CaptureScenario(const Scenario& scenario,
                                          const std::string& path) {
   std::remove(path.c_str());
   ServiceConfig config;
-  config.synchronous = true;
   config.num_shards = 1;
   config.start_time = MakeTime(2026, 7, 6, 9, 0, 0);
   config.audit_path = path;
@@ -211,7 +210,7 @@ Policy FlipBasePolicy() {
 }
 
 /// Runs the canonical four-step capture (session, activate A, activate B,
-/// write doc) against `policy` on a bare engine and drains its audit trail.
+/// write doc) against `policy` on a bare engine and reads its audit trail.
 std::vector<AuditRecord> CaptureFlipSequence(const Policy& policy) {
   SimulatedClock clock;
   AuthorizationEngine engine(&clock);
@@ -221,9 +220,10 @@ std::vector<AuditRecord> CaptureFlipSequence(const Policy& policy) {
   (void)engine.AddActiveRole("alice", "s1", "B");
   (void)engine.CheckAccess("s1", "write", "doc", "");
   std::vector<AuditRecord> records;
-  engine.DrainDecisionLog([&records, &engine](const DecisionRecord& record) {
-    records.push_back(FromDecisionRecord(record, engine.symbols(), 0, 1));
-  });
+  const DecisionLog& log = engine.decision_log();
+  for (size_t i = 0; i < log.size(); ++i) {
+    records.push_back(FromDecisionRecord(log[i], engine.symbols(), 0, 1));
+  }
   EXPECT_EQ(records.size(), 4u);
   return records;
 }
@@ -295,7 +295,6 @@ TEST(ReplayTest, TailAfterPauselessSwapsReplaysFinalPolicyWithZeroDiffs) {
   const std::string path = TempPath("replay_swap_tail.jsonl");
   std::remove(path.c_str());
   ServiceConfig config;
-  config.synchronous = true;
   config.num_shards = 1;
   config.start_time = MakeTime(2026, 7, 6, 9, 0, 0);
   config.audit_path = path;
@@ -428,9 +427,10 @@ TEST(ReplayTest, TimeWarpReproducesDurationExpiry) {
   engine.AdvanceTo(engine.Now() + 20 * kMinute);  // Past the bound.
   EXPECT_FALSE(engine.CheckAccess("s1", "read", "doc", "").allowed);
   std::vector<AuditRecord> records;
-  engine.DrainDecisionLog([&records, &engine](const DecisionRecord& record) {
-    records.push_back(FromDecisionRecord(record, engine.symbols(), 0, 1));
-  });
+  const DecisionLog& log = engine.decision_log();
+  for (size_t i = 0; i < log.size(); ++i) {
+    records.push_back(FromDecisionRecord(log[i], engine.symbols(), 0, 1));
+  }
 
   // Replaying against the same policy reproduces the expiry-driven denial
   // only if the replay engine's clock is warped between records.

@@ -33,20 +33,12 @@ ServiceConfig ShardedConfig(int shards) {
   return config;
 }
 
-ServiceConfig SyncConfig() {
-  ServiceConfig config;
-  config.synchronous = true;
-  config.start_time = testutil::Noon();
-  return config;
-}
-
 // ------------------------------------------------------------ Facade basics
 
-TEST(ServiceTest, SynchronousModeMatchesEngineSemantics) {
-  AuthorizationService service(SyncConfig());
+TEST(ServiceTest, OneShardMatchesEngineSemantics) {
+  AuthorizationService service(ShardedConfig(1));
   ASSERT_TRUE(service.LoadPolicy(testutil::EnterpriseXyzPolicy()).ok());
   EXPECT_EQ(service.num_shards(), 1);
-  EXPECT_TRUE(service.synchronous());
 
   EXPECT_TRUE(service.CreateSession("alice", "s1").ok());
   EXPECT_TRUE(service.AddActiveRole("alice", "s1", "PM").ok());
@@ -231,8 +223,8 @@ TEST(ServiceTest, TimeAdvanceFansOutToEveryShard) {
 
 TEST(ServiceTest, BatchMatchesSingleCallDecisions) {
   AuthorizationService sharded(ShardedConfig(4));
-  AuthorizationService sync(SyncConfig());
-  for (AuthorizationService* service : {&sharded, &sync}) {
+  AuthorizationService single(ShardedConfig(1));
+  for (AuthorizationService* service : {&sharded, &single}) {
     ASSERT_TRUE(service->LoadPolicy(testutil::EnterpriseXyzPolicy()).ok());
     ASSERT_TRUE(service->CreateSession("alice", "s1").ok());
     ASSERT_TRUE(service->AddActiveRole("alice", "s1", "PM").ok());
@@ -249,7 +241,7 @@ TEST(ServiceTest, BatchMatchesSingleCallDecisions) {
   const std::vector<AccessDecision> concurrent =
       sharded.CheckAccessBatch(requests);
   const std::vector<AccessDecision> reference =
-      sync.CheckAccessBatch(requests);
+      single.CheckAccessBatch(requests);
   ASSERT_EQ(concurrent.size(), requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     EXPECT_EQ(concurrent[i].allowed, reference[i].allowed) << i;
@@ -309,7 +301,7 @@ TEST(ServiceTest, ShutdownDrainsQueuedWorkAndRefusesNewWork) {
   service.Shutdown();  // Idempotent.
 }
 
-/// After Shutdown() every entry point refuses, whatever the mode: checks
+/// After Shutdown() every entry point refuses, whatever the shard count: checks
 /// answer kShutdown, mutators and policy/time calls FailedPrecondition —
 /// none of them reaches an engine or reports a policy verdict.
 void ExpectEveryCallRefusedAfterShutdown(const ServiceConfig& config) {
@@ -347,17 +339,16 @@ void ExpectEveryCallRefusedAfterShutdown(const ServiceConfig& config) {
   EXPECT_EQ(service.Stats().decisions, decided);
 }
 
-TEST(ServiceTest, ShutdownRefusesEveryCallSynchronous) {
-  ExpectEveryCallRefusedAfterShutdown(SyncConfig());
-}
-
 TEST(ServiceTest, ShutdownRefusesEveryCallSharded) {
-  ExpectEveryCallRefusedAfterShutdown(ShardedConfig(2));
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE(shards);
+    ExpectEveryCallRefusedAfterShutdown(ShardedConfig(shards));
+  }
 }
 
 TEST(ServiceTest, AdvanceAfterShutdownIsARefusalNotASilentNoop) {
-  // Concurrent mode: after Shutdown no shard can take the advance, so the
-  // call must say it did not happen instead of returning as if it had.
+  // After Shutdown no shard can take the advance, so the call must say it
+  // did not happen instead of returning as if it had.
   AuthorizationService service(ShardedConfig(2));
   ASSERT_TRUE(service.LoadPolicy(testutil::EnterpriseXyzPolicy()).ok());
   const Time target = testutil::Noon() + kHour;
@@ -367,13 +358,6 @@ TEST(ServiceTest, AdvanceAfterShutdownIsARefusalNotASilentNoop) {
   const Status refused = service.AdvanceTo(target + kHour);
   EXPECT_TRUE(refused.IsFailedPrecondition()) << refused;
   EXPECT_EQ(service.Now(), target);  // Time did not move.
-
-  // Synchronous mode runs the advance inline; same contract.
-  AuthorizationService sync(SyncConfig());
-  ASSERT_TRUE(sync.LoadPolicy(testutil::EnterpriseXyzPolicy()).ok());
-  ASSERT_TRUE(sync.AdvanceBy(kMinute).ok());
-  sync.Shutdown();
-  EXPECT_TRUE(sync.AdvanceBy(kMinute).IsFailedPrecondition());
 }
 
 TEST(ServiceTest, AdvanceRacingShutdownNeverFabricatesTime) {
@@ -787,34 +771,12 @@ TEST(ServiceOverloadTest, EpochBarrierStaysSoundWhenProducersBlock) {
   EXPECT_GE(late.epoch, epoch_after);
 }
 
-TEST(ServiceOverloadTest, SynchronousModeRunsInlineWithoutOverload) {
-  // No queue in synchronous mode: deadlines cannot expire before dispatch
-  // and nothing sheds — the oracle configuration stays overload-free.
-  ServiceConfig config = SyncConfig();
-  config.mailbox_capacity = 1;
-  config.default_deadline = 1;  // 1us — instantly expirable if queued.
-  AuthorizationService service(config);
-  ASSERT_TRUE(service.LoadPolicy(testutil::EnterpriseXyzPolicy()).ok());
-  ASSERT_TRUE(service.CreateSession("alice", "s1").ok());
-  ASSERT_TRUE(service.AddActiveRole("alice", "s1", "PM").ok());
-  for (int i = 0; i < 100; ++i) {
-    const AccessDecision decision =
-        service.CheckAccess({"alice", "s1", "read", "ledger", ""});
-    EXPECT_EQ(decision.outcome, AccessOutcome::kDecided);
-    EXPECT_TRUE(decision.allowed);
-  }
-  const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.shed, 0u);
-  EXPECT_EQ(stats.expired, 0u);
-}
-
 // ------------------------------------------- Inline runs on an idle shard
 
 TEST(ServiceInlineTest, IdleShardRunsSessionOpsAndChecksInline) {
-  for (const bool synchronous : {false, true}) {
-    SCOPED_TRACE(synchronous ? "synchronous" : "sharded");
-    AuthorizationService service(synchronous ? SyncConfig()
-                                             : ShardedConfig(2));
+  for (const int shards : {2, 1}) {
+    SCOPED_TRACE(shards);
+    AuthorizationService service(ShardedConfig(shards));
     // LoadPolicy's broadcast runs on the shard threads, which count their
     // caller down only after letting go of the owner lock: both shards are
     // idle when it returns. Broadcasts are not decision envelopes.
@@ -920,7 +882,7 @@ TEST(ServiceInlineTest, QueueWaitCountsOnlyEnvelopesThatQueued) {
 
 TEST(ServiceInlineTest, BatchOverFourShardsQueuesThreeAndRunsOneInline) {
   AuthorizationService sharded(ShardedConfig(4));
-  AuthorizationService oracle(SyncConfig());
+  AuthorizationService oracle(ShardedConfig(1));
   // carol, alice, bob and nina land on four different shards; nina has no
   // session, so her item is a deny on both sides.
   const std::vector<std::string> users = {"carol", "alice", "bob", "nina"};
@@ -1251,14 +1213,14 @@ void RunPerUserStress(size_t decision_cache_capacity) {
   for (std::thread& thread : submitters) thread.join();
   sharded.Shutdown();
 
-  // Oracle: the same traces on the synchronous single-shard service.
-  AuthorizationService sync(SyncConfig());
-  ASSERT_TRUE(sync.LoadPolicy(policy).ok());
+  // Oracle: the same traces on a one-shard service.
+  AuthorizationService single(ShardedConfig(1));
+  ASSERT_TRUE(single.LoadPolicy(policy).ok());
   for (size_t u = 0; u < users.size(); ++u) {
     ASSERT_EQ(concurrent[u].size(), traces[u].size()) << users[u];
     for (size_t step = 0; step < traces[u].size(); ++step) {
       const RecordedDecision expected =
-          ApplyStep(sync, users[u], traces[u][step]);
+          ApplyStep(single, users[u], traces[u][step]);
       const RecordedDecision& got = concurrent[u][step];
       EXPECT_EQ(got.allowed, expected.allowed)
           << users[u] << " step " << step;
@@ -1284,7 +1246,7 @@ TEST(ServiceStressTest, OverloadShedStressBoundedCountedAndDrained) {
   //    capacity plus the single in-flight exempt stall envelope;
   //  * every submitted request is answered, and sheds are counted exactly
   //    (caller-observed outcomes reconcile with ServiceStats);
-  //  * decided outcomes never diverge from the synchronous oracle;
+  //  * decided outcomes never diverge from the oracle;
   //  * shutdown still drains-not-drops (asserted by the final Stats
   //    reconciliation running after Shutdown()).
   constexpr size_t kCapacity = 8;
